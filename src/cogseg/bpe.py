@@ -13,7 +13,7 @@ import collections
 import logging
 from dataclasses import dataclass, field
 
-from .errors import ContractError, FormatError
+from .errors import ContractError, read_rows
 
 _logger = logging.getLogger(__name__)
 
@@ -197,14 +197,5 @@ def save_merges(path, table: MergeTable) -> None:
 
 
 def load_merges(path) -> MergeTable:
-    merges = []
-    with open(path, encoding="utf-8") as stream:
-        for lineno, line in enumerate(stream, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split(" ")
-            if len(parts) != 2:
-                raise FormatError("expected two space-separated symbols", path, lineno)
-            merges.append((parts[0], parts[1]))
-    return MergeTable(merges=merges)
+    """Read merges written by save_merges."""
+    return MergeTable(merges=[(left, right) for _, (left, right) in read_rows(path, 2, " ")])

@@ -15,7 +15,7 @@ import logging
 import sys
 
 from . import bpe, cognates, segmenter, serialization, trainer
-from .errors import CogsegError
+from .errors import CogsegError, FormatError, open_text, parse_int, read_rows
 from .model import EDIT_MODES
 
 _logger = logging.getLogger(__name__)
@@ -27,8 +27,6 @@ _UNSET = object()
 
 
 def validate_token(token: str) -> str:
-    if any(ch.isspace() for ch in token):
-        raise CogsegError("token %r contains whitespace" % token)
     for bad in RESERVED_SUBSTRINGS:
         if bad in token:
             raise CogsegError("token %r contains reserved %r" % (token, bad))
@@ -38,7 +36,7 @@ def validate_token(token: str) -> str:
 def load_word_counts(path) -> dict[str, int]:
     """Count whitespace-separated tokens of a UTF-8 text file."""
     counts: collections.Counter = collections.Counter()
-    with open(path, encoding="utf-8") as stream:
+    with open_text(path) as stream:
         for line in stream:
             for token in line.split():
                 counts[validate_token(token)] += 1
@@ -49,39 +47,41 @@ def load_word_counts(path) -> dict[str, int]:
 
 def load_count_table(path) -> dict[str, int]:
     """Read a word<TAB>count table."""
-    table = {}
-    with open(path, encoding="utf-8") as stream:
-        for lineno, line in enumerate(stream, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise CogsegError("%s:%d: expected word<TAB>count" % (path, lineno))
-            table[fields[0]] = int(fields[1])
-    return table
+    return {word: parse_int(count, path, lineno) for lineno, (word, count) in read_rows(path, 2)}
 
 
-def _resolved(args, key, default):
-    """flags > config file > defaults."""
+def _load_config(path) -> dict:
+    """The --config file: a JSON object mapping flag names to values."""
+    with open_text(path) as stream:
+        try:
+            config = json.load(stream)
+        except ValueError as exc:
+            raise FormatError("bad JSON (%s)" % exc, path) from None
+    if not isinstance(config, dict):
+        raise FormatError("expected a JSON object", path)
+    return config
+
+
+def _resolved(args, key, default, kind):
+    """flags > config file > defaults, converted with kind."""
     value = getattr(args, key)
-    if value is not _UNSET:
-        return value
-    config = getattr(args, "_config", {})
-    if key in config:
-        return config[key]
-    return default
+    if value is _UNSET:
+        value = args._config.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise CogsegError("bad value %r for %r" % (value, key)) from None
 
 
 def _training_params(args) -> trainer.TrainingParams:
     return trainer.TrainingParams(
-        alpha=float(_resolved(args, "alpha", 0.01)),
-        edit_weight=float(_resolved(args, "edit_weight", 10.0)),
-        max_epochs=int(_resolved(args, "max_epochs", 15)),
-        convergence_threshold=float(_resolved(args, "convergence", 1e-5)),
-        rng_seed=int(_resolved(args, "seed", 0)),
-        dampening=_resolved(args, "dampening", "none"),
-        edit_mode=_resolved(args, "edit_mode", "full"),
+        alpha=_resolved(args, "alpha", 0.01, float),
+        edit_weight=_resolved(args, "edit_weight", 10.0, float),
+        max_epochs=_resolved(args, "max_epochs", 15, int),
+        convergence_threshold=_resolved(args, "convergence", 1e-5, float),
+        rng_seed=_resolved(args, "seed", 0, int),
+        dampening=_resolved(args, "dampening", "none", str),
+        edit_mode=_resolved(args, "edit_mode", "full", str),
     )
 
 
@@ -133,33 +133,17 @@ def cmd_train_mono(args):
 def cmd_segment(args):
     model = serialization.load_model(args.model)
     config = segmenter.SegmenterConfig(joiner=args.joiner)
-    for line in segmenter.segment_corpus(model, sys.stdin, args.lang, config):
-        sys.stdout.write(line + "\n")
+    sys.stdout.writelines(segmenter.segment_corpus(model, sys.stdin, args.lang, config))
 
 
 def cmd_segment_source(args):
     source = serialization.load_model(args.source_model)
     cognate_model = serialization.load_model(args.cognate_model)
     config = segmenter.SegmenterConfig(joiner=args.joiner)
-    for lineno, line in enumerate(sys.stdin, 1):
-        line = line.rstrip("\n")
-        out = []
-        for token in line.split(" "):
-            if not token or segmenter.TAG_PATTERN.match(token):
-                out.append(token)
-                continue
-            analysis = None
-            for language in ("a", "b"):
-                analysis = cognate_model.analyses[language].get(token)
-                if analysis is not None:
-                    break
-            if analysis is None:
-                # Stored source analyses first, then Viterbi fallback.
-                analysis = source.analyses["a"].get(token)
-            if analysis is None:
-                analysis = segmenter.viterbi_segment(source.lexicons["a"], token, config)
-            out.append(segmenter.join_morphs(analysis.morphs, config.joiner))
-        sys.stdout.write(" ".join(out) + "\n")
+    override = segmenter.override_source_segmentation
+    sys.stdout.writelines(segmenter.segment_lines(
+        sys.stdin, lambda token: override(source, cognate_model, token, config).morphs, config
+    ))
 
 
 def cmd_prep_tag(args):
@@ -186,17 +170,10 @@ def cmd_bpe_train(args):
 
 def cmd_bpe_apply(args):
     table = bpe.load_merges(args.merges)
-    joiner = args.joiner
-    for line in sys.stdin:
-        line = line.rstrip("\n")
-        out = []
-        for token in line.split(" "):
-            if not token:
-                out.append(token)
-                continue
-            pieces = bpe.apply_bpe(table, token)
-            out.append(segmenter.join_morphs(tuple(pieces), joiner))
-        sys.stdout.write(" ".join(out) + "\n")
+    config = segmenter.SegmenterConfig(joiner=args.joiner)
+    sys.stdout.writelines(segmenter.segment_lines(
+        sys.stdin, lambda token: bpe.apply_bpe(table, token), config
+    ))
 
 
 def cmd_report_edits(args):
@@ -283,14 +260,10 @@ def main(argv=None) -> int:
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(message)s",
     )
-    if getattr(args, "config", None):
-        with open(args.config, encoding="utf-8") as stream:
-            args._config = json.load(stream)
-    else:
-        args._config = {}
     try:
+        args._config = _load_config(args.config) if getattr(args, "config", None) else {}
         args.func(args)
-    except (CogsegError, OSError) as exc:
+    except (CogsegError, OSError, UnicodeError) as exc:
         sys.stderr.write(
             json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n"
         )

@@ -13,7 +13,7 @@ import unicodedata
 from dataclasses import dataclass
 
 from .edits import levenshtein_distance
-from .errors import ContractError, FormatError
+from .errors import ContractError, FormatError, parse_positive, read_rows
 
 
 @dataclass(frozen=True)
@@ -105,23 +105,11 @@ def extract(
 def read_pairs_tsv(path) -> list[AlignedPair]:
     """Read (word_a, word_b, count) rows from a UTF-8 TSV file."""
     pairs = []
-    with open(path, encoding="utf-8") as stream:
-        for lineno, line in enumerate(stream, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise FormatError("expected 3 tab-separated fields", path, lineno)
-            try:
-                count = int(fields[2])
-            except ValueError:
-                raise FormatError("bad count %r" % fields[2], path, lineno) from None
-            if count < 1:
-                raise FormatError("count must be positive", path, lineno)
-            if not fields[0] or not fields[1]:
-                raise FormatError("empty word", path, lineno)
-            pairs.append(AlignedPair(fields[0], fields[1], count))
+    for lineno, (word_a, word_b, count) in read_rows(path, 3):
+        count = parse_positive(count, path, lineno)
+        if not word_a or not word_b:
+            raise FormatError("empty word", path, lineno)
+        pairs.append(AlignedPair(word_a, word_b, count))
     return pairs
 
 

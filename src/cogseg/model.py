@@ -366,6 +366,16 @@ class CognateModel:
         if pair is not None:
             self._attach_pair_tokens(pair)
 
+    def record_pair_analyses(self, pair: CognatePair, a: Analysis, b: Analysis) -> None:
+        """Record a detached pair's new analyses and their aligned edit tokens.
+
+        Local-search primitive: the search that chose the analyses has
+        already counted their morphs and edit tokens in the lexicons.
+        """
+        self.analyses["a"][pair.word_a] = a
+        self.analyses["b"][pair.word_b] = b
+        self._pair_tokens[pair.key] = aligned_edit_tokens(a, b)
+
     # -- integrity -------------------------------------------------------
 
     def _rebuild(self) -> tuple[CountLexicon, CountLexicon, CountLexicon]:

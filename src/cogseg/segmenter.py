@@ -83,13 +83,6 @@ def viterbi_segment(
     return Analysis(word, tuple(morphs), 1)
 
 
-def _token_morphs(model: CognateModel, language: str, token: str, config) -> tuple[str, ...]:
-    stored = model.analyses[language].get(token)
-    if stored is not None:
-        return stored.morphs
-    return viterbi_segment(model.lexicons[language], token, config).morphs
-
-
 def join_morphs(morphs, joiner: str) -> str:
     """Render a token's morphs with the joiner marking non-final subwords.
 
@@ -103,14 +96,36 @@ def join_morphs(morphs, joiner: str) -> str:
     return " ".join(m + joiner for m in morphs[:-1]) + " " + morphs[-1]
 
 
-def segment_tokens(model: CognateModel, language: str, tokens, config) -> list[str]:
-    out = []
-    for token in tokens:
-        if not token or TAG_PATTERN.match(token):
-            out.append(token)
-        else:
-            out.append(join_morphs(_token_morphs(model, language, token, config), config.joiner))
-    return out
+def segment_lines(lines, token_morphs, config: SegmenterConfig):
+    """The token loop of every apply command; yields output lines.
+
+    Lines are split on single spaces. Empty tokens, target tags and tokens
+    holding other whitespace pass through unsplit; any other token becomes
+    token_morphs(token) rendered with the joiner. Each line keeps its
+    terminator, so unjoin restores the input byte for byte. I/O and decoding
+    failures are reported with the offending line number.
+    """
+    joiner = config.joiner
+    lineno = 0
+    try:
+        for lineno, line in enumerate(lines, 1):
+            text = line.rstrip("\r\n")
+            # isprintable() is False for every whitespace character but the
+            # space, so plain lines skip the per-token check.
+            spaced = not text.isprintable()
+            out = []
+            for token in text.split(" "):
+                if not token or TAG_PATTERN.match(token) or (
+                    spaced and any(ch.isspace() for ch in token)
+                ):
+                    out.append(token)
+                else:
+                    out.append(join_morphs(token_morphs(token), joiner))
+            yield " ".join(out) + line[len(text):]
+    except (OSError, UnicodeError) as exc:
+        if isinstance(exc, UnicodeDecodeError):  # text streams decode a chunk ahead
+            lineno += exc.object.count(b"\n", 0, exc.start)
+        raise CogsegError("line %d: %s" % (lineno + 1, exc)) from exc
 
 
 def segment_corpus(
@@ -119,20 +134,18 @@ def segment_corpus(
     language: str,
     config: SegmenterConfig = SegmenterConfig(),
 ):
-    """Segment a stream of whitespace-tokenized lines; yields output lines.
+    """Segment a stream of whitespace-tokenized lines with segment_lines.
 
-    Joining the emitted morphs and stripping the joiner markers restores the
-    input stream exactly. I/O and decoding failures are reported with the
-    offending line number.
+    Words seen in training reuse their stored analyses; other words are
+    segmented by Viterbi under the language's lexicon.
     """
-    lineno = 0
-    try:
-        for line in lines:
-            lineno += 1
-            line = line.rstrip("\n")
-            yield " ".join(segment_tokens(model, language, line.split(" "), config))
-    except (OSError, UnicodeError) as exc:
-        raise CogsegError("line %d: %s" % (lineno + 1, exc)) from exc
+    analyses = model.analyses[language]
+    lexicon = model.lexicons[language]
+    return segment_lines(
+        lines,
+        lambda token: (analyses.get(token) or viterbi_segment(lexicon, token, config)).morphs,
+        config,
+    )
 
 
 def unjoin(line: str, joiner: str = DEFAULT_JOINER) -> str:
@@ -141,21 +154,25 @@ def unjoin(line: str, joiner: str = DEFAULT_JOINER) -> str:
 
 
 def override_source_segmentation(
-    source_lexicon: CountLexicon,
+    source_model: CognateModel,
     cognate_model: CognateModel,
     word: str,
     config: SegmenterConfig = SegmenterConfig(),
 ) -> Analysis:
     """Segmentation of a source-language word, kept consistent with the
-    target side: words also present in either target analysis table reuse
-    that stored analysis (language a preferred), everything else falls back
-    to Viterbi under the source lexicon.
+    target side. The first stored analysis of the word wins, looked up in
+    the cognate model's language a, then its language b, then the source
+    model (language a); any other word is segmented by Viterbi under the
+    source model's lexicon.
     """
-    for language in ("a", "b"):
-        stored = cognate_model.analyses[language].get(word)
-        if stored is not None:
-            return stored
-    return viterbi_segment(source_lexicon, word, config)
+    stored = (
+        cognate_model.analyses["a"].get(word)
+        or cognate_model.analyses["b"].get(word)
+        or source_model.analyses["a"].get(word)
+    )
+    if stored is not None:
+        return stored
+    return viterbi_segment(source_model.lexicons["a"], word, config)
 
 
 def prefix_target_tag(sentence: str, language_id: str, targets=("et", "fi")) -> str:

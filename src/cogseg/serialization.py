@@ -11,7 +11,7 @@ an exact recount from the analyses.
 from __future__ import annotations
 
 from .edits import Edit
-from .errors import CogsegError, FormatError
+from .errors import CogsegError, FormatError, open_text, parse_int, parse_positive
 from .model import Analysis, CognateModel, CognatePair
 
 FORMAT_NAME = "cogseg-model"
@@ -119,24 +119,9 @@ def save_model(model: CognateModel, path) -> None:
         stream.write("\n")
 
 
-def _parse_int(text: str, path, line) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise FormatError("bad integer %r" % text, path, line) from None
-    return value
-
-
-def _parse_positive(text: str, path, line) -> int:
-    value = _parse_int(text, path, line)
-    if value < 1:
-        raise FormatError("count must be positive, got %d" % value, path, line)
-    return value
-
-
 def load_model(path) -> CognateModel:
     """Load and fully validate a model file."""
-    with open(path, encoding="utf-8") as stream:
+    with open_text(path) as stream:
         raw = stream.read().split("\n")
     if raw and raw[-1] == "":
         raw.pop()
@@ -193,7 +178,7 @@ def load_model(path) -> CognateModel:
             alpha=alpha,
             edit_weight=edit_weight,
             edit_mode=header["edit-mode"],
-            seed=_parse_int(header["seed"], path, 1),
+            seed=parse_int(header["seed"], path, 1),
             dampening=header["dampening"],
         )
     except CogsegError as exc:
@@ -206,8 +191,8 @@ def load_model(path) -> CognateModel:
             raise FormatError("pair rows need 4 fields", path, line_no)
         word_a = unescape_field(fields[0], path, line_no)
         word_b = unescape_field(fields[1], path, line_no)
-        count_a = _parse_positive(fields[2], path, line_no)
-        count_b = _parse_positive(fields[3], path, line_no)
+        count_a = parse_positive(fields[2], path, line_no)
+        count_b = parse_positive(fields[3], path, line_no)
         pair = CognatePair(word_a, word_b, count_a, count_b)
         try:
             model.register_pair(pair)
@@ -221,7 +206,7 @@ def load_model(path) -> CognateModel:
             if len(fields) != 3:
                 raise FormatError("analysis rows need 3 fields", path, line_no)
             word = unescape_field(fields[0], path, line_no)
-            count = _parse_positive(fields[1], path, line_no)
+            count = parse_positive(fields[1], path, line_no)
             morphs = tuple(
                 unescape_field(m, path, line_no) for m in fields[2].split(" ")
             )
@@ -259,7 +244,7 @@ def load_model(path) -> CognateModel:
             if len(fields) != 2:
                 raise FormatError("lexicon rows need 2 fields", path, line_no)
             form = unescape_field(fields[0], path, line_no)
-            stored[form] = _parse_positive(fields[1], path, line_no)
+            stored[form] = parse_positive(fields[1], path, line_no)
             if form not in lexicon.counts or lexicon.counts[form] != stored[form]:
                 raise FormatError(
                     "stored count for %r disagrees with the analyses" % form,

@@ -25,13 +25,7 @@ from dataclasses import dataclass, field
 
 from .edits import extract_edits
 from .errors import ContractError
-from .model import (
-    Analysis,
-    CognateModel,
-    CognatePair,
-    aligned_edit_tokens,
-    dampen_count,
-)
+from .model import Analysis, CognateModel, CognatePair, dampen_count
 
 _logger = logging.getLogger(__name__)
 
@@ -247,9 +241,7 @@ def resegment_pair(model: CognateModel, pair: CognatePair):
     )
     new_a = Analysis(pair.word_a, morphs_a, rec_a.count)
     new_b = Analysis(pair.word_b, morphs_b, rec_b.count)
-    model.analyses["a"][pair.word_a] = new_a
-    model.analyses["b"][pair.word_b] = new_b
-    model._pair_tokens[pair.key] = aligned_edit_tokens(new_a, new_b)
+    model.record_pair_analyses(pair, new_a, new_b)
     return new_a, new_b
 
 

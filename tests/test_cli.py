@@ -9,7 +9,10 @@ from cogseg.serialization import load_model
 
 def run_cli(argv, stdin_text="", monkeypatch=None):
     assert monkeypatch is not None
-    stdin = io.StringIO(stdin_text)
+    if isinstance(stdin_text, bytes):
+        stdin = io.TextIOWrapper(io.BytesIO(stdin_text), encoding="utf-8", newline="\n")
+    else:
+        stdin = io.StringIO(stdin_text)
     stdout = io.StringIO()
     stderr = io.StringIO()
     monkeypatch.setattr(cli.sys, "stdin", stdin)
@@ -17,6 +20,13 @@ def run_cli(argv, stdin_text="", monkeypatch=None):
     monkeypatch.setattr(cli.sys, "stderr", stderr)
     code = cli.main(argv)
     return code, stdout.getvalue(), stderr.getvalue()
+
+
+def error_payload(code, err):
+    """The one JSON line a failing command writes to stderr."""
+    assert code == 1
+    assert err.endswith("\n") and err.count("\n") == 1, err
+    return json.loads(err)
 
 
 @pytest.fixture
@@ -180,6 +190,27 @@ class TestSegmentCommands:
             m + "@@" for m in target_morphs[:-1]
         ] + [target_morphs[-1]]
 
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("kalassa\tkala kalassa\n", "kalassa\tkala kala@@ ssa\n"),
+            ("kalassa\u00a0kala kalassa\n", "kalassa\u00a0kala kala@@ ssa\n"),
+            ("kala\rssa kalassa\n", "kala\rssa kala@@ ssa\n"),
+            ("kalassa on\r\nvesi kalassa\r\n", "kala@@ ssa on\r\nvesi kala@@ ssa\r\n"),
+        ],
+        ids=["tab", "no-break-space", "lone-cr", "crlf"],
+    )
+    def test_segment_whitespace_inside_token(self, workspace, monkeypatch, text, expected):
+        model_path = train_model(workspace, monkeypatch)
+        code, out, err = run_cli(
+            ["segment", "--model", str(model_path), "--lang", "a"],
+            stdin_text=text,
+            monkeypatch=monkeypatch,
+        )
+        assert (code, err) == (0, "")
+        assert out == expected
+        assert out.replace("@@ ", "") == text
+
     def test_prep_tag(self, workspace, monkeypatch):
         code, out, _ = run_cli(
             ["prep-tag", "--lang", "et"], stdin_text="tere\n\n", monkeypatch=monkeypatch
@@ -195,17 +226,22 @@ class TestSegmentCommands:
         assert json.loads(err)["error"] == "ContractError"
 
 
+def train_merges(workspace, monkeypatch):
+    (workspace / "c1.tsv").write_text("kala\t10\nkalassa\t4\n", encoding="utf-8")
+    (workspace / "c2.tsv").write_text("kalas\t5\n", encoding="utf-8")
+    merges = workspace / "merges.txt"
+    code, _, err = run_cli(
+        ["bpe-train", "--counts", "%s,%s" % (workspace / "c1.tsv", workspace / "c2.tsv"),
+         "--vocab", "12", "--out", str(merges)],
+        monkeypatch=monkeypatch,
+    )
+    assert code == 0, err
+    return merges
+
+
 class TestBpeCommands:
     def test_train_and_apply(self, workspace, monkeypatch):
-        (workspace / "c1.tsv").write_text("kala\t10\nkalassa\t4\n", encoding="utf-8")
-        (workspace / "c2.tsv").write_text("kalas\t5\n", encoding="utf-8")
-        merges = workspace / "merges.txt"
-        code, _, err = run_cli(
-            ["bpe-train", "--counts", "%s,%s" % (workspace / "c1.tsv", workspace / "c2.tsv"),
-             "--vocab", "12", "--out", str(merges)],
-            monkeypatch=monkeypatch,
-        )
-        assert code == 0, err
+        merges = train_merges(workspace, monkeypatch)
         code, out, err = run_cli(
             ["bpe-apply", "--merges", str(merges)],
             stdin_text="kalassa töö-aeg\n",
@@ -213,6 +249,17 @@ class TestBpeCommands:
         )
         assert code == 0, err
         assert out.rstrip("\n").replace("@@ ", "") == "kalassa töö-aeg"
+
+    def test_apply_passes_tags_and_whitespace_tokens(self, workspace, monkeypatch):
+        merges = train_merges(workspace, monkeypatch)
+        text = "<to_et> kalassa kala\tkala\n"
+        code, out, err = run_cli(
+            ["bpe-apply", "--merges", str(merges)], stdin_text=text, monkeypatch=monkeypatch
+        )
+        assert code == 0, err
+        assert out.startswith("<to_et> kala")
+        assert out.endswith(" kala\tkala\n")
+        assert out.replace("@@ ", "") == text
 
 
 class TestReportCommand:
@@ -265,3 +312,70 @@ class TestErrors:
         )
         assert code == 0, err
         assert out_path.read_text(encoding="utf-8") == "kuuluvus\tkuuluvuus\t3\n"
+
+    def test_bad_count_in_table(self, workspace, monkeypatch):
+        table = workspace / "c1.tsv"
+        table.write_text("kala\t10\nkalassa\tfour\n", encoding="utf-8")
+        code, _, err = run_cli(
+            ["bpe-train", "--counts", str(table), "--vocab", "12",
+             "--out", str(workspace / "merges.txt")],
+            monkeypatch=monkeypatch,
+        )
+        payload = error_payload(code, err)
+        assert payload["error"] == "FormatError"
+        assert payload["message"].startswith("%s:2: " % table)
+
+    @pytest.mark.parametrize(
+        "text", ["{alpha", '"alpha"', '{"alpha": "x"}', '{"seed": null}'],
+        ids=["malformed", "not-an-object", "non-numeric", "null"],
+    )
+    def test_bad_config_rejected(self, workspace, monkeypatch, text):
+        config = workspace / "config.json"
+        config.write_text(text, encoding="utf-8")
+        code, _, err = run_cli(
+            ["train-mono", "--corpus", str(workspace / "a.txt"), "--config", str(config),
+             "--out", str(workspace / "model")],
+            monkeypatch=monkeypatch,
+        )
+        error_payload(code, err)
+        assert not (workspace / "model").exists()
+
+    @pytest.mark.parametrize("kind", ["model", "corpus", "counts", "pairs", "merges"])
+    def test_non_utf8_file_rejected(self, workspace, monkeypatch, kind):
+        model_path = train_model(workspace, monkeypatch)
+        bad = workspace / "bad"
+        if kind == "model":
+            bad.write_bytes(model_path.read_bytes() + b"\xff\n")
+        else:
+            bad.write_bytes(b"kala\tkala\t3\nk\xe4si\t2\n")
+        argv = {
+            "model": ["segment", "--model", str(bad), "--lang", "a"],
+            "corpus": ["train-mono", "--corpus", str(bad), "--out", str(workspace / "m")],
+            "counts": ["bpe-train", "--counts", str(bad), "--vocab", "12",
+                       "--out", str(workspace / "m")],
+            "pairs": ["extract-cognates", "--pairs", str(bad), "--out", str(workspace / "m")],
+            "merges": ["bpe-apply", "--merges", str(bad)],
+        }[kind]
+        code, _, err = run_cli(argv, stdin_text="kala\n", monkeypatch=monkeypatch)
+        payload = error_payload(code, err)
+        assert payload["error"] == "FormatError"
+        assert payload["message"].startswith("%s: not UTF-8" % bad)
+
+    @pytest.mark.parametrize("command", ["segment", "segment-source", "bpe-apply", "prep-tag"])
+    def test_non_utf8_stdin_rejected(self, workspace, monkeypatch, command):
+        model_path = train_model(workspace, monkeypatch)
+        merges = workspace / "merges.txt"
+        merges.write_text("k a\n", encoding="utf-8")
+        argv = {
+            "segment": ["segment", "--model", str(model_path), "--lang", "a"],
+            "segment-source": ["segment-source", "--source-model", str(model_path),
+                               "--cognate-model", str(model_path)],
+            "bpe-apply": ["bpe-apply", "--merges", str(merges)],
+            "prep-tag": ["prep-tag", "--lang", "et"],
+        }[command]
+        # The whole input is decoded as one chunk, ahead of line 2.
+        code, _, err = run_cli(argv, stdin_text=b"kala\nkala k\xe4si\nkala\n",
+                               monkeypatch=monkeypatch)
+        payload = error_payload(code, err)
+        if command != "prep-tag":
+            assert payload["message"].startswith("line 2: ")

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cogseg.errors import ContractError
-from cogseg.model import Analysis, CountLexicon
+from cogseg.model import Analysis, CognateModel, CountLexicon
 from cogseg.segmenter import (
     SegmenterConfig,
     join_morphs,
@@ -120,6 +120,23 @@ class TestSegmentCorpus:
         out = list(segment_corpus(model, lines, "a"))
         assert [unjoin(line) for line in out] == lines
 
+    @pytest.mark.parametrize(
+        "line, expected",
+        [
+            ("kalassa\tkala kalassa", "kalassa\tkala kala@@ ssa"),
+            ("kalassa\u00a0kala kalassa", "kalassa\u00a0kala kala@@ ssa"),
+            ("kala\rssa kalassa", "kala\rssa kala@@ ssa"),
+            ("kalassa kalassa\r\n", "kala@@ ssa kala@@ ssa\r\n"),
+        ],
+        ids=["tab", "no-break-space", "lone-cr", "crlf"],
+    )
+    def test_whitespace_inside_token_passes_through(self, line, expected):
+        # A "\r\n" ending is the terminator: it is written back after the
+        # last token, which is still segmented.
+        out = list(segment_corpus(trained_toy_model(), [line], "a"))
+        assert out == [expected]
+        assert unjoin(out[0]) == line
+
     @given(
         st.lists(
             st.text(alphabet="kalsv üõ", max_size=20).filter(lambda s: "@@" not in s),
@@ -160,27 +177,49 @@ class TestJoiner:
             join_morphs(("a+b", "c"), "+")
 
 
+def source_model_from(counts):
+    """A source model whose lexicon holds counts and which stores no analyses."""
+    model = CognateModel()
+    model.lexicons["a"] = lexicon_from(counts)
+    return model
+
+
 class TestSourceOverride:
     def test_target_analysis_preferred(self):
         model = trained_toy_model()
-        source_lex = lexicon_from({"kalassa": 5, "kal": 1})
-        result = override_source_segmentation(source_lex, model, "kalassa")
+        source = source_model_from({"kalassa": 5, "kal": 1})
+        result = override_source_segmentation(source, model, "kalassa")
         assert result == model.analyses["a"]["kalassa"]
 
     def test_language_a_preferred_over_b(self):
         model = trained_toy_model()
         model.analyses["a"]["shared"] = Analysis("shared", ("sha", "red"), 1)
         model.analyses["b"]["shared"] = Analysis("shared", ("shared",), 1)
-        result = override_source_segmentation(CountLexicon(), model, "shared")
+        result = override_source_segmentation(CognateModel(), model, "shared")
         assert result.morphs == ("sha", "red")
         del model.analyses["a"]["shared"]
         del model.analyses["b"]["shared"]
 
     def test_fallback_to_source_viterbi(self):
         model = trained_toy_model()
-        source_lex = lexicon_from({"walk": 5, "ing": 5})
-        result = override_source_segmentation(source_lex, model, "walking")
+        source = source_model_from({"walk": 5, "ing": 5})
+        result = override_source_segmentation(source, model, "walking")
         assert result.morphs == ("walk", "ing")
+
+    def test_lookup_order(self):
+        # Viterbi under the source lexicon would give walk+ing; the stored
+        # source analysis beats it, and a target analysis beats both.
+        model = trained_toy_model()
+        source = CognateModel()
+        source.add_analysis(Analysis("walk", ("walk",), 5), "a")
+        source.add_analysis(Analysis("ing", ("ing",), 5), "a")
+        source.add_analysis(Analysis("walking", ("wal", "king"), 1), "a")
+        assert viterbi_segment(source.lexicons["a"], "walking").morphs == ("walk", "ing")
+        result = override_source_segmentation(source, model, "walking")
+        assert result.morphs == ("wal", "king")
+        model.analyses["b"]["walking"] = Analysis("walking", ("walki", "ng"), 1)
+        result = override_source_segmentation(source, model, "walking")
+        assert result.morphs == ("walki", "ng")
 
 
 class TestTargetTag:
