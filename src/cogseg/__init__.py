@@ -36,10 +36,6 @@ from .model import (
     CognateModel,
     CognatePair,
     CountLexicon,
-    corpus_cost,
-    lexicon_cost,
-    recompute_from_scratch,
-    total_cost,
 )
 from .segmenter import (
     SegmenterConfig,

@@ -110,17 +110,16 @@ def _merge_fragment(symbols: tuple[str, ...], left: str, right: str) -> tuple[st
 
 
 def train_bpe(
-    counts, vocab_size: int, hyphens: str = DEFAULT_HYPHENS
+    counts: dict[str, int], vocab_size: int, hyphens: str = DEFAULT_HYPHENS
 ) -> MergeTable:
-    """Learn merges over combined word counts until vocab_size symbols exist.
+    """Learn merges over word counts until vocab_size symbols exist.
 
-    counts is a word -> count mapping or a BalancedCounts. Hyphen fragments
+    counts maps word -> count; for several languages pass
+    balance_counts(tables).combined(). Hyphen fragments
     are single symbols and never participate in pairs. Pair-frequency ties
     break lexicographically. If the corpus runs out of mergeable pairs the
     table is returned shorter, flagged as truncated.
     """
-    if isinstance(counts, BalancedCounts):
-        counts = counts.combined()
     words = []
     for word, count in counts.items():
         if count < 1:

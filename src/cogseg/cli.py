@@ -142,7 +142,7 @@ def cmd_segment_source(args):
     config = segmenter.SegmenterConfig(joiner=args.joiner)
     override = segmenter.override_source_segmentation
     sys.stdout.writelines(segmenter.segment_lines(
-        sys.stdin, lambda token: override(source, cognate_model, token, config).morphs, config
+        sys.stdin, lambda token: override(source, cognate_model, token).morphs, config
     ))
 
 
@@ -159,9 +159,9 @@ def cmd_bpe_train(args):
     for index, path in enumerate(args.counts.split(",")):
         tables["lang%d" % index] = load_count_table(path)
     if len(tables) > 1:
-        counts = bpe.balance_counts(tables)
+        counts = bpe.balance_counts(tables).combined()
     else:
-        counts = bpe.BalancedCounts(tables=tables, scales={k: 1.0 for k in tables})
+        (counts,) = tables.values()
     table = bpe.train_bpe(counts, args.vocab)
     bpe.save_merges(args.out, table)
     _logger.info("learned %d merges%s", len(table.merges),

@@ -29,7 +29,7 @@ class AlignedPair:
             raise ContractError("alignment count must be positive: %r" % (self,))
 
 
-def default_excluded_char(ch: str) -> bool:
+def excluded_char(ch: str) -> bool:
     """Punctuation (Unicode P*) and digits disqualify a word."""
     cat = unicodedata.category(ch)
     return cat.startswith("P") or cat == "Nd"
@@ -49,13 +49,8 @@ def levenshtein_threshold(len_a: int, len_b: int, short_len: int = 4) -> int:
     return -((len_a + len_b) // -6)  # ceil((len_a + len_b) / 6)
 
 
-def filter_pairs(
-    pairs,
-    min_count: int = 2,
-    short_len: int = 4,
-    excluded_char=default_excluded_char,
-) -> list[AlignedPair]:
-    """Apply the character, count, and distance filters."""
+def filter_pairs(pairs, min_count: int = 2, short_len: int = 4) -> list[AlignedPair]:
+    """Apply the count, character (excluded_char) and distance filters."""
     kept = []
     for pair in pairs:
         if pair.count < min_count:
@@ -91,14 +86,10 @@ def resolve_unique(pairs) -> list[AlignedPair]:
     return out
 
 
-def extract(
-    pairs,
-    min_count: int = 2,
-    short_len: int = 4,
-    excluded_char=default_excluded_char,
-) -> list[AlignedPair]:
-    """Full pipeline; output is deterministic and sorted by (word_a, word_b)."""
-    resolved = resolve_unique(filter_pairs(pairs, min_count, short_len, excluded_char))
+def extract(pairs, min_count: int = 2, short_len: int = 4) -> list[AlignedPair]:
+    """Full pipeline (filter_pairs, then resolve_unique); output is
+    deterministic and sorted by (word_a, word_b)."""
+    resolved = resolve_unique(filter_pairs(pairs, min_count, short_len))
     return sorted(resolved, key=lambda p: (p.word_a, p.word_b))
 
 

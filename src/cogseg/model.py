@@ -176,14 +176,6 @@ class CountLexicon:
         return fresh
 
 
-def corpus_cost(lexicon: CountLexicon) -> float:
-    return lexicon.corpus_cost()
-
-
-def lexicon_cost(lexicon: CountLexicon) -> float:
-    return lexicon.lexicon_cost()
-
-
 def aligned_edit_tokens(analysis_a: Analysis, analysis_b: Analysis) -> tuple[Edit, ...]:
     """Edit tokens of a pair: morphs are paired up in sequence.
 
@@ -283,18 +275,23 @@ class CognateModel:
         if language not in self.analyses:
             raise ContractError("unknown language %r" % language)
 
-    def _attach_pair_tokens(self, pair: CognatePair) -> None:
+    def _record_pair_tokens(self, pair: CognatePair) -> tuple[Edit, ...]:
+        """Align and record the pair's edit tokens once both analyses are
+        present; returns the newly recorded tokens, () if there are none."""
         if pair.key in self._pair_tokens:
-            return
+            return ()
         ana_a = self.analyses["a"].get(pair.word_a)
         ana_b = self.analyses["b"].get(pair.word_b)
         if ana_a is None or ana_b is None:
-            return
+            return ()
         tokens = aligned_edit_tokens(ana_a, ana_b)
-        lex = self.edit_lexicon
-        for edit in tokens:
-            lex.add(edit.form, 1)
         self._pair_tokens[pair.key] = tokens
+        return tokens
+
+    def _attach_pair_tokens(self, pair: CognatePair) -> None:
+        lex = self.edit_lexicon
+        for edit in self._record_pair_tokens(pair):
+            lex.add(edit.form, 1)
 
     def _detach_pair_tokens(self, pair: CognatePair) -> None:
         tokens = self._pair_tokens.pop(pair.key, None)
@@ -317,12 +314,7 @@ class CognateModel:
             raise ContractError("word %r already analyzed in %s" % (word, language))
         before = self.total_cost()
         table[word] = analysis
-        lex = self.lexicons[language]
-        for morph in analysis.morphs:
-            lex.add(morph, analysis.count)
-        pair = self.pair_for(language, word)
-        if pair is not None:
-            self._attach_pair_tokens(pair)
+        self.attach_word(word, language)
         return self.total_cost() - before
 
     def remove_analysis(self, word: str, language: str) -> float:
@@ -332,13 +324,8 @@ class CognateModel:
         if word not in table:
             raise ContractError("word %r not analyzed in %s" % (word, language))
         before = self.total_cost()
-        pair = self.pair_for(language, word)
-        if pair is not None:
-            self._detach_pair_tokens(pair)
-        analysis = table.pop(word)
-        lex = self.lexicons[language]
-        for morph in analysis.morphs:
-            lex.add(morph, -analysis.count)
+        self.detach_word(word, language)
+        del table[word]
         return self.total_cost() - before
 
     def detach_word(self, word: str, language: str) -> None:
@@ -366,15 +353,34 @@ class CognateModel:
         if pair is not None:
             self._attach_pair_tokens(pair)
 
-    def record_pair_analyses(self, pair: CognatePair, a: Analysis, b: Analysis) -> None:
-        """Record a detached pair's new analyses and their aligned edit tokens.
+    def record_analyses(self, entries) -> None:
+        """Record a detached unit's new analyses and a pair's edit tokens.
 
-        Local-search primitive: the search that chose the analyses has
-        already counted their morphs and edit tokens in the lexicons.
+        entries are (language, analysis) items: one word, or both words of
+        a cognate pair. Local-search primitive: the search that chose the
+        analyses has already counted their morphs and edit tokens in the
+        lexicons.
         """
-        self.analyses["a"][pair.word_a] = a
-        self.analyses["b"][pair.word_b] = b
-        self._pair_tokens[pair.key] = aligned_edit_tokens(a, b)
+        for language, analysis in entries:
+            self.analyses[language][analysis.word] = analysis
+        for language, analysis in entries:
+            pair = self.pair_for(language, analysis.word)
+            if pair is not None:
+                self._record_pair_tokens(pair)
+
+    def restore_analyses(self, entries) -> None:
+        """Put a unit's earlier (language, analysis) entries back in place
+        of its current, counted analyses.
+
+        Every word is detached before any record is restored, so a pair's
+        edit tokens are never aligned from one old and one new analysis.
+        """
+        for language, analysis in entries:
+            self.detach_word(analysis.word, language)
+        for language, analysis in entries:
+            self.analyses[language][analysis.word] = analysis
+        for language, analysis in entries:
+            self.attach_word(analysis.word, language)
 
     # -- integrity -------------------------------------------------------
 
@@ -428,11 +434,3 @@ class CognateModel:
             return self.total_cost()
         finally:
             self.lexicons, self.edit_lexicon = saved
-
-
-def total_cost(model: CognateModel) -> float:
-    return model.total_cost()
-
-
-def recompute_from_scratch(model: CognateModel) -> float:
-    return model.recompute_from_scratch()

@@ -22,27 +22,23 @@ TAG_PATTERN = re.compile(r"^<to_[0-9A-Za-z]+>$")
 
 DEFAULT_JOINER = "@@"
 
+# Extra cost in nats (on top of ln N) of emitting an out-of-lexicon single
+# character, chosen large so known morphs always win when available.
+UNKNOWN_CHAR_PENALTY = 20.0
+
 
 @dataclass(frozen=True)
 class SegmenterConfig:
-    """Output conventions and unknown-morph smoothing.
-
-    joiner marks non-final subwords of a token; unknown_char_penalty is the
-    extra cost in nats (on top of ln N) of emitting an out-of-lexicon single
-    character, chosen large so known morphs always win when available.
-    """
+    """Output conventions: joiner marks non-final subwords of a token."""
 
     joiner: str = DEFAULT_JOINER
-    unknown_char_penalty: float = 20.0
 
     def __post_init__(self):
         if not self.joiner or self.joiner.strip() != self.joiner:
             raise ContractError("joiner must be a non-empty token-safe string")
 
 
-def viterbi_segment(
-    lexicon: CountLexicon, word: str, config: SegmenterConfig = SegmenterConfig()
-) -> Analysis:
+def viterbi_segment(lexicon: CountLexicon, word: str) -> Analysis:
     """Most probable segmentation of word under the lexicon's unigram model.
 
     Ties are broken deterministically: fewest morphs first, then the
@@ -52,7 +48,7 @@ def viterbi_segment(
         raise ContractError("cannot segment an empty word")
     counts = lexicon.counts
     log_tokens = math.log(lexicon.tokens) if lexicon.tokens > 0 else 0.0
-    unknown = log_tokens + config.unknown_char_penalty
+    unknown = log_tokens + UNKNOWN_CHAR_PENALTY
     n = len(word)
     # best[i]: (cost, morph count, negated morph lengths, predecessor) over word[:i]
     best: list[tuple | None] = [None] * (n + 1)
@@ -143,7 +139,7 @@ def segment_corpus(
     lexicon = model.lexicons[language]
     return segment_lines(
         lines,
-        lambda token: (analyses.get(token) or viterbi_segment(lexicon, token, config)).morphs,
+        lambda token: (analyses.get(token) or viterbi_segment(lexicon, token)).morphs,
         config,
     )
 
@@ -154,10 +150,7 @@ def unjoin(line: str, joiner: str = DEFAULT_JOINER) -> str:
 
 
 def override_source_segmentation(
-    source_model: CognateModel,
-    cognate_model: CognateModel,
-    word: str,
-    config: SegmenterConfig = SegmenterConfig(),
+    source_model: CognateModel, cognate_model: CognateModel, word: str
 ) -> Analysis:
     """Segmentation of a source-language word, kept consistent with the
     target side. The first stored analysis of the word wins, looked up in
@@ -172,7 +165,7 @@ def override_source_segmentation(
     )
     if stored is not None:
         return stored
-    return viterbi_segment(source_model.lexicons["a"], word, config)
+    return viterbi_segment(source_model.lexicons["a"], word)
 
 
 def prefix_target_tag(sentence: str, language_id: str, targets=("et", "fi")) -> str:

@@ -1,8 +1,9 @@
 """Greedy local-search training with recursive splitting.
 
-Each epoch visits every training unit (non-cognate words and cognate pairs)
-in a seeded pseudorandom order, removes it from the model, resegments it by
-recursive splitting, and commits the result. Cognate pairs are resegmented
+Each epoch visits every training unit in a seeded pseudorandom order,
+removes it from the model, resegments it by recursive splitting, and commits
+the result. A unit is a tuple of (language, word) entries: one entry for a
+non-cognate word, two for a cognate pair. Cognate pairs are resegmented
 jointly: either neither morph of an aligned pair splits, or both do, with
 all split-point combinations tried, so the two analyses always keep equal
 morph counts.
@@ -76,9 +77,9 @@ def initialize(corpus_a, corpus_b, pairs, params: TrainingParams) -> CognateMode
     """Build a whole-word-analyzed model from word-count tables.
 
     corpus_a/corpus_b map word -> token count. pairs is an iterable of
-    (word_a, word_b) tuples or CognatePair instances; counts on the latter
-    are ignored and taken from the corpora. Both words of a pair must occur
-    in their corpora and no word may belong to two pairs.
+    (word_a, word_b) tuples; pair counts are taken from the corpora. Both
+    words of a pair must occur in their corpora and no word may belong to
+    two pairs.
     """
     model = CognateModel(
         alpha=params.alpha,
@@ -97,11 +98,7 @@ def initialize(corpus_a, corpus_b, pairs, params: TrainingParams) -> CognateMode
         "a": {w: effective(c) for w, c in corpus_a.items()},
         "b": {w: effective(c) for w, c in corpus_b.items()},
     }
-    for item in pairs:
-        if isinstance(item, CognatePair):
-            wa, wb = item.word_a, item.word_b
-        else:
-            wa, wb = item
+    for wa, wb in pairs:
         if wa not in counts["a"] or wb not in counts["b"]:
             raise ContractError("pair (%r, %r) not covered by the corpora" % (wa, wb))
         model.register_pair(CognatePair(wa, wb, counts["a"][wa], counts["b"][wb]))
@@ -212,7 +209,7 @@ def _search_pair(model: CognateModel, word_a: str, count_a: int, word_b: str, co
 
 
 def resegment_word(model: CognateModel, word: str, language: str) -> Analysis:
-    """Resegment a detached word and commit the new analysis.
+    """Resegment a detached word and record the new analysis.
 
     The word's morph counts must have been removed (detach_word); its
     analysis record supplies the token count.
@@ -226,12 +223,12 @@ def resegment_word(model: CognateModel, word: str, language: str) -> Analysis:
         raise ContractError("cognate word %r must be resegmented as a pair" % word)
     morphs = _search_word(model, language, word, record.count)
     analysis = Analysis(word, morphs, record.count)
-    model.analyses[language][word] = analysis
+    model.record_analyses([(language, analysis)])
     return analysis
 
 
 def resegment_pair(model: CognateModel, pair: CognatePair):
-    """Jointly resegment a detached cognate pair and commit both analyses."""
+    """Jointly resegment a detached cognate pair and record both analyses."""
     if model.pair_for("a", pair.word_a) is not pair:
         raise ContractError("pair %r not registered" % (pair.key,))
     rec_a = model.analyses["a"][pair.word_a]
@@ -241,49 +238,31 @@ def resegment_pair(model: CognateModel, pair: CognatePair):
     )
     new_a = Analysis(pair.word_a, morphs_a, rec_a.count)
     new_b = Analysis(pair.word_b, morphs_b, rec_b.count)
-    model.record_pair_analyses(pair, new_a, new_b)
+    model.record_analyses([("a", new_a), ("b", new_b)])
     return new_a, new_b
 
 
-def _optimize_word(model: CognateModel, language: str, word: str) -> None:
-    old = model.analyses[language][word]
+def _optimize(model: CognateModel, unit) -> None:
+    """One local-search step on a unit of (language, word) entries: one
+    word, or the two words of a cognate pair. The unit is detached and
+    resegmented; if the total cost rose, its old analyses are restored."""
+    old = [(language, model.analyses[language][word]) for language, word in unit]
     before = model.total_cost()
-    lex = model.lexicons[language]
-    for morph in old.morphs:
-        lex.add(morph, -old.count)
-    analysis = resegment_word(model, word, language)
+    for language, word in unit:
+        model.detach_word(word, language)
+    if len(unit) == 1:
+        ((language, word),) = unit
+        resegment_word(model, word, language)
+    else:
+        resegment_pair(model, model.pair_for(*unit[0]))
     if model.total_cost() > before:
-        for morph in analysis.morphs:
-            lex.add(morph, -old.count)
-        for morph in old.morphs:
-            lex.add(morph, old.count)
-        model.analyses[language][word] = old
-
-
-def _optimize_pair(model: CognateModel, pair: CognatePair) -> None:
-    old_a = model.analyses["a"][pair.word_a]
-    old_b = model.analyses["b"][pair.word_b]
-    before = model.total_cost()
-    model.detach_word(pair.word_a, "a")
-    model.detach_word(pair.word_b, "b")
-    resegment_pair(model, pair)
-    if model.total_cost() > before:
-        model.detach_word(pair.word_a, "a")
-        model.detach_word(pair.word_b, "b")
-        model.analyses["a"][pair.word_a] = old_a
-        model.analyses["b"][pair.word_b] = old_b
-        model.attach_word(pair.word_a, "a")
-        model.attach_word(pair.word_b, "b")
+        model.restore_analyses(old)
 
 
 def _unit_sort_key(seed: int, epoch: int, unit) -> bytes:
-    kind, payload = unit[0], unit[1:]
-    if kind == "pair":
-        tag = "p\x1f%s\x1f%s" % (payload[0].word_a, payload[0].word_b)
-    else:
-        # Keyed by the word alone so per-language relative order is the same
-        # in joint and monolingual runs with equal seeds.
-        tag = "w\x1f%s" % (payload[1],)
+    # Keyed by the words alone, not their languages, so per-language relative
+    # order is the same in joint and monolingual runs with equal seeds.
+    tag = ("p" if len(unit) > 1 else "w") + "".join("\x1f" + word for _, word in unit)
     data = ("%d\x1f%d\x1f" % (seed, epoch)) + tag
     return hashlib.blake2b(data.encode("utf-8"), digest_size=8).digest()
 
@@ -300,9 +279,9 @@ def train(model: CognateModel, params: TrainingParams, epoch_callback=None) -> T
     for lang in ("a", "b"):
         for word in model.analyses[lang]:
             if model.pair_for(lang, word) is None:
-                units.append(("word", lang, word))
+                units.append(((lang, word),))
     for pair in model.pairs:
-        units.append(("pair", pair))
+        units.append((("a", pair.word_a), ("b", pair.word_b)))
 
     prev = model.total_cost()
     report = TrainingReport(initial_cost=prev)
@@ -313,10 +292,7 @@ def train(model: CognateModel, params: TrainingParams, epoch_callback=None) -> T
     for epoch in range(1, params.max_epochs + 1):
         units.sort(key=lambda u: _unit_sort_key(params.rng_seed, epoch, u))
         for unit in units:
-            if unit[0] == "pair":
-                _optimize_pair(model, unit[1])
-            else:
-                _optimize_word(model, unit[1], unit[2])
+            _optimize(model, unit)
             if params.record_steps:
                 report.step_costs.append(model.total_cost())
         cost = model.total_cost()

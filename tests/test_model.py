@@ -11,8 +11,6 @@ from cogseg.model import (
     CognatePair,
     CountLexicon,
     aligned_edit_tokens,
-    corpus_cost,
-    lexicon_cost,
 )
 
 from oracles import exact_corpus_cost, exact_lexicon_cost, exact_total_cost
@@ -27,40 +25,40 @@ def lexicon_from(counts):
 
 class TestCorpusCost:
     def test_single_token(self):
-        assert corpus_cost(lexicon_from({"aa": 1})) == 0.0
+        assert lexicon_from({"aa": 1}).corpus_cost() == 0.0
 
     def test_single_type_any_count(self):
         for count in (1, 2, 7, 100):
-            assert corpus_cost(lexicon_from({"m": count})) == pytest.approx(0.0, abs=1e-12)
+            assert lexicon_from({"m": count}).corpus_cost() == pytest.approx(0.0, abs=1e-12)
 
     def test_two_symmetric_types(self):
-        assert corpus_cost(lexicon_from({"a": 2, "b": 2})) == pytest.approx(
+        assert lexicon_from({"a": 2, "b": 2}).corpus_cost() == pytest.approx(
             4 * math.log(2), rel=1e-12
         )
 
     def test_against_exact_oracle(self):
         counts = {"a": 3, "ab": 1}
-        assert corpus_cost(lexicon_from(counts)) == pytest.approx(
+        assert lexicon_from(counts).corpus_cost() == pytest.approx(
             exact_corpus_cost(counts), rel=1e-12
         )
 
     def test_empty(self):
-        assert corpus_cost(CountLexicon()) == 0.0
+        assert CountLexicon().corpus_cost() == 0.0
 
 
 class TestLexiconCost:
     def test_empty(self):
-        assert lexicon_cost(CountLexicon()) == 0.0
+        assert CountLexicon().lexicon_cost() == 0.0
 
     def test_single_entry(self):
         # one form "a": no frequency cost, characters {a: 1, end: 1}
-        assert lexicon_cost(lexicon_from({"a": 1})) == pytest.approx(
+        assert lexicon_from({"a": 1}).lexicon_cost() == pytest.approx(
             2 * math.log(2), rel=1e-12
         )
 
     def test_against_exact_oracle(self):
         counts = {"a": 2, "ab": 1}
-        assert lexicon_cost(lexicon_from(counts)) == pytest.approx(
+        assert lexicon_from(counts).lexicon_cost() == pytest.approx(
             exact_lexicon_cost(counts), rel=1e-12
         )
 

@@ -4,9 +4,10 @@ import pytest
 
 from cogseg.edits import extract_edits
 from cogseg.errors import ContractError
-from cogseg.model import Analysis, CognatePair
+from cogseg.model import Analysis, CognatePair, aligned_edit_tokens
 from cogseg.trainer import (
     TrainingParams,
+    _optimize,
     initialize,
     resegment_pair,
     resegment_word,
@@ -189,6 +190,49 @@ class TestResegmentPair:
         model = initialize({"ab": 1}, {"cd": 1}, [], default_params())
         with pytest.raises(ContractError):
             resegment_pair(model, CognatePair("ab", "cd", 1, 1))
+
+
+class TestOptimizeRestore:
+    """A step whose search finds only costlier analyses than the unit's
+    previous ones puts those back. The greedy split misses an analysis into
+    three single-character morphs: every first split it scores adds a
+    two-character morph, and the whole word scores lower than those. Both
+    cases were found by a seeded search over small models."""
+
+    @staticmethod
+    def step(model, unit, monkeypatch):
+        old = [model.analyses[lang][word] for lang, word in unit]
+        found = []
+        restore = model.restore_analyses
+
+        def spy(entries):
+            found.append([model.analyses[lang][word] for lang, word in unit])
+            restore(entries)
+
+        monkeypatch.setattr(model, "restore_analyses", spy)
+        before = model.total_cost()
+        _optimize(model, unit)
+        assert len(found) == 1 and found[0] != old
+        assert [model.analyses[lang][word] for lang, word in unit] == old
+        assert model.recompute_from_scratch() == pytest.approx(model.total_cost(), rel=1e-12)
+        assert model.total_cost() == pytest.approx(before, rel=1e-12)
+
+    def test_word_keeps_cheaper_previous_analysis(self, monkeypatch):
+        model = initialize({"ccc": 3}, {}, [], default_params(alpha=0.5))
+        model.remove_analysis("ccc", "a")
+        model.add_analysis(Analysis("ccc", ("c", "c", "c"), 3), "a")
+        self.step(model, (("a", "ccc"),), monkeypatch)
+
+    def test_pair_keeps_cheaper_previous_analyses(self, monkeypatch):
+        model = initialize({"ccc": 1}, {"bbb": 3}, [("ccc", "bbb")], default_params(alpha=0.5))
+        old_a = Analysis("ccc", ("c", "c", "c"), 1)
+        old_b = Analysis("bbb", ("b", "b", "b"), 3)
+        model.remove_analysis("ccc", "a")
+        model.remove_analysis("bbb", "b")
+        model.add_analysis(old_a, "a")
+        model.add_analysis(old_b, "b")
+        self.step(model, (("a", "ccc"), ("b", "bbb")), monkeypatch)
+        assert model.pair_tokens(model.pairs[0]) == aligned_edit_tokens(old_a, old_b)
 
 
 class TestTrain:
