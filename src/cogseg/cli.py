@@ -105,12 +105,7 @@ def cmd_extract_cognates(args):
     _logger.info("kept %d of %d pairs", len(result), len(pairs))
 
 
-def cmd_train(args):
-    params = _training_params(args)
-    corpus_a = load_word_counts(args.corpus_a)
-    corpus_b = load_word_counts(args.corpus_b)
-    pair_rows = cognates.read_pairs_tsv(args.cognates) if args.cognates else []
-    pairs = [(p.word_a, p.word_b) for p in pair_rows]
+def _train_and_save(args, params, corpus_a, corpus_b, pairs):
     model = trainer.initialize(corpus_a, corpus_b, pairs, params)
     report = trainer.train(model, params)
     serialization.save_model(model, args.out)
@@ -119,15 +114,18 @@ def cmd_train(args):
     )
 
 
+def cmd_train(args):
+    params = _training_params(args)
+    corpus_a = load_word_counts(args.corpus_a)
+    corpus_b = load_word_counts(args.corpus_b)
+    pair_rows = cognates.read_pairs_tsv(args.cognates) if args.cognates else []
+    pairs = [(p.word_a, p.word_b) for p in pair_rows]
+    _train_and_save(args, params, corpus_a, corpus_b, pairs)
+
+
 def cmd_train_mono(args):
     params = _training_params(args)
-    corpus = load_word_counts(args.corpus)
-    model = trainer.initialize(corpus, {}, [], params)
-    report = trainer.train(model, params)
-    serialization.save_model(model, args.out)
-    _logger.info(
-        "trained %d epochs, final cost %.4f", report.epochs_run, report.final_cost
-    )
+    _train_and_save(args, params, load_word_counts(args.corpus), {}, [])
 
 
 def cmd_segment(args):

@@ -203,8 +203,9 @@ class CognateModel:
         seed: int = 0,
         dampening: str = "none",
     ):
-        if alpha <= 0 or edit_weight <= 0:
-            raise ContractError("alpha and edit_weight must be positive")
+        for name, value in (("alpha", alpha), ("edit_weight", edit_weight)):
+            if not (math.isfinite(value) and value > 0):
+                raise ContractError("%s must be positive and finite, got %r" % (name, value))
         if edit_mode not in EDIT_MODES:
             raise ContractError("unknown edit mode %r" % edit_mode)
         if dampening not in DAMPENING_MODES:

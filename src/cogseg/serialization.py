@@ -11,7 +11,7 @@ an exact recount from the analyses.
 from __future__ import annotations
 
 from .edits import Edit
-from .errors import CogsegError, FormatError, open_text, parse_int, parse_positive
+from .errors import CogsegError, FormatError, open_text, parse_positive
 from .model import Analysis, CognateModel, CognatePair
 
 FORMAT_NAME = "cogseg-model"
@@ -24,6 +24,15 @@ _SECTIONS = (
     "PAIRS",
     "ANALYSES-A",
     "ANALYSES-B",
+)
+
+# Header fields in file order, each with the parser of its value.
+_HEADER_FIELDS = (
+    ("alpha", float),
+    ("edit-weight", float),
+    ("edit-mode", str),
+    ("seed", int),
+    ("dampening", str),
 )
 
 _ESCAPES = {"\\": "\\\\", "\t": "\\t", "\n": "\\n", "|": "\\|"}
@@ -136,22 +145,26 @@ def load_model(path) -> CognateModel:
             path,
             1,
         )
-    header: dict[str, str] = {}
+    header: dict[str, tuple[int, str]] = {}
     lineno = 1
     while lineno < len(raw) and not raw[lineno].startswith("["):
         key, sep, value = raw[lineno].partition(" ")
         if not sep:
             raise FormatError("bad header line %r" % raw[lineno], path, lineno + 1)
-        header[key] = value
+        header[key] = (lineno + 1, value)
         lineno += 1
-    for key in ("alpha", "edit-weight", "edit-mode", "seed", "dampening"):
+    settings = {}
+    for key, parse in _HEADER_FIELDS:
         if key not in header:
             raise FormatError("missing header field %r" % key, path, lineno + 1)
-    try:
-        alpha = float(header["alpha"])
-        edit_weight = float(header["edit-weight"])
-    except ValueError:
-        raise FormatError("bad numeric header field", path, 1) from None
+        line, text = header[key]
+        name = key.replace("-", "_")
+        try:
+            settings[name] = parse(text)
+            # The constructor holds the one check of each setting: try this one alone.
+            CognateModel(**{name: settings[name]})
+        except (ValueError, CogsegError) as exc:
+            raise FormatError("bad header field %r (%s)" % (key, exc), path, line) from None
 
     sections: dict[str, list[tuple[int, str]]] = {}
     current = None
@@ -173,16 +186,7 @@ def load_model(path) -> CognateModel:
         if name not in sections:
             raise FormatError("missing section [%s]" % name, path, len(raw))
 
-    try:
-        model = CognateModel(
-            alpha=alpha,
-            edit_weight=edit_weight,
-            edit_mode=header["edit-mode"],
-            seed=parse_int(header["seed"], path, 1),
-            dampening=header["dampening"],
-        )
-    except CogsegError as exc:
-        raise FormatError(str(exc), path, 1) from exc
+    model = CognateModel(**settings)
 
     pair_counts: dict[tuple[str, str], tuple[int, int]] = {}
     for line_no, line in sections["PAIRS"]:

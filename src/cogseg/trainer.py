@@ -3,10 +3,10 @@
 Each epoch visits every training unit in a seeded pseudorandom order,
 removes it from the model, resegments it by recursive splitting, and commits
 the result. A unit is a tuple of (language, word) entries: one entry for a
-non-cognate word, two for a cognate pair. Cognate pairs are resegmented
-jointly: either neither morph of an aligned pair splits, or both do, with
-all split-point combinations tried, so the two analyses always keep equal
-morph counts.
+non-cognate word, two for a cognate pair. One search serves both: for a pair
+it splits the two words jointly, so either neither morph of an aligned pair
+splits or both do, with all split-point combinations tried, and the two
+analyses always keep equal morph counts.
 
 Every step compares the search result against the unit's previous analysis
 and keeps whichever is cheaper, so the total cost never increases.
@@ -108,104 +108,81 @@ def initialize(corpus_a, corpus_b, pairs, params: TrainingParams) -> CognateMode
     return model
 
 
-def _search_word(model: CognateModel, language: str, word: str, count: int):
-    """Recursive splitting of a single word; leaves the result counted."""
-    lex = model.lexicons[language]
+def _search(model: CognateModel, unit) -> list[Analysis]:
+    """Recursive splitting of a detached unit of (language, word) entries.
 
-    def rec(s):
-        if len(s) == 1:
-            lex.add(s, count)
-            return [s]
-        lex.add(s, count)
-        best = model.total_cost()
-        lex.add(s, -count)
-        split = 0
-        for i in range(1, len(s)):
-            pre, suf = s[:i], s[i:]
-            lex.add(pre, count)
-            lex.add(suf, count)
-            cost = model.total_cost()
-            lex.add(pre, -count)
-            lex.add(suf, -count)
-            if cost <= best:
-                best, split = cost, i
-        if split == 0:
-            lex.add(s, count)
-            return [s]
-        pre, suf = s[:split], s[split:]
-        lex.add(suf, count)
-        left = rec(pre)
-        lex.add(suf, -count)
-        return left + rec(suf)
-
-    return tuple(rec(word))
-
-
-def _search_pair(model: CognateModel, word_a: str, count_a: int, word_b: str, count_b: int):
-    """Joint recursive splitting of a cognate pair.
-
-    A split in one morph forces a split in the other; all split-point
-    combinations are evaluated, including the edit-cost effect of re-pairing
-    the sub-morphs. Leaves the chosen morphs and edit tokens counted.
+    Each morph takes the cheapest of staying whole and every split point,
+    and the two parts of a split are searched in turn. For a cognate pair a
+    split in one morph forces a split in the other: every split-point
+    combination is tried, with the edit cost of re-pairing the sub-morphs.
+    Leaves the chosen morphs and edit tokens counted and returns the new
+    analyses, one per entry, without recording them.
     """
-    lex_a = model.lexicons["a"]
-    lex_b = model.lexicons["b"]
-    edit_lex = model.edit_lexicon
+    records = [model.analyses[language][word] for language, word in unit]
+    add_a = model.lexicons[unit[0][0]].add
+    count_a = records[0].count
+    if len(unit) > 1:
+        add_b = model.lexicons[unit[1][0]].add
+        count_b = records[1].count
+        add_edit = model.edit_lexicon.add
+    total_cost = model.total_cost
+    morphs_a, morphs_b = [], []
 
-    def add_forms(forms, sign):
+    # b is the morph paired with a, or None for a single word; forms are
+    # the edit forms of the pairing.
+    def put_b(b_parts, forms, sign):
+        for b in b_parts:
+            add_b(b, sign * count_b)
         for form in forms:
-            edit_lex.add(form, sign)
+            add_edit(form, sign)
+
+    def put(a, b, forms, sign):
+        add_a(a, sign * count_a)
+        if b is not None:
+            put_b((b,), forms, sign)
 
     def rec(a, b):
-        whole_forms = _edit_forms(a, b)
-        lex_a.add(a, count_a)
-        lex_b.add(b, count_b)
-        add_forms(whole_forms, 1)
-        best = model.total_cost()
-        lex_a.add(a, -count_a)
-        lex_b.add(b, -count_b)
-        add_forms(whole_forms, -1)
+        forms = None if b is None else _edit_forms(a, b)
         split = None
-        if len(a) > 1 and len(b) > 1:
+        if len(a) > 1 and (b is None or len(b) > 1):
+            put(a, b, forms, 1)
+            best = total_cost()
+            put(a, b, forms, -1)
             for i in range(1, len(a)):
                 a1, a2 = a[:i], a[i:]
-                lex_a.add(a1, count_a)
-                lex_a.add(a2, count_a)
-                for j in range(1, len(b)):
-                    b1, b2 = b[:j], b[j:]
-                    forms = _edit_forms(a1, b1) + _edit_forms(a2, b2)
-                    lex_b.add(b1, count_b)
-                    lex_b.add(b2, count_b)
-                    add_forms(forms, 1)
-                    cost = model.total_cost()
-                    lex_b.add(b1, -count_b)
-                    lex_b.add(b2, -count_b)
-                    add_forms(forms, -1)
+                add_a(a1, count_a)
+                add_a(a2, count_a)
+                if b is None:
+                    cost = total_cost()
                     if cost <= best:
-                        best, split = cost, (i, j)
-                lex_a.add(a1, -count_a)
-                lex_a.add(a2, -count_a)
+                        best, split = cost, (i, None)
+                else:
+                    for j in range(1, len(b)):
+                        b1, b2 = b[:j], b[j:]
+                        split_forms = _edit_forms(a1, b1) + _edit_forms(a2, b2)
+                        put_b((b1, b2), split_forms, 1)
+                        cost = total_cost()
+                        put_b((b1, b2), split_forms, -1)
+                        if cost <= best:
+                            best, split = cost, (i, j)
+                add_a(a1, -count_a)
+                add_a(a2, -count_a)
         if split is None:
-            lex_a.add(a, count_a)
-            lex_b.add(b, count_b)
-            add_forms(whole_forms, 1)
-            return [a], [b]
+            put(a, b, forms, 1)
+            morphs_a.append(a)
+            morphs_b.append(b)
+            return
         i, j = split
         a1, a2 = a[:i], a[i:]
-        b1, b2 = b[:j], b[j:]
-        tail_forms = _edit_forms(a2, b2)
-        lex_a.add(a2, count_a)
-        lex_b.add(b2, count_b)
-        add_forms(tail_forms, 1)
-        left_a, left_b = rec(a1, b1)
-        lex_a.add(a2, -count_a)
-        lex_b.add(b2, -count_b)
-        add_forms(tail_forms, -1)
-        right_a, right_b = rec(a2, b2)
-        return left_a + right_a, left_b + right_b
+        b1, b2 = (None, None) if b is None else (b[:j], b[j:])
+        tail_forms = None if b is None else _edit_forms(a2, b2)
+        put(a2, b2, tail_forms, 1)
+        rec(a1, b1)
+        put(a2, b2, tail_forms, -1)
+        rec(a2, b2)
 
-    morphs_a, morphs_b = rec(word_a, word_b)
-    return tuple(morphs_a), tuple(morphs_b)
+    rec(unit[0][1], unit[1][1] if len(unit) > 1 else None)
+    return [Analysis(r.word, tuple(m), r.count) for r, m in zip(records, (morphs_a, morphs_b))]
 
 
 def resegment_word(model: CognateModel, word: str, language: str) -> Analysis:
@@ -216,13 +193,11 @@ def resegment_word(model: CognateModel, word: str, language: str) -> Analysis:
     """
     if not word:
         raise ContractError("cannot resegment an empty word")
-    record = model.analyses[language].get(word)
-    if record is None:
+    if word not in model.analyses[language]:
         raise ContractError("word %r unknown in language %s" % (word, language))
     if model.pair_for(language, word) is not None:
         raise ContractError("cognate word %r must be resegmented as a pair" % word)
-    morphs = _search_word(model, language, word, record.count)
-    analysis = Analysis(word, morphs, record.count)
+    (analysis,) = _search(model, ((language, word),))
     model.record_analyses([(language, analysis)])
     return analysis
 
@@ -231,13 +206,7 @@ def resegment_pair(model: CognateModel, pair: CognatePair):
     """Jointly resegment a detached cognate pair and record both analyses."""
     if model.pair_for("a", pair.word_a) is not pair:
         raise ContractError("pair %r not registered" % (pair.key,))
-    rec_a = model.analyses["a"][pair.word_a]
-    rec_b = model.analyses["b"][pair.word_b]
-    morphs_a, morphs_b = _search_pair(
-        model, pair.word_a, rec_a.count, pair.word_b, rec_b.count
-    )
-    new_a = Analysis(pair.word_a, morphs_a, rec_a.count)
-    new_b = Analysis(pair.word_b, morphs_b, rec_b.count)
+    new_a, new_b = _search(model, (("a", pair.word_a), ("b", pair.word_b)))
     model.record_analyses([("a", new_a), ("b", new_b)])
     return new_a, new_b
 

@@ -326,8 +326,8 @@ class TestErrors:
         assert payload["message"].startswith("%s:2: " % table)
 
     @pytest.mark.parametrize(
-        "text", ["{alpha", '"alpha"', '{"alpha": "x"}', '{"seed": null}'],
-        ids=["malformed", "not-an-object", "non-numeric", "null"],
+        "text", ["{alpha", '"alpha"', '{"alpha": "x"}', '{"seed": null}', '{"alpha": NaN}'],
+        ids=["malformed", "not-an-object", "non-numeric", "null", "nan"],
     )
     def test_bad_config_rejected(self, workspace, monkeypatch, text):
         config = workspace / "config.json"
@@ -338,6 +338,19 @@ class TestErrors:
             monkeypatch=monkeypatch,
         )
         error_payload(code, err)
+        assert not (workspace / "model").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["train-mono", "--corpus", "a.txt", "--alpha", "nan"],
+         ["train", "--corpus-a", "a.txt", "--corpus-b", "b.txt", "--edit-weight", "inf"]],
+        ids=["alpha-nan", "edit-weight-inf"],
+    )
+    def test_non_finite_weight_rejected(self, workspace, monkeypatch, argv):
+        argv = [str(workspace / a) if a.endswith(".txt") else a for a in argv]
+        code, _, err = run_cli(argv + ["--out", str(workspace / "model")],
+                               monkeypatch=monkeypatch)
+        assert error_payload(code, err)["error"] == "ContractError"
         assert not (workspace / "model").exists()
 
     @pytest.mark.parametrize("kind", ["model", "corpus", "counts", "pairs", "merges"])

@@ -296,5 +296,10 @@ class TestTypes:
     def test_invalid_construction_params(self):
         with pytest.raises(ContractError):
             CognateModel(alpha=0.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ContractError):
+                CognateModel(alpha=bad)
+            with pytest.raises(ContractError):
+                CognateModel(edit_weight=bad)
         with pytest.raises(ContractError):
             CognateModel(edit_mode="loose")

@@ -105,6 +105,21 @@ class TestValidation:
             load_model(path)
         assert ":%d" % (index + 1) in str(err.value)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("alpha", "nan"), ("alpha", "x"), ("edit-weight", "inf"), ("edit-mode", "loose"),
+         ("seed", "x"), ("dampening", "loose")],
+    )
+    def test_bad_header_field_rejected_at_its_line(self, tmp_path, key, value):
+        path = self.make_file(tmp_path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        index = next(i for i, l in enumerate(lines) if l.startswith(key + " "))
+        lines[index] = "%s %s" % (key, value)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(FormatError) as err:
+            load_model(path)
+        assert str(err.value).startswith("%s:%d: bad header field %r" % (path, index + 1, key))
+
     def test_lexicon_disagreeing_with_analyses_rejected(self, tmp_path):
         path = self.make_file(tmp_path)
         text = path.read_text(encoding="utf-8")

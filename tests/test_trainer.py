@@ -152,13 +152,16 @@ def pair_resegment_oracle(model, pair):
 
 
 class TestResegmentPair:
-    def test_single_character_pair_stays_whole(self):
-        model = initialize({"a": 2}, {"e": 2}, [("a", "e")], default_params())
+    @pytest.mark.parametrize("word_a, word_b", [("a", "e"), ("a", "ek"), ("ak", "e")])
+    def test_single_character_pair_stays_whole(self, word_a, word_b):
+        # A one-character side cannot split, so neither side may.
+        model = initialize({word_a: 2}, {word_b: 2}, [(word_a, word_b)], default_params())
         pair = model.pairs[0]
-        model.detach_word("a", "a")
-        model.detach_word("e", "b")
+        model.detach_word(word_a, "a")
+        model.detach_word(word_b, "b")
         new_a, new_b = resegment_pair(model, pair)
-        assert new_a.morphs == ("a",) and new_b.morphs == ("e",)
+        assert new_a.morphs == (word_a,) and new_b.morphs == (word_b,)
+        assert model.recompute_from_scratch() == pytest.approx(model.total_cost(), rel=1e-12)
 
     def test_seeded_compound_pair_matches_exhaustive(self):
         corpus_a = {"tööajast": 1, "töö": 5, "aja": 5, "st": 5}
