@@ -18,7 +18,7 @@ from .errors import ContractError, read_rows
 _logger = logging.getLogger(__name__)
 
 WORD_END = "</w>"
-DEFAULT_HYPHENS = "-"
+HYPHENS = "-"
 
 
 @dataclass
@@ -67,7 +67,7 @@ def balance_counts(tables: dict[str, dict[str, int]]) -> BalancedCounts:
     return BalancedCounts(tables=scaled, scales=scales)
 
 
-def _fragments(word: str, hyphens: str) -> list[tuple[str, ...]]:
+def _fragments(word: str) -> list[tuple[str, ...]]:
     """Split a word into merge-isolated symbol fragments.
 
     Hyphens become single-symbol fragments; the end-of-word symbol joins the
@@ -77,7 +77,7 @@ def _fragments(word: str, hyphens: str) -> list[tuple[str, ...]]:
     frags: list[list[str]] = []
     current: list[str] = []
     for ch in word:
-        if ch in hyphens:
+        if ch in HYPHENS:
             if current:
                 frags.append(current)
             frags.append([ch])
@@ -86,7 +86,7 @@ def _fragments(word: str, hyphens: str) -> list[tuple[str, ...]]:
             current.append(ch)
     if current:
         frags.append(current)
-    if frags and len(frags[-1]) == 1 and frags[-1][0] in hyphens:
+    if frags and len(frags[-1]) == 1 and frags[-1][0] in HYPHENS:
         frags.append([WORD_END])
     elif frags:
         frags[-1].append(WORD_END)
@@ -109,9 +109,7 @@ def _merge_fragment(symbols: tuple[str, ...], left: str, right: str) -> tuple[st
     return tuple(out)
 
 
-def train_bpe(
-    counts: dict[str, int], vocab_size: int, hyphens: str = DEFAULT_HYPHENS
-) -> MergeTable:
+def train_bpe(counts: dict[str, int], vocab_size: int) -> MergeTable:
     """Learn merges over word counts until vocab_size symbols exist.
 
     counts maps word -> count; for several languages pass
@@ -124,10 +122,10 @@ def train_bpe(
     for word, count in counts.items():
         if count < 1:
             raise ContractError("word counts must be positive")
-        frags = [f for f in _fragments(word, hyphens) if not (len(f) == 1 and f[0] in hyphens)]
+        frags = [f for f in _fragments(word) if not (len(f) == 1 and f[0] in HYPHENS)]
         words.append((frags, count))
     alphabet = {sym for frags, _ in words for frag in frags for sym in frag}
-    alphabet.update(ch for word in counts for ch in word if ch in hyphens)
+    alphabet.update(ch for word in counts for ch in word if ch in HYPHENS)
     if vocab_size <= len(alphabet):
         raise ContractError(
             "vocab size %d not above initial alphabet size %d" % (vocab_size, len(alphabet))
@@ -162,7 +160,7 @@ def train_bpe(
     return table
 
 
-def apply_bpe(merges: MergeTable, word: str, hyphens: str = DEFAULT_HYPHENS) -> list[str]:
+def apply_bpe(merges: MergeTable, word: str) -> list[str]:
     """Segment a word with a learned merge table.
 
     Hyphens come out as standalone subwords; the end-of-word symbol is
@@ -171,8 +169,8 @@ def apply_bpe(merges: MergeTable, word: str, hyphens: str = DEFAULT_HYPHENS) -> 
     if not word:
         return []
     out: list[str] = []
-    for frag in _fragments(word, hyphens):
-        if len(frag) == 1 and frag[0] in hyphens:
+    for frag in _fragments(word):
+        if len(frag) == 1 and frag[0] in HYPHENS:
             out.append(frag[0])
             continue
         symbols = frag

@@ -16,7 +16,7 @@ import sys
 
 from . import bpe, cognates, segmenter, serialization, trainer
 from .errors import CogsegError, FormatError, open_text, parse_int, read_rows
-from .model import EDIT_MODES
+from .model import DAMPENING_MODES, EDIT_MODES
 
 _logger = logging.getLogger(__name__)
 
@@ -90,7 +90,7 @@ def _add_training_flags(sub, with_edits: bool):
     sub.add_argument("--seed", type=int, default=_UNSET)
     sub.add_argument("--max-epochs", type=int, default=_UNSET, dest="max_epochs")
     sub.add_argument("--convergence", type=float, default=_UNSET)
-    sub.add_argument("--dampening", choices=("none", "log"), default=_UNSET)
+    sub.add_argument("--dampening", choices=DAMPENING_MODES, default=_UNSET)
     sub.add_argument("--config", default=None)
     sub.add_argument("--out", required=True)
     if with_edits:

@@ -210,6 +210,8 @@ class CognateModel:
             raise ContractError("unknown edit mode %r" % edit_mode)
         if dampening not in DAMPENING_MODES:
             raise ContractError("unknown dampening mode %r" % dampening)
+        if type(seed) is not int:
+            raise ContractError("seed must be an int, got %r" % (seed,))
         self.alpha = alpha
         self.edit_weight = edit_weight
         self.edit_mode = edit_mode
@@ -302,32 +304,29 @@ class CognateModel:
         for edit in tokens:
             lex.add(edit.form, -1)
 
-    def add_analysis(self, analysis: Analysis, language: str) -> float:
-        """Insert a word's analysis; returns the total-cost delta.
+    def add_analysis(self, analysis: Analysis, language: str) -> None:
+        """Insert and count a word's analysis.
 
         For a cognate word whose partner is present, the pair's edit tokens
         are added atomically (both analyses must have equal morph counts).
+        Read the cost with total_cost().
         """
         self._check_language(language)
         word = analysis.word
         table = self.analyses[language]
         if word in table:
             raise ContractError("word %r already analyzed in %s" % (word, language))
-        before = self.total_cost()
         table[word] = analysis
         self.attach_word(word, language)
-        return self.total_cost() - before
 
-    def remove_analysis(self, word: str, language: str) -> float:
-        """Remove a word's analysis; returns the total-cost delta."""
+    def remove_analysis(self, word: str, language: str) -> None:
+        """Uncount and remove a word's analysis, with its pair's edit tokens."""
         self._check_language(language)
         table = self.analyses[language]
         if word not in table:
             raise ContractError("word %r not analyzed in %s" % (word, language))
-        before = self.total_cost()
         self.detach_word(word, language)
         del table[word]
-        return self.total_cost() - before
 
     def detach_word(self, word: str, language: str) -> None:
         """Remove a word's counted contributions, keeping its analysis record.

@@ -26,7 +26,8 @@ _SECTIONS = (
     "ANALYSES-B",
 )
 
-# Header fields in file order, each with the parser of its value.
+# Header fields in file order, each with the parser of its value. Each is the
+# str() of the model attribute of the same name, with "-" for "_".
 _HEADER_FIELDS = (
     ("alpha", float),
     ("edit-weight", float),
@@ -72,14 +73,9 @@ def _check_token(token: str, what: str) -> str:
 
 def save_model(model: CognateModel, path) -> None:
     """Write the model to path; output bytes depend only on the model state."""
-    lines = [
-        "%s %d" % (FORMAT_NAME, FORMAT_VERSION),
-        "alpha %r" % model.alpha,
-        "edit-weight %r" % model.edit_weight,
-        "edit-mode %s" % model.edit_mode,
-        "seed %d" % model.seed,
-        "dampening %s" % model.dampening,
-    ]
+    lines = ["%s %d" % (FORMAT_NAME, FORMAT_VERSION)]
+    for key, _ in _HEADER_FIELDS:
+        lines.append("%s %s" % (key, getattr(model, key.replace("-", "_"))))
     for lang, name in (("a", "LEXICON-A"), ("b", "LEXICON-B")):
         lines.append("[%s]" % name)
         lex = model.lexicons[lang]
@@ -188,7 +184,6 @@ def load_model(path) -> CognateModel:
 
     model = CognateModel(**settings)
 
-    pair_counts: dict[tuple[str, str], tuple[int, int]] = {}
     for line_no, line in sections["PAIRS"]:
         fields = line.split("\t")
         if len(fields) != 4:
@@ -197,12 +192,10 @@ def load_model(path) -> CognateModel:
         word_b = unescape_field(fields[1], path, line_no)
         count_a = parse_positive(fields[2], path, line_no)
         count_b = parse_positive(fields[3], path, line_no)
-        pair = CognatePair(word_a, word_b, count_a, count_b)
         try:
-            model.register_pair(pair)
+            model.register_pair(CognatePair(word_a, word_b, count_a, count_b))
         except CogsegError as exc:
             raise FormatError(str(exc), path, line_no) from exc
-        pair_counts[pair.key] = (count_a, count_b)
 
     for lang, name in (("a", "ANALYSES-A"), ("b", "ANALYSES-B")):
         for line_no, line in sections[name]:

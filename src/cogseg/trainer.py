@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import logging
+import math
 from dataclasses import dataclass, field
 
 from .edits import extract_edits
@@ -41,6 +42,13 @@ class TrainingParams:
     dampening: str = "none"
     edit_mode: str = "full"
     record_steps: bool = False
+
+    def __post_init__(self):
+        if self.max_epochs < 1:
+            raise ContractError("max_epochs must be at least 1, got %r" % self.max_epochs)
+        threshold = self.convergence_threshold
+        if not (math.isfinite(threshold) and threshold >= 0):
+            raise ContractError("convergence_threshold must be finite and >= 0, got %r" % threshold)
 
 
 @dataclass
@@ -241,8 +249,9 @@ def train(model: CognateModel, params: TrainingParams, epoch_callback=None) -> T
 
     Training stops when the relative cost improvement of an epoch falls
     below convergence_threshold (a threshold of 0 disables early stopping).
-    epoch_callback, if given, is called as epoch_callback(model, epoch)
-    after every epoch.
+    Units are visited in an order seeded by model.seed, the seed a saved
+    model records. epoch_callback(model, epoch), if given, is called after
+    every epoch.
     """
     units = []
     for lang in ("a", "b"):
@@ -259,7 +268,7 @@ def train(model: CognateModel, params: TrainingParams, epoch_callback=None) -> T
     _logger.info("training on %d units, initial cost %.4f", len(units), prev)
 
     for epoch in range(1, params.max_epochs + 1):
-        units.sort(key=lambda u: _unit_sort_key(params.rng_seed, epoch, u))
+        units.sort(key=lambda u: _unit_sort_key(model.seed, epoch, u))
         for unit in units:
             _optimize(model, unit)
             if params.record_steps:

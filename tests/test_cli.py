@@ -326,8 +326,9 @@ class TestErrors:
         assert payload["message"].startswith("%s:2: " % table)
 
     @pytest.mark.parametrize(
-        "text", ["{alpha", '"alpha"', '{"alpha": "x"}', '{"seed": null}', '{"alpha": NaN}'],
-        ids=["malformed", "not-an-object", "non-numeric", "null", "nan"],
+        "text", ["{alpha", '"alpha"', '{"alpha": "x"}', '{"seed": null}', '{"alpha": NaN}',
+                 '{"max_epochs": -3}'],
+        ids=["malformed", "not-an-object", "non-numeric", "null", "nan", "negative-epochs"],
     )
     def test_bad_config_rejected(self, workspace, monkeypatch, text):
         config = workspace / "config.json"
@@ -343,8 +344,15 @@ class TestErrors:
     @pytest.mark.parametrize(
         "argv",
         [["train-mono", "--corpus", "a.txt", "--alpha", "nan"],
-         ["train", "--corpus-a", "a.txt", "--corpus-b", "b.txt", "--edit-weight", "inf"]],
-        ids=["alpha-nan", "edit-weight-inf"],
+         ["train", "--corpus-a", "a.txt", "--corpus-b", "b.txt", "--edit-weight", "inf"],
+         # The training settings are checked before any corpus is read.
+         ["train-mono", "--corpus", "missing.txt", "--max-epochs", "-3"],
+         ["train-mono", "--corpus", "missing.txt", "--max-epochs", "0"],
+         ["train", "--corpus-a", "missing.txt", "--corpus-b", "missing.txt",
+          "--convergence", "nan"],
+         ["train-mono", "--corpus", "missing.txt", "--convergence", "-1"]],
+        ids=["alpha-nan", "edit-weight-inf", "max-epochs-negative", "max-epochs-zero",
+             "convergence-nan", "convergence-negative"],
     )
     def test_non_finite_weight_rejected(self, workspace, monkeypatch, argv):
         argv = [str(workspace / a) if a.endswith(".txt") else a for a in argv]

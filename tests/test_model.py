@@ -183,15 +183,10 @@ class TestAddRemove:
     def test_add_then_remove_is_neutral(self):
         model = toy_model()
         before = model.total_cost()
-        delta_add = model.add_analysis(Analysis("vesi", ("ve", "si"), 2), "a")
-        delta_remove = model.remove_analysis("vesi", "a")
-        assert delta_add + delta_remove == pytest.approx(0.0, abs=1e-9)
+        assert model.add_analysis(Analysis("vesi", ("ve", "si"), 2), "a") is None
+        assert model.total_cost() > before
+        assert model.remove_analysis("vesi", "a") is None
         assert model.total_cost() == pytest.approx(before, abs=1e-9)
-
-    def test_add_to_empty_model_delta_is_total(self):
-        model = CognateModel()
-        delta = model.add_analysis(Analysis("abc", ("abc",), 1), "a")
-        assert delta == pytest.approx(model.total_cost(), rel=1e-12)
 
     def test_pair_edits_added_atomically(self):
         model = CognateModel()
@@ -222,12 +217,11 @@ class TestAddRemove:
         model = toy_model()
         words = ["vesi", "vene", "veneen", "kalastaa", "kálà"]
         present = set()
-        cost = model.total_cost()
         for step in range(100):
             if present and rng.random() < 0.5:
                 word = rng.choice(sorted(present))
                 present.discard(word)
-                delta = model.remove_analysis(word, "a")
+                model.remove_analysis(word, "a")
             else:
                 word = rng.choice([w for w in words if w not in present])
                 present.add(word)
@@ -236,10 +230,8 @@ class TestAddRemove:
                 morphs = tuple(
                     word[i:j] for i, j in zip([0] + cuts, cuts + [len(word)])
                 )
-                delta = model.add_analysis(Analysis(word, morphs, rng.randint(1, 9)), "a")
-            cost += delta
+                model.add_analysis(Analysis(word, morphs, rng.randint(1, 9)), "a")
             fresh = model.recompute_from_scratch()
-            assert cost == pytest.approx(fresh, rel=1e-9)
             assert model.total_cost() == pytest.approx(fresh, rel=1e-9)
 
 

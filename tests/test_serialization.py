@@ -1,7 +1,7 @@
 import pytest
 
 from cogseg.edits import Edit
-from cogseg.errors import FormatError
+from cogseg.errors import ContractError, FormatError
 from cogseg.model import Analysis, CognateModel, CognatePair
 from cogseg.serialization import (
     escape_field,
@@ -83,6 +83,32 @@ class TestRoundTrip:
         header = path.read_text(encoding="utf-8").splitlines()[:6]
         assert "alpha 0.01" in header
         assert "edit-weight 10.0" in header
+
+    def test_non_default_header_lines(self, tmp_path):
+        model = CognateModel(
+            alpha=0.25, edit_weight=3.0, edit_mode="count-only", seed=7, dampening="log"
+        )
+        path = tmp_path / "model"
+        save_model(model, path)
+        assert path.read_text(encoding="utf-8").splitlines()[:6] == [
+            "cogseg-model 1",
+            "alpha 0.25",
+            "edit-weight 3.0",
+            "edit-mode count-only",
+            "seed 7",
+            "dampening log",
+        ]
+
+    def test_int_alpha_written_as_int(self, tmp_path):
+        path = tmp_path / "model"
+        save_model(CognateModel(alpha=1), path)
+        assert path.read_text(encoding="utf-8").splitlines()[1] == "alpha 1"
+        assert load_model(path).alpha == 1.0
+
+    @pytest.mark.parametrize("seed", [1.5, 7.0, "7", True])
+    def test_non_int_seed_rejected(self, seed):
+        with pytest.raises(ContractError):
+            CognateModel(seed=seed)
 
 
 class TestValidation:

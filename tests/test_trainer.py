@@ -5,6 +5,7 @@ import pytest
 from cogseg.edits import extract_edits
 from cogseg.errors import ContractError
 from cogseg.model import Analysis, CognatePair, aligned_edit_tokens
+from cogseg.serialization import load_model, save_model
 from cogseg.trainer import (
     TrainingParams,
     _optimize,
@@ -274,6 +275,28 @@ class TestTrain:
             assert model.total_cost() == pytest.approx(
                 model.recompute_from_scratch(), rel=1e-9
             )
+
+    def test_loaded_model_trains_in_its_own_seed_order(self, tmp_path):
+        corpus = {"aamuksi": 4, "aamusta": 2, "talosta": 4, "iltasta": 2, "kalaksi": 3,
+                  "talo": 5, "iltat": 1}
+
+        def trained(seed):
+            params = default_params(rng_seed=seed, alpha=1.0)
+            model = initialize(corpus, {}, [], params)
+            train(model, params)
+            return model.analyses
+
+        # The two seeds visit the words in orders that end in different models.
+        seven = trained(7)
+        assert trained(0) != seven
+        path = tmp_path / "model"
+        save_model(initialize(corpus, {}, [], default_params(rng_seed=7, alpha=1.0)), path)
+        runs = []
+        for params in (TrainingParams(), TrainingParams(rng_seed=7)):
+            model = load_model(path)
+            train(model, params)
+            runs.append(model.analyses)
+        assert runs[0] == runs[1] == seven
 
     def test_step_costs_non_increasing(self):
         params = default_params(rng_seed=5, record_steps=True, alpha=0.5)
