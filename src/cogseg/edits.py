@@ -34,8 +34,6 @@ SUBSTITUTE = "substitute"
 DELETE = "delete"
 INSERT = "insert"
 
-_INF = (1 << 60, 1 << 60)
-
 
 @dataclass(frozen=True)
 class AlignmentOp:
@@ -134,38 +132,52 @@ def _suffix_table(a: str, b: str):
 
     State p=1 means the operation just before (i, j) was a non-match, in
     which case a following non-match continues the current run for free.
+    Each cell is packed into one int, cost << shift | runs, with shift wide
+    enough that runs (at most len(a) + len(b)) never carry into the cost, so
+    packed ints order exactly as (cost, runs) tuples do. Returns the tables
+    for p=0 and p=1, indexed [i][j], and one = 1 << shift, the packed cost
+    of one non-match operation.
     """
     la, lb = len(a), len(b)
-    table = [[[_INF, _INF] for _ in range(lb + 1)] for _ in range(la + 1)]
-    table[la][lb][0] = table[la][lb][1] = (0, 0)
-    for i in range(la, -1, -1):
-        row = table[i]
-        for j in range(lb, -1, -1):
-            if i == la and j == lb:
-                continue
-            same = i < la and j < lb and a[i] == b[j]
-            for p in (0, 1):
-                best = _INF
-                if same:
-                    best = table[i + 1][j + 1][0]
-                bump = 1 if p == 0 else 0
-                if i < la and j < lb and not same:
-                    c, r = table[i + 1][j + 1][1]
-                    cand = (c + 1, r + bump)
-                    if cand < best:
-                        best = cand
-                if i < la:
-                    c, r = table[i + 1][j][1]
-                    cand = (c + 1, r + bump)
-                    if cand < best:
-                        best = cand
-                if j < lb:
-                    c, r = row[j + 1][1]
-                    cand = (c + 1, r + bump)
-                    if cand < best:
-                        best = cand
-                row[j][p] = best
-    return table
+    one = 1 << (la + lb + 1).bit_length()
+    # Row la: only inserts remain, one run of them.
+    nxt1 = [(lb - j) * one for j in range(lb + 1)]
+    nxt0 = [cell + 1 for cell in nxt1]
+    nxt0[lb] = 0
+    table0 = [nxt0]
+    table1 = [nxt1]
+    for i in range(la - 1, -1, -1):
+        ai = a[i]
+        row0 = [0] * (lb + 1)
+        row1 = [0] * (lb + 1)
+        # Column lb: only deletes remain. Going left, ins holds row1[j + 1]
+        # and diag holds nxt1[j + 1].
+        ins = row1[lb] = nxt1[lb] + one
+        row0[lb] = ins + 1
+        diag = nxt1[lb]
+        for j in range(lb - 1, -1, -1):
+            dele = nxt1[j]
+            # Cheapest non-match from (i, j): delete, insert, or substitute
+            # when the characters differ; p=0 opens a new run.
+            best = dele if dele < ins else ins
+            if ai == b[j]:
+                best += one
+                match = nxt0[j + 1]
+                ins = best if best < match else match
+                row0[j] = best + 1 if best + 1 < match else match
+            else:
+                if diag < best:
+                    best = diag
+                ins = best + one
+                row0[j] = ins + 1
+            row1[j] = ins
+            diag = dele
+        table0.append(row0)
+        table1.append(row1)
+        nxt0, nxt1 = row0, row1
+    table0.reverse()
+    table1.reverse()
+    return table0, table1, one
 
 
 def levenshtein_align(a: str, b: str) -> list[AlignmentOp]:
@@ -174,29 +186,27 @@ def levenshtein_align(a: str, b: str) -> list[AlignmentOp]:
     The number of substitute/delete/insert ops equals the Levenshtein
     distance; tie-breaking is as described in the module docstring.
     """
-    table = _suffix_table(a, b)
+    table0, table1, one = _suffix_table(a, b)
+    tables = (table0, table1)
     la, lb = len(a), len(b)
     ops: list[AlignmentOp] = []
     i = j = p = 0
     while i < la or j < lb:
-        cur = table[i][j][p]
-        if i < la and j < lb and a[i] == b[j] and table[i + 1][j + 1][0] == cur:
+        cur = tables[p][i][j]
+        if i < la and j < lb and a[i] == b[j] and table0[i + 1][j + 1] == cur:
             ops.append(AlignmentOp(MATCH, a[i], b[j], i, j))
             i, j, p = i + 1, j + 1, 0
             continue
-        bump = 1 if p == 0 else 0
-        if i < la and j < lb and a[i] != b[j]:
-            c, r = table[i + 1][j + 1][1]
-            if (c + 1, r + bump) == cur:
-                ops.append(AlignmentOp(SUBSTITUTE, a[i], b[j], i, j))
-                i, j, p = i + 1, j + 1, 1
-                continue
-        if i < la:
-            c, r = table[i + 1][j][1]
-            if (c + 1, r + bump) == cur:
-                ops.append(AlignmentOp(DELETE, a[i], None, i, j))
-                i, p = i + 1, 1
-                continue
+        # A non-match from (i, j) costs one and, from p=0, opens a run.
+        step = one + (1 - p)
+        if i < la and j < lb and a[i] != b[j] and table1[i + 1][j + 1] + step == cur:
+            ops.append(AlignmentOp(SUBSTITUTE, a[i], b[j], i, j))
+            i, j, p = i + 1, j + 1, 1
+            continue
+        if i < la and table1[i + 1][j] + step == cur:
+            ops.append(AlignmentOp(DELETE, a[i], None, i, j))
+            i, p = i + 1, 1
+            continue
         ops.append(AlignmentOp(INSERT, None, b[j], i, j))
         j, p = j + 1, 1
     return ops

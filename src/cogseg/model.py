@@ -22,8 +22,8 @@ guarding it.
 
 from __future__ import annotations
 
-import itertools
 import math
+import threading
 from dataclasses import dataclass
 
 from .edits import Edit, extract_edits
@@ -42,6 +42,22 @@ DAMPENING_MODES = ("none", "log")
 
 _log = math.log
 _lgamma = math.lgamma
+
+# XLOGX[n] == n * math.log(n), the same float the expression gives, for every
+# n >= 1 (XLOGX[0] is a placeholder; no caller reads it). Every count a
+# CountLexicon stores went through add, which grows the table to cover it, so
+# the table never reaches past the largest count seen. It is a pure function
+# of its index: lexicons share it without affecting each other.
+XLOGX = [0.0, 0.0]
+_XLOGX_LOCK = threading.Lock()
+
+
+def _grow_xlogx(n: int) -> float:
+    """Grow XLOGX to cover index n and return XLOGX[n]."""
+    with _XLOGX_LOCK:
+        for k in range(len(XLOGX), n + 1):
+            XLOGX.append(k * _log(k))
+    return XLOGX[n]
 
 
 def dampen_count(count: int) -> int:
@@ -127,17 +143,23 @@ class CountLexicon:
             counts[form] = new
         self.tokens += delta
         if old > 1:
-            self.log_token_sum -= old * _log(old)
+            self.log_token_sum -= XLOGX[old]
         if new > 1:
-            self.log_token_sum += new * _log(new)
+            try:
+                self.log_token_sum += XLOGX[new]
+            except IndexError:
+                self.log_token_sum += _grow_xlogx(new)
         if old == 0 and new > 0:
             self._add_form_chars(form, 1)
         elif old > 0 and new == 0:
             self._add_form_chars(form, -1)
 
     def _add_form_chars(self, form: str, sign: int) -> None:
+        # Same float operations, in the same order, as updating
+        # self.log_char_sum in place.
         chars = self.char_counts
-        for ch in itertools.chain(form, (FORM_END,)):
+        total = self.log_char_sum
+        for ch in form + FORM_END:
             old = chars.get(ch, 0)
             new = old + sign
             if new == 0:
@@ -145,9 +167,13 @@ class CountLexicon:
             else:
                 chars[ch] = new
             if old > 1:
-                self.log_char_sum -= old * _log(old)
+                total -= XLOGX[old]
             if new > 1:
-                self.log_char_sum += new * _log(new)
+                try:
+                    total += XLOGX[new]
+                except IndexError:
+                    total += _grow_xlogx(new)
+        self.log_char_sum = total
         self.char_tokens += sign * (len(form) + 1)
 
     def corpus_cost(self) -> float:
@@ -316,6 +342,16 @@ class CognateModel:
         table = self.analyses[language]
         if word in table:
             raise ContractError("word %r already analyzed in %s" % (word, language))
+        pair = self.pair_for(language, word)
+        if pair is not None:
+            # Checked before any write, so a rejected call leaves no trace.
+            other, other_word = ("b", pair.word_b) if language == "a" else ("a", pair.word_a)
+            partner = self.analyses[other].get(other_word)
+            if partner is not None and len(partner.morphs) != len(analysis.morphs):
+                raise ContractError(
+                    "cognate analyses must have equal morph counts: %r / %r"
+                    % (analysis.morphs, partner.morphs)
+                )
         table[word] = analysis
         self.attach_word(word, language)
 

@@ -1,12 +1,15 @@
 """Independent reference implementations used as test oracles.
 
 These deliberately avoid the package's own code paths wherever they verify
-one: the distance oracle is a naive memoized recursion, the cost oracles
-evaluate the stated formulas in high-precision arithmetic, and the search
-oracle enumerates every admissible configuration.
+one: the distance and alignment oracles are naive memoized recursions, the
+cost oracles evaluate the stated formulas in high-precision arithmetic, the
+reference lexicon keeps the plain n*ln(n) float arithmetic the cached sums
+must reproduce bit for bit, and the search oracle enumerates every
+admissible configuration.
 """
 
 import functools
+import itertools
 import math
 
 import mpmath
@@ -32,6 +35,100 @@ def brute_levenshtein(a, b):
     rec.cache_clear()
     return result
 
+
+
+# Operation kinds in preference order, best first.
+_ALIGN_OPS = ("match", "substitute", "delete", "insert")
+
+
+def brute_alignment(a, b):
+    """The alignment of a with b that minimizes (cost, runs, preference
+    sequence), as (kind, source, target, source_pos, target_pos) tuples.
+
+    cost counts non-match operations and runs the maximal blocks of them;
+    remaining ties go to the lexicographically smallest sequence of
+    operation ranks, match < substitute < delete < insert. A match needs
+    equal characters and a substitute unequal ones.
+    """
+
+    @functools.lru_cache(maxsize=None)
+    def rec(i, j, after_non_match):
+        if i == len(a) and j == len(b):
+            return (0, 0, ())
+        options = []
+        for rank, kind in enumerate(_ALIGN_OPS):
+            di = kind != "insert"
+            dj = kind != "delete"
+            if i + di > len(a) or j + dj > len(b):
+                continue
+            if kind in ("match", "substitute") and (a[i] == b[j]) != (kind == "match"):
+                continue
+            if kind == "match":
+                cost, runs, seq = rec(i + 1, j + 1, False)
+            else:
+                cost, runs, seq = rec(i + di, j + dj, True)
+                cost += 1
+                runs += not after_non_match
+            options.append((cost, runs, (rank,) + seq))
+        return min(options)
+
+    ops = []
+    i = j = 0
+    for rank in rec(0, 0, False)[2]:
+        kind = _ALIGN_OPS[rank]
+        source = a[i] if kind != "insert" else None
+        target = b[j] if kind != "delete" else None
+        ops.append((kind, source, target, i, j))
+        i += source is not None
+        j += target is not None
+    rec.cache_clear()
+    return ops
+
+
+class ReferenceCountLexicon:
+    """Counts and cached sums with the plain arithmetic: each n*ln(n) term is
+    computed where it is needed and the sums are updated in place, old term
+    out before new term in, character by character and then the end marker."""
+
+    def __init__(self):
+        self.counts = {}
+        self.tokens = 0
+        self.log_token_sum = 0.0
+        self.char_counts = {}
+        self.char_tokens = 0
+        self.log_char_sum = 0.0
+
+    def add(self, form, delta):
+        old = self.counts.get(form, 0)
+        new = old + delta
+        if new == 0:
+            if old:
+                del self.counts[form]
+        else:
+            self.counts[form] = new
+        self.tokens += delta
+        if old > 1:
+            self.log_token_sum -= old * math.log(old)
+        if new > 1:
+            self.log_token_sum += new * math.log(new)
+        if old == 0 and new > 0:
+            self._add_form_chars(form, 1)
+        elif old > 0 and new == 0:
+            self._add_form_chars(form, -1)
+
+    def _add_form_chars(self, form, sign):
+        for ch in itertools.chain(form, (FORM_END,)):
+            old = self.char_counts.get(ch, 0)
+            new = old + sign
+            if new == 0:
+                del self.char_counts[ch]
+            else:
+                self.char_counts[ch] = new
+            if old > 1:
+                self.log_char_sum -= old * math.log(old)
+            if new > 1:
+                self.log_char_sum += new * math.log(new)
+        self.char_tokens += sign * (len(form) + 1)
 
 def exact_corpus_cost(counts):
     """N*ln(N) - sum(c*ln(c)) in 50-digit arithmetic."""

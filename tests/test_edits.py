@@ -1,4 +1,6 @@
+import itertools
 import random
+from dataclasses import astuple
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,7 +17,7 @@ from cogseg.edits import (
 )
 from cogseg.errors import ContractError
 
-from oracles import brute_levenshtein
+from oracles import brute_alignment, brute_levenshtein
 
 WORDS = st.text(alphabet="abcdeöüõy", max_size=10)
 
@@ -65,6 +67,21 @@ class TestAlign:
         pairs = [("kitten", "sitting"), ("abcabc", "cbacba"), ("aaa", "aaaa")]
         for a, b in pairs:
             assert levenshtein_align(a, b) == levenshtein_align(a, b)
+
+    def test_tie_break_equals_oracle_on_short_binary_strings(self):
+        words = ["".join(w) for n in range(5) for w in itertools.product("ab", repeat=n)]
+        for a in words:
+            for b in words:
+                ops = [astuple(op) for op in levenshtein_align(a, b)]
+                assert ops == brute_alignment(a, b), (a, b)
+
+    def test_tie_break_equals_oracle_on_random_strings(self):
+        rng = random.Random(11)
+        for _ in range(1000):
+            a, b = ("".join(rng.choice("abc") for _ in range(rng.randint(0, 8)))
+                    for _ in range(2))
+            ops = [astuple(op) for op in levenshtein_align(a, b)]
+            assert ops == brute_alignment(a, b), (a, b)
 
 
 class TestExtractEdits:

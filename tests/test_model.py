@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from cogseg.errors import ContractError, ModelIntegrityError
 from cogseg.model import (
+    XLOGX,
     Analysis,
     CognateModel,
     CognatePair,
@@ -13,7 +14,12 @@ from cogseg.model import (
     aligned_edit_tokens,
 )
 
-from oracles import exact_corpus_cost, exact_lexicon_cost, exact_total_cost
+from oracles import (
+    ReferenceCountLexicon,
+    exact_corpus_cost,
+    exact_lexicon_cost,
+    exact_total_cost,
+)
 
 
 def lexicon_from(counts):
@@ -116,6 +122,34 @@ class TestCountLexiconBookkeeping:
         assert lex.log_token_sum == pytest.approx(fresh.log_token_sum, abs=1e-9)
         assert lex.log_char_sum == pytest.approx(fresh.log_char_sum, abs=1e-9)
 
+    def test_sums_equal_plain_arithmetic_bit_for_bit(self):
+        rng = random.Random(13)
+        start = len(XLOGX)
+        forms = ["".join(rng.choice("ab") for _ in range(rng.randint(1, 6)))
+                 for _ in range(25)]
+        lex, ref = CountLexicon(), ReferenceCountLexicon()
+        largest = 0
+        for _ in range(3000):
+            form = rng.choice(forms)
+            have = lex.counts.get(form, 0)
+            if have and rng.random() < 0.45:
+                delta = -rng.randint(1, have)
+            elif rng.random() < 0.02:
+                # Past every count the table covered when the test began.
+                delta = start + rng.randint(1, 40)
+            else:
+                delta = rng.randint(1, 4)
+            lex.add(form, delta)
+            ref.add(form, delta)
+            assert (lex.log_token_sum, lex.log_char_sum, lex.tokens, lex.char_tokens) == (
+                ref.log_token_sum, ref.log_char_sum, ref.tokens, ref.char_tokens
+            )
+            largest = max([largest, *lex.counts.values(), *lex.char_counts.values()])
+        assert lex.counts == ref.counts and lex.char_counts == ref.char_counts
+        # The table grew, and only as far as the largest count seen.
+        assert len(XLOGX) == largest + 1 > start
+        assert all(XLOGX[n] == n * math.log(n) for n in range(1, len(XLOGX)))
+
     def test_zero_count_eviction(self):
         lex = lexicon_from({"ab": 2})
         lex.add("ab", -2)
@@ -199,11 +233,29 @@ class TestAddRemove:
         assert model.edit_lexicon.counts == {}
 
     def test_unequal_pair_morph_counts_rejected(self):
-        model = CognateModel()
-        model.register_pair(CognatePair("talo", "talu", 1, 1))
-        model.add_analysis(Analysis("talo", ("ta", "lo"), 1), "a")
-        with pytest.raises(ContractError):
-            model.add_analysis(Analysis("talu", ("talu",), 1), "b")
+        # Either word may come second; the rejected call must leave no trace.
+        split = {"a": Analysis("talo", ("ta", "lo"), 1), "b": Analysis("talu", ("ta", "lu"), 1)}
+        whole = {"a": Analysis("talo", ("talo",), 1), "b": Analysis("talu", ("talu",), 1)}
+
+        def state(model):
+            lexicons = [model.lexicons["a"], model.lexicons["b"], model.edit_lexicon]
+            return (
+                {lang: dict(table) for lang, table in model.analyses.items()},
+                [(dict(lex.counts), dict(lex.char_counts), lex.tokens, lex.char_tokens,
+                  lex.log_token_sum, lex.log_char_sum) for lex in lexicons],
+            )
+
+        for first, second in (("a", "b"), ("b", "a")):
+            model = CognateModel()
+            model.register_pair(CognatePair("talo", "talu", 1, 1))
+            model.add_analysis(split[first], first)
+            before = state(model)
+            with pytest.raises(ContractError):
+                model.add_analysis(whole[second], second)
+            assert state(model) == before
+            assert model.recompute_from_scratch() == pytest.approx(
+                model.total_cost(), rel=1e-12
+            )
 
     def test_duplicate_add_and_absent_remove_rejected(self):
         model = toy_model()

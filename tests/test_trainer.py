@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -382,3 +383,41 @@ class TestTrain:
         train(model, params)
         optimum = exhaustive_minimum(corpus_a, corpus_b, pairs, 0.5, 10.0)
         assert model.total_cost() <= optimum * (1 + 1e-9) + 1e-9
+
+
+class TestPinnedTraining:
+    """A cost-preserving rewrite of the bookkeeping or the alignment must not
+    change a single trained byte: a flipped float tie or alignment tie
+    changes the saved model or its final cost."""
+
+    CORPUS_A = {
+        "talo": 5, "talossa": 2, "talot": 3, "kala": 4, "kalassa": 1, "kalat": 2,
+        "vesi": 6, "vedessä": 2, "järvi": 3, "järvessä": 1, "saari": 2,
+        "saaressa": 1, "metsä": 4, "metsässä": 2, "maa": 7, "maassa": 3,
+    }
+    CORPUS_B = {
+        "talu": 4, "talus": 2, "talud": 3, "kala": 5, "kalas": 1, "kalad": 2,
+        "vesi": 2, "vees": 1, "järv": 3, "järves": 1, "saar": 2, "saares": 1,
+        "mets": 4, "metsäs": 2, "maa": 6, "maal": 3,
+    }
+    PAIRS = [
+        ("talo", "talu"), ("talossa", "talus"), ("talot", "talud"),
+        ("kala", "kala"), ("kalassa", "kalas"), ("kalat", "kalad"),
+        ("järvi", "järv"), ("järvessä", "järves"), ("saari", "saar"),
+        ("saaressa", "saares"), ("metsä", "mets"), ("metsässä", "metsäs"),
+    ]
+
+    def test_two_epoch_joint_model_is_byte_identical(self, tmp_path):
+        params = default_params(
+            alpha=0.5, rng_seed=3, max_epochs=2, convergence_threshold=0.0
+        )
+        model = initialize(self.CORPUS_A, self.CORPUS_B, self.PAIRS, params)
+        report = train(model, params)
+        path = tmp_path / "model"
+        save_model(model, path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert report.epochs_run == 2
+        assert repr(report.final_cost) == "1190.9116639330086"
+        assert digest == (
+            "8afb6d3b187e47df31509d3d7e83155c2651e629586c21360d9a7b58a79b99c9"
+        )
