@@ -9,11 +9,13 @@ counted nor merged. Words carry a distinct end-of-word symbol.
 
 from __future__ import annotations
 
+import bisect
 import collections
+import heapq
 import logging
 from dataclasses import dataclass, field
 
-from .errors import ContractError, read_rows
+from .errors import ContractError, FormatError, read_rows
 
 _logger = logging.getLogger(__name__)
 
@@ -37,10 +39,26 @@ class BalancedCounts:
 
 @dataclass
 class MergeTable:
-    """Ordered symbol-pair merges in training acquisition order."""
+    """Ordered symbol-pair merges in training acquisition order.
+
+    merges may grow after the table has been applied, but an entry must not
+    be replaced in place: the pair index is rebuilt only when its length
+    changes.
+    """
 
     merges: list[tuple[str, str]] = field(default_factory=list)
     truncated: bool = False
+    _positions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _indexed: int = field(default=0, init=False, repr=False, compare=False)
+
+    def pair_positions(self) -> dict[tuple[str, str], list[int]]:
+        """Each pair's indices in merges, ascending."""
+        if self._indexed != len(self.merges):
+            self._positions = {}
+            for index, pair in enumerate(self.merges):
+                self._positions.setdefault(pair, []).append(index)
+            self._indexed = len(self.merges)
+        return self._positions
 
 
 def balance_counts(tables: dict[str, dict[str, int]]) -> BalancedCounts:
@@ -117,67 +135,103 @@ def train_bpe(counts: dict[str, int], vocab_size: int) -> MergeTable:
     are single symbols and never participate in pairs. Pair-frequency ties
     break lexicographically. If the corpus runs out of mergeable pairs the
     table is returned shorter, flagged as truncated.
+
+    Pairs are counted once (the pair-statistics index of Sennrich et al.
+    2016, arXiv:1508.07909): each merge recounts only the fragments that
+    hold the chosen pair, and the best pair is the least (-count, pair)
+    entry of a heap whose stale entries are dropped when they surface.
     """
-    words = []
+    fragment_counts: collections.Counter = collections.Counter()
+    alphabet = set()
     for word, count in counts.items():
         if count < 1:
             raise ContractError("word counts must be positive")
-        frags = [f for f in _fragments(word) if not (len(f) == 1 and f[0] in HYPHENS)]
-        words.append((frags, count))
-    alphabet = {sym for frags, _ in words for frag in frags for sym in frag}
-    alphabet.update(ch for word in counts for ch in word if ch in HYPHENS)
+        for frag in _fragments(word):
+            alphabet.update(frag)
+            if len(frag) > 1:
+                fragment_counts[frag] += count
     if vocab_size <= len(alphabet):
         raise ContractError(
             "vocab size %d not above initial alphabet size %d" % (vocab_size, len(alphabet))
         )
+    # A merge acts alike on equal fragments, so each distinct one is a unit.
+    units = [[frag, count] for frag, count in fragment_counts.items()]
+    pair_counts: collections.Counter = collections.Counter()
+    holders: dict[tuple[str, str], set[int]] = collections.defaultdict(set)
+    for unit, (symbols, count) in enumerate(units):
+        for pair in zip(symbols, symbols[1:]):
+            pair_counts[pair] += count
+            holders[pair].add(unit)
+    # Every pair in pair_counts has a heap entry holding its current count.
+    heap = [(-count, pair) for pair, count in pair_counts.items()]
+    heapq.heapify(heap)
     table = MergeTable()
     for _ in range(vocab_size - len(alphabet)):
-        pair_counts: collections.Counter = collections.Counter()
-        for frags, count in words:
-            for frag in frags:
-                for i in range(len(frag) - 1):
-                    pair_counts[(frag[i], frag[i + 1])] += count
-        if not pair_counts:
+        while heap and pair_counts.get(heap[0][1]) != -heap[0][0]:
+            heapq.heappop(heap)
+        if not heap:
             table.truncated = True
             _logger.warning(
                 "ran out of mergeable pairs after %d merges", len(table.merges)
             )
             break
-        best = min(pair_counts.items(), key=lambda kv: (-kv[1], kv[0]))[0]
+        best = heapq.heappop(heap)[1]
         table.merges.append(best)
         left, right = best
-        for k, (frags, count) in enumerate(words):
-            changed = None
-            for fi, frag in enumerate(frags):
-                for i in range(len(frag) - 1):
-                    if frag[i] == left and frag[i + 1] == right:
-                        if changed is None:
-                            changed = list(frags)
-                        changed[fi] = _merge_fragment(frag, left, right)
-                        break
-            if changed is not None:
-                words[k] = (changed, count)
+        before: dict[tuple[str, str], int] = {}
+        # A holder may no longer hold the pair; its merge is then a no-op.
+        for unit in holders.pop(best):
+            symbols, count = units[unit]
+            merged = _merge_fragment(symbols, left, right)
+            if len(merged) == len(symbols):
+                continue
+            units[unit][0] = merged
+            for pair in zip(symbols, symbols[1:]):
+                before.setdefault(pair, pair_counts[pair])
+                pair_counts[pair] -= count
+            for pair in zip(merged, merged[1:]):
+                before.setdefault(pair, pair_counts[pair])
+                pair_counts[pair] += count
+                holders[pair].add(unit)
+        for pair, old in before.items():
+            count = pair_counts[pair]
+            if count == 0:
+                del pair_counts[pair]
+                holders.pop(pair, None)
+            elif count != old:
+                heapq.heappush(heap, (-count, pair))
     return table
 
 
 def apply_bpe(merges: MergeTable, word: str) -> list[str]:
     """Segment a word with a learned merge table.
 
-    Hyphens come out as standalone subwords; the end-of-word symbol is
-    stripped from the output, whose concatenation equals the input word.
+    Merges apply in table order, each at its own turn: for each line of the
+    table in turn, every occurrence of its pair is merged, left to right. A
+    line whose pair forms only after its turn does not act, though a later
+    duplicate of it can. Each step jumps to the next line whose pair is
+    present, found through the table's pair index. Hyphens come out as
+    standalone subwords; the end-of-word symbol is stripped from the output,
+    whose concatenation equals the input word.
     """
     if not word:
         return []
+    positions = merges.pair_positions()
     out: list[str] = []
-    for frag in _fragments(word):
-        if len(frag) == 1 and frag[0] in HYPHENS:
-            out.append(frag[0])
-            continue
-        symbols = frag
-        for left, right in merges.merges:
-            if len(symbols) < 2:
+    for symbols in _fragments(word):
+        last = -1
+        while len(symbols) > 1:
+            step = None
+            for pair in zip(symbols, symbols[1:]):
+                indices = positions.get(pair)
+                if indices is not None and indices[-1] > last:
+                    index = indices[bisect.bisect_right(indices, last)]
+                    if step is None or index < step:
+                        step = index
+            if step is None:
                 break
-            symbols = _merge_fragment(symbols, left, right)
+            last = step
+            symbols = _merge_fragment(symbols, *merges.merges[step])
         out.extend(symbols)
     if out and out[-1] == WORD_END:
         out.pop()
@@ -194,5 +248,10 @@ def save_merges(path, table: MergeTable) -> None:
 
 
 def load_merges(path) -> MergeTable:
-    """Read merges written by save_merges."""
-    return MergeTable(merges=[(left, right) for _, (left, right) in read_rows(path, 2, " ")])
+    """Read merges written by save_merges; an empty symbol is malformed."""
+    merges = []
+    for lineno, (left, right) in read_rows(path, 2, " "):
+        if not (left and right):
+            raise FormatError("empty merge symbol", path, lineno)
+        merges.append((left, right))
+    return MergeTable(merges=merges)

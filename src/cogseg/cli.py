@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import argparse
 import collections
+import functools
 import json
 import logging
 import sys
 
 from . import bpe, cognates, segmenter, serialization, trainer
-from .errors import CogsegError, FormatError, open_text, parse_int, read_rows
+from .errors import CogsegError, FormatError, open_text, parse_positive, read_rows
 from .model import DAMPENING_MODES, EDIT_MODES
 
 _logger = logging.getLogger(__name__)
@@ -46,8 +47,10 @@ def load_word_counts(path) -> dict[str, int]:
 
 
 def load_count_table(path) -> dict[str, int]:
-    """Read a word<TAB>count table."""
-    return {word: parse_int(count, path, lineno) for lineno, (word, count) in read_rows(path, 2)}
+    """Read a word<TAB>count table; every count must be positive."""
+    return {
+        word: parse_positive(count, path, lineno) for lineno, (word, count) in read_rows(path, 2)
+    }
 
 
 def _load_config(path) -> dict:
@@ -169,9 +172,10 @@ def cmd_bpe_train(args):
 def cmd_bpe_apply(args):
     table = bpe.load_merges(args.merges)
     config = segmenter.SegmenterConfig(joiner=args.joiner)
-    sys.stdout.writelines(segmenter.segment_lines(
-        sys.stdin, lambda token: bpe.apply_bpe(table, token), config
-    ))
+    # Words repeat across a corpus, so recent words keep their subwords. The
+    # cached lists are shared, and segment_lines only reads them.
+    subwords = functools.lru_cache(maxsize=1 << 16)(lambda token: bpe.apply_bpe(table, token))
+    sys.stdout.writelines(segmenter.segment_lines(sys.stdin, subwords, config))
 
 
 def cmd_report_edits(args):

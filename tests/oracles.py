@@ -8,6 +8,7 @@ must reproduce bit for bit, and the search oracle enumerates every
 admissible configuration.
 """
 
+import collections
 import functools
 import itertools
 import math
@@ -269,8 +270,14 @@ def exhaustive_minimum(corpus_a, corpus_b, pairs, alpha, edit_weight, edit_mode=
 
 
 def reference_bpe_apply(merges, word, hyphens="-"):
-    """Rank-priority BPE application (merge the best-ranked pair present,
-    all occurrences, repeat); independent of the table-order scanner."""
+    """Rank-priority BPE application: merge the best-ranked pair present,
+    all occurrences, and repeat, as subword-nmt does.
+
+    The rank dict keeps the *last* index of a duplicated pair. This is not
+    the table-order rule of apply_bpe: the two agree on the tables train_bpe
+    writes, not on hand-made ones (merges a a, a aa, b b, b aaa, aa a on
+    "baaa" give b|aaa in table order and baaa here).
+    """
     from cogseg.bpe import WORD_END
 
     ranks = {pair: i for i, pair in enumerate(merges)}
@@ -318,6 +325,63 @@ def reference_bpe_apply(merges, word, hyphens="-"):
                     merged.append(symbols[i])
                     i += 1
             symbols = merged
+        out.extend(symbols)
+    if out and out[-1] == WORD_END:
+        out.pop()
+    elif out and out[-1].endswith(WORD_END):
+        out[-1] = out[-1][: -len(WORD_END)]
+    return out
+
+
+def recounting_bpe_train(counts, vocab_size):
+    """The recounting trainer: every merge counts every pair of the corpus
+    again and takes the least (-count, pair)."""
+    from cogseg.bpe import HYPHENS, MergeTable, _fragments, _merge_fragment
+    from cogseg.errors import ContractError
+
+    words = []
+    for word, count in counts.items():
+        if count < 1:
+            raise ContractError("word counts must be positive")
+        frags = [f for f in _fragments(word) if not (len(f) == 1 and f[0] in HYPHENS)]
+        words.append((frags, count))
+    alphabet = {sym for frags, _ in words for frag in frags for sym in frag}
+    alphabet.update(ch for word in counts for ch in word if ch in HYPHENS)
+    if vocab_size <= len(alphabet):
+        raise ContractError(
+            "vocab size %d not above initial alphabet size %d" % (vocab_size, len(alphabet))
+        )
+    table = MergeTable()
+    for _ in range(vocab_size - len(alphabet)):
+        pair_counts = collections.Counter()
+        for frags, count in words:
+            for frag in frags:
+                for i in range(len(frag) - 1):
+                    pair_counts[(frag[i], frag[i + 1])] += count
+        if not pair_counts:
+            table.truncated = True
+            break
+        best = min(pair_counts.items(), key=lambda kv: (-kv[1], kv[0]))[0]
+        table.merges.append(best)
+        left, right = best
+        words = [
+            ([_merge_fragment(frag, left, right) for frag in frags], count)
+            for frags, count in words
+        ]
+    return table
+
+
+def table_order_bpe_apply(merges, word):
+    """Table-order BPE application: walk the whole merge list for each
+    fragment, merging every occurrence of each pair in turn."""
+    from cogseg.bpe import WORD_END, _fragments, _merge_fragment
+
+    if not word:
+        return []
+    out = []
+    for symbols in _fragments(word):
+        for left, right in merges:
+            symbols = _merge_fragment(symbols, left, right)
         out.extend(symbols)
     if out and out[-1] == WORD_END:
         out.pop()

@@ -11,9 +11,9 @@ from cogseg.bpe import (
     save_merges,
     train_bpe,
 )
-from cogseg.errors import ContractError
+from cogseg.errors import ContractError, FormatError
 
-from oracles import reference_bpe_apply
+from oracles import recounting_bpe_train, reference_bpe_apply, table_order_bpe_apply
 
 
 class TestBalanceCounts:
@@ -98,6 +98,23 @@ class TestTrainBpe:
         t2 = train_bpe(counts, vocab_size=14)
         assert t1.merges == t2.merges
 
+    def test_matches_recounting_oracle(self):
+        rng = random.Random(7)
+        truncated = 0
+        for _ in range(400):
+            # Few letters and small counts give ties; the fixed words add an
+            # overlapping repeat and hyphen-only words.
+            words = ["".join(rng.choice("abc-") for _ in range(rng.randint(1, 9)))
+                     for _ in range(rng.randint(1, 10))]
+            words += rng.sample(["aaaa", "-", "--"], 2)
+            counts = {word: rng.randint(1, 3) for word in words}
+            vocab = len(set("".join(counts))) + 1 + rng.randint(1, 25)
+            table = train_bpe(counts, vocab)
+            reference = recounting_bpe_train(counts, vocab)
+            assert (table.merges, table.truncated) == (reference.merges, reference.truncated)
+            truncated += table.truncated
+        assert 0 < truncated < 400
+
 
 class TestApplyBpe:
     def test_no_merges_gives_characters(self):
@@ -136,6 +153,40 @@ class TestApplyBpe:
             word = "".join(rng.choice("abcd-") for _ in range(rng.randint(1, 12)))
             assert apply_bpe(table, word) == reference_bpe_apply(table.merges, word)
 
+    def test_matches_table_order_oracle(self):
+        rng = random.Random(11)
+        symbols = ["a", "b", "c", "aa", "ab", "bc", "abc", "c</w>", "</w>"]
+        for _ in range(3000):
+            merges = [(rng.choice(symbols), rng.choice(symbols))
+                      for _ in range(rng.randint(0, 10))]
+            for _ in range(rng.randint(0, 2) if merges else 0):
+                merges.insert(rng.randint(0, len(merges)), rng.choice(merges))
+            table = MergeTable(merges=merges)
+            for _ in range(4):
+                word = "".join(rng.choice("abc-") for _ in range(rng.randint(1, 10)))
+                assert apply_bpe(table, word) == table_order_bpe_apply(merges, word)
+
+    @pytest.mark.parametrize(
+        "merges, word, pieces",
+        [
+            # Rank priority would merge b+aaa after aa+a and give "baaa".
+            ([("a", "a"), ("a", "aa"), ("b", "b"), ("b", "aaa"), ("aa", "a")],
+             "baaa", ["b", "aaa"]),
+            ([("a", "c"), ("c", "b"), ("a", "c")], "bacb", ["b", "ac", "b"]),
+            # The pair ab+c appears only after its first line; the duplicate acts.
+            ([("ab", "c"), ("a", "b"), ("ab", "c")], "abc", ["abc"]),
+        ],
+        ids=["merge-at-own-turn", "duplicate-no-op", "duplicate-acts"],
+    )
+    def test_table_order_semantics(self, merges, word, pieces):
+        assert apply_bpe(MergeTable(merges=merges), word) == pieces
+
+    def test_merges_appended_after_apply_are_used(self):
+        table = MergeTable(merges=[("a", "b")])
+        assert apply_bpe(table, "abc") == ["ab", "c"]
+        table.merges.append(("ab", "c"))
+        assert apply_bpe(table, "abc") == ["abc"]
+
 
 class TestMergeTableIo:
     def test_roundtrip(self, tmp_path):
@@ -150,3 +201,11 @@ class TestMergeTableIo:
         save_merges(path, table)
         reloaded = load_merges(path)
         assert apply_bpe(reloaded, "tööaeg") == apply_bpe(table, "tööaeg")
+
+    @pytest.mark.parametrize("line", ["a \n", " b\n"], ids=["trailing-space", "leading-space"])
+    def test_empty_symbol_rejected(self, tmp_path, line):
+        path = tmp_path / "merges.txt"
+        path.write_text("k a\n" + line, encoding="utf-8")
+        with pytest.raises(FormatError) as info:
+            load_merges(path)
+        assert str(info.value).startswith("%s:2: " % path)

@@ -326,6 +326,27 @@ class TestErrors:
         assert payload["message"].startswith("%s:2: " % table)
 
     @pytest.mark.parametrize(
+        "bad_table, line", [("kala\t0\nkalassa\t0\n", 1), ("kala\t10\nkalassa\t-4\n", 2)],
+        ids=["all-zero", "negative"],
+    )
+    def test_non_positive_count_beside_another_table(self, workspace, monkeypatch,
+                                                     bad_table, line):
+        good = workspace / "c1.tsv"
+        good.write_text("kalas\t5\n", encoding="utf-8")
+        bad = workspace / "c2.tsv"
+        bad.write_text(bad_table, encoding="utf-8")
+        merges = workspace / "merges.txt"
+        code, _, err = run_cli(
+            ["bpe-train", "--counts", "%s,%s" % (good, bad), "--vocab", "12",
+             "--out", str(merges)],
+            monkeypatch=monkeypatch,
+        )
+        payload = error_payload(code, err)
+        assert payload["error"] == "FormatError"
+        assert payload["message"].startswith("%s:%d: " % (bad, line))
+        assert not merges.exists()
+
+    @pytest.mark.parametrize(
         "text", ["{alpha", '"alpha"', '{"alpha": "x"}', '{"seed": null}', '{"alpha": NaN}',
                  '{"max_epochs": -3}'],
         ids=["malformed", "not-an-object", "non-numeric", "null", "nan", "negative-epochs"],
