@@ -74,6 +74,8 @@ def balance_counts(tables: dict[str, dict[str, int]]) -> BalancedCounts:
         if not table:
             raise ContractError("empty count table for language %r" % lang)
         sums[lang] = sum(table.values())
+        if sums[lang] <= 0:
+            raise ContractError("counts for language %r sum to %r" % (lang, sums[lang]))
     target = max(sums.values())
     scales = {lang: target / s for lang, s in sums.items()}
     scaled = {}

@@ -47,10 +47,14 @@ def load_word_counts(path) -> dict[str, int]:
 
 
 def load_count_table(path) -> dict[str, int]:
-    """Read a word<TAB>count table; every count must be positive."""
-    return {
-        word: parse_positive(count, path, lineno) for lineno, (word, count) in read_rows(path, 2)
-    }
+    """Read a word<TAB>count table; every count must be positive and every
+    word listed once."""
+    table: dict[str, int] = {}
+    for lineno, (word, count) in read_rows(path, 2):
+        if word in table:
+            raise FormatError("word %r listed twice" % word, path, lineno)
+        table[word] = parse_positive(count, path, lineno)
+    return table
 
 
 def _load_config(path) -> dict:

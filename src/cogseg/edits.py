@@ -7,6 +7,13 @@ non-match operations, and extension of one-sided edits over a neighboring
 unchanged character (so a lengthened sound becomes 'a -> aa' rather than
 the harder-to-reuse ' -> a').
 
+One traceback walks the alignment table and writes the operations as a
+string of letters. levenshtein_align turns those letters into AlignmentOps;
+_edit_spans merges their non-match runs into spans. extract_edits (cached,
+for the model's pair bookkeeping) builds Edit objects from the spans, and
+edit_forms (for the training search, which reads only the serialized forms)
+builds the form strings directly.
+
 All functions operate on Unicode code points, never bytes.
 
 Alignment tie-breaking is fully deterministic: among minimum-distance
@@ -21,6 +28,7 @@ extraction stable.
 from __future__ import annotations
 
 import functools
+import re
 from dataclasses import dataclass
 
 from .errors import ContractError
@@ -51,6 +59,13 @@ class AlignmentOp:
     target_pos: int
 
 
+def _check_sides(lhs: str, rhs: str) -> None:
+    if lhs == rhs:
+        raise ContractError("edit sides must differ: %r" % (lhs,))
+    if EDIT_BOUNDARY in lhs or EDIT_BOUNDARY in rhs:
+        raise ContractError("edit sides may not contain %r" % EDIT_BOUNDARY)
+
+
 @dataclass(frozen=True)
 class Edit:
     """A positionless rewrite of one substring into another."""
@@ -59,10 +74,7 @@ class Edit:
     rhs: str
 
     def __post_init__(self):
-        if self.lhs == self.rhs:
-            raise ContractError("edit sides must differ: %r" % (self.lhs,))
-        if EDIT_BOUNDARY in self.lhs or EDIT_BOUNDARY in self.rhs:
-            raise ContractError("edit sides may not contain %r" % EDIT_BOUNDARY)
+        _check_sides(self.lhs, self.rhs)
 
     @property
     def form(self) -> str:
@@ -180,55 +192,77 @@ def _suffix_table(a: str, b: str):
     return table0, table1, one
 
 
+def _traceback(a: str, b: str) -> str:
+    """The tie-broken minimum-cost alignment of a with b, one letter per
+    operation: m(atch), s(ubstitute), d(elete), i(nsert)."""
+    table0, table1, one = _suffix_table(a, b)
+    tables = (table0, table1)
+    la, lb = len(a), len(b)
+    ops: list[str] = []
+    i = j = p = 0
+    while i < la or j < lb:
+        cur = tables[p][i][j]
+        if i < la and j < lb and a[i] == b[j] and table0[i + 1][j + 1] == cur:
+            ops.append("m")
+            i, j, p = i + 1, j + 1, 0
+            continue
+        # A non-match from (i, j) costs one and, from p=0, opens a run.
+        step = one + (1 - p)
+        if i < la and j < lb and a[i] != b[j] and table1[i + 1][j + 1] + step == cur:
+            ops.append("s")
+            i, j, p = i + 1, j + 1, 1
+            continue
+        if i < la and table1[i + 1][j] + step == cur:
+            ops.append("d")
+            i, p = i + 1, 1
+            continue
+        ops.append("i")
+        j, p = j + 1, 1
+    return "".join(ops)
+
+
+_KINDS = {"m": MATCH, "s": SUBSTITUTE, "d": DELETE, "i": INSERT}
+
+
 def levenshtein_align(a: str, b: str) -> list[AlignmentOp]:
     """One deterministic minimum-cost alignment of a with b.
 
     The number of substitute/delete/insert ops equals the Levenshtein
     distance; tie-breaking is as described in the module docstring.
     """
-    table0, table1, one = _suffix_table(a, b)
-    tables = (table0, table1)
-    la, lb = len(a), len(b)
     ops: list[AlignmentOp] = []
-    i = j = p = 0
-    while i < la or j < lb:
-        cur = tables[p][i][j]
-        if i < la and j < lb and a[i] == b[j] and table0[i + 1][j + 1] == cur:
-            ops.append(AlignmentOp(MATCH, a[i], b[j], i, j))
-            i, j, p = i + 1, j + 1, 0
-            continue
-        # A non-match from (i, j) costs one and, from p=0, opens a run.
-        step = one + (1 - p)
-        if i < la and j < lb and a[i] != b[j] and table1[i + 1][j + 1] + step == cur:
-            ops.append(AlignmentOp(SUBSTITUTE, a[i], b[j], i, j))
-            i, j, p = i + 1, j + 1, 1
-            continue
-        if i < la and table1[i + 1][j] + step == cur:
-            ops.append(AlignmentOp(DELETE, a[i], None, i, j))
-            i, p = i + 1, 1
-            continue
-        ops.append(AlignmentOp(INSERT, None, b[j], i, j))
-        j, p = j + 1, 1
+    i = j = 0
+    for letter in _traceback(a, b):
+        source = a[i] if letter != "i" else None
+        target = b[j] if letter != "d" else None
+        ops.append(AlignmentOp(_KINDS[letter], source, target, i, j))
+        i += source is not None
+        j += target is not None
     return ops
 
 
-def _merge_spans(ops) -> list[list[int]]:
-    """Collapse consecutive non-match ops into spans [a0, a1, b0, b1)."""
+_NON_MATCH_RUN = re.compile("[^m]+")
+
+
+def _edit_spans(a: str, b: str) -> list[list[int]]:
+    """Spans [a0, a1, b0, b1) of the edits rewriting a into b: the
+    alignment's runs of non-match operations, extended and re-merged."""
+    if a == b:
+        return []
     spans: list[list[int]] = []
-    open_span = False
-    for op in ops:
-        if op.kind == MATCH:
-            open_span = False
-            continue
-        a1 = op.source_pos + (op.source is not None)
-        b1 = op.target_pos + (op.target is not None)
-        if open_span:
-            spans[-1][1] = a1
-            spans[-1][3] = b1
-        else:
-            spans.append([op.source_pos, a1, op.target_pos, b1])
-            open_span = True
-    return spans
+    i = j = end = 0
+    for run in _NON_MATCH_RUN.finditer(_traceback(a, b)):
+        # Everything between the previous run and this one is matches.
+        start = run.start()
+        i += start - end
+        j += start - end
+        end = run.end()
+        letters = run.group()
+        a1 = i + end - start - letters.count("i")
+        b1 = j + end - start - letters.count("d")
+        spans.append([i, a1, j, b1])
+        i, j = a1, b1
+    return _extend_and_remerge(a, b, spans)
 
 
 def _extend_and_remerge(a: str, b: str, spans: list[list[int]]) -> list[list[int]]:
@@ -293,16 +327,24 @@ def extract_edits(morph_a: str, morph_b: str) -> EditScript:
     Pure and deterministic; results are cached, so the returned script must
     be treated as immutable (it is).
     """
-    if morph_a == morph_b:
-        return EditScript(())
-    ops = levenshtein_align(morph_a, morph_b)
-    spans = _merge_spans(ops)
-    spans = _extend_and_remerge(morph_a, morph_b, spans)
-    positioned = tuple(
-        PositionedEdit(Edit(morph_a[a0:a1], morph_b[b0:b1]), a0, a1)
-        for a0, a1, b0, b1 in spans
+    return EditScript(
+        tuple(
+            PositionedEdit(Edit(morph_a[a0:a1], morph_b[b0:b1]), a0, a1)
+            for a0, a1, b0, b1 in _edit_spans(morph_a, morph_b)
+        )
     )
-    return EditScript(positioned)
+
+
+def edit_forms(morph_a: str, morph_b: str) -> tuple[str, ...]:
+    """The forms of extract_edits(morph_a, morph_b).edits, built as strings
+    without Edit objects and not cached. Raises ContractError where Edit
+    would."""
+    forms = []
+    for a0, a1, b0, b1 in _edit_spans(morph_a, morph_b):
+        lhs, rhs = morph_a[a0:a1], morph_b[b0:b1]
+        _check_sides(lhs, rhs)
+        forms.append(lhs + EDIT_BOUNDARY + rhs)
+    return tuple(forms)
 
 
 def apply_edit_script(morph: str, script: EditScript) -> str:

@@ -25,7 +25,10 @@ import logging
 import math
 from dataclasses import dataclass, field
 
-from .edits import extract_edits
+# extract_edits is not called here. It stays importable from this module
+# because perfbench/child.py's traced run wraps trainer.extract_edits by
+# name; ROADMAP item 3 moves the benchmark onto the model's own counters.
+from .edits import edit_forms, extract_edits  # noqa: F401
 from .errors import ContractError
 from .model import Analysis, CognateModel, CognatePair, dampen_count
 
@@ -76,9 +79,9 @@ class TrainingReport:
         return self.epochs[-1].total_cost if self.epochs else self.initial_cost
 
 
-@functools.lru_cache(maxsize=1 << 17)
-def _edit_forms(morph_a: str, morph_b: str) -> tuple[str, ...]:
-    return tuple(e.form for e in extract_edits(morph_a, morph_b).edits)
+# The search asks for the same forms many times; caching strings, not Edit
+# objects, keeps the cache cheap to hold and to collect.
+_edit_forms = functools.lru_cache(maxsize=1 << 17)(edit_forms)
 
 
 def initialize(corpus_a, corpus_b, pairs, params: TrainingParams) -> CognateModel:

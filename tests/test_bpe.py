@@ -55,6 +55,10 @@ class TestBalanceCounts:
         with pytest.raises(ContractError):
             balance_counts({"a": {"w": 1}})
 
+    def test_zero_sum_table_rejected(self):
+        with pytest.raises(ContractError, match="'a'"):
+            balance_counts({"a": {"w": 0}, "b": {"x": 1}})
+
 
 class TestTrainBpe:
     def test_first_merge_by_brute_force_pair_count(self):

@@ -11,6 +11,7 @@ from cogseg.edits import (
     MATCH,
     Edit,
     apply_edit_script,
+    edit_forms,
     extract_edits,
     levenshtein_align,
     levenshtein_distance,
@@ -125,6 +126,49 @@ class TestExtractEdits:
         for a, b in [("maa", "ma"), ("aab", "ab"), ("ba", "baa")]:
             for edit in extract_edits(a, b).edits:
                 assert edit.lhs and edit.rhs
+
+
+def script_forms(a, b):
+    return tuple(e.form for e in extract_edits(a, b).edits)
+
+
+class TestEditForms:
+    def test_equal_script_forms_on_all_short_binary_pairs(self):
+        words = ["".join(w) for n in range(5) for w in itertools.product("ab", repeat=n)]
+        pairs = [(a, b) for a in words for b in words]
+        assert len(pairs) == 961
+        for a, b in pairs:
+            assert edit_forms(a, b) == script_forms(a, b), (a, b)
+
+    def test_equal_script_forms_on_random_strings(self):
+        rng = random.Random(12)
+        for _ in range(1000):
+            a, b = ("".join(rng.choice("abc") for _ in range(rng.randint(0, 8)))
+                    for _ in range(2))
+            assert edit_forms(a, b) == script_forms(a, b), (a, b)
+
+    def test_published_example(self):
+        forms = edit_forms("yhteenkuuluvuuspolitiikkaa", "ühtekuuluvuspoliitika")
+        assert forms == ("y|ü", "een|e", "uu|u", "ti|it", "kka|k")
+
+    def test_rejects_boundary_symbol_where_edit_does(self):
+        words = ["".join(w) for n in range(4) for w in itertools.product("a|", repeat=n)]
+        rejected = 0
+        for a in words:
+            for b in words:
+                try:
+                    expected = script_forms(a, b)
+                except ContractError:
+                    rejected += 1
+                    with pytest.raises(ContractError):
+                        edit_forms(a, b)
+                else:
+                    assert edit_forms(a, b) == expected, (a, b)
+        assert rejected > 0
+        # A boundary symbol inside unchanged characters is not an edit side.
+        assert edit_forms("a|b", "a|c") == ("b|c",)
+        with pytest.raises(ContractError):
+            edit_forms("a|b", "c")
 
 
 class TestApplyScript:
