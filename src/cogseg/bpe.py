@@ -64,8 +64,8 @@ class MergeTable:
 def balance_counts(tables: dict[str, dict[str, int]]) -> BalancedCounts:
     """Scale every language's counts so the sums match the largest language.
 
-    Counts are rounded half-up; words with a nonzero input count keep at
-    least a count of 1.
+    Every input count must be at least 1. Counts are rounded half-up; no
+    scale is below 1, so every word keeps a count of at least 1.
     """
     if len(tables) < 2:
         raise ContractError("need at least two languages to balance")
@@ -73,16 +73,19 @@ def balance_counts(tables: dict[str, dict[str, int]]) -> BalancedCounts:
     for lang, table in tables.items():
         if not table:
             raise ContractError("empty count table for language %r" % lang)
+        for word, count in table.items():
+            if count < 1:
+                raise ContractError(
+                    "count %r of word %r in language %r is below 1" % (count, word, lang)
+                )
         sums[lang] = sum(table.values())
-        if sums[lang] <= 0:
-            raise ContractError("counts for language %r sum to %r" % (lang, sums[lang]))
     target = max(sums.values())
     scales = {lang: target / s for lang, s in sums.items()}
     scaled = {}
     for lang, table in tables.items():
         factor = scales[lang]
         scaled[lang] = {
-            word: max(1, int(count * factor + 0.5)) for word, count in table.items()
+            word: int(count * factor + 0.5) for word, count in table.items()
         }
     return BalancedCounts(tables=scaled, scales=scales)
 

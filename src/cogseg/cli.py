@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import collections
-import functools
 import json
 import logging
 import sys
@@ -176,10 +175,9 @@ def cmd_bpe_train(args):
 def cmd_bpe_apply(args):
     table = bpe.load_merges(args.merges)
     config = segmenter.SegmenterConfig(joiner=args.joiner)
-    # Words repeat across a corpus, so recent words keep their subwords. The
-    # cached lists are shared, and segment_lines only reads them.
-    subwords = functools.lru_cache(maxsize=1 << 16)(lambda token: bpe.apply_bpe(table, token))
-    sys.stdout.writelines(segmenter.segment_lines(sys.stdin, subwords, config))
+    sys.stdout.writelines(segmenter.segment_lines(
+        sys.stdin, lambda token: bpe.apply_bpe(table, token), config
+    ))
 
 
 def cmd_report_edits(args):

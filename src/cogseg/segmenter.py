@@ -9,6 +9,7 @@ additive smoothing penalty so that every word is segmentable.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -97,27 +98,31 @@ def segment_lines(lines, token_morphs, config: SegmenterConfig):
 
     Lines are split on single spaces. Empty tokens, target tags and tokens
     holding other whitespace pass through unsplit; any other token becomes
-    token_morphs(token) rendered with the joiner. Each line keeps its
-    terminator, so unjoin restores the input byte for byte. I/O and decoding
-    failures are reported with the offending line number.
+    token_morphs(token) rendered with the joiner. A token's rendering
+    depends on the token alone, so each call keeps one memo and a repeated
+    token is rendered once; token_morphs runs once per distinct token
+    (while it stays among the memo's 2^16 most recent). Each line keeps its
+    terminator, so unjoin restores the input byte for byte. An error at line
+    N stops the stream after lines 1..N-1; I/O and decoding failures are
+    reported with the offending line number.
     """
     joiner = config.joiner
+
+    @functools.lru_cache(maxsize=1 << 16)
+    def render(token):
+        # isprintable() is False for every whitespace character but the
+        # space, so plain tokens skip the per-character check.
+        if not token or TAG_PATTERN.match(token) or (
+            not token.isprintable() and any(ch.isspace() for ch in token)
+        ):
+            return token
+        return join_morphs(token_morphs(token), joiner)
+
     lineno = 0
     try:
         for lineno, line in enumerate(lines, 1):
             text = line.rstrip("\r\n")
-            # isprintable() is False for every whitespace character but the
-            # space, so plain lines skip the per-token check.
-            spaced = not text.isprintable()
-            out = []
-            for token in text.split(" "):
-                if not token or TAG_PATTERN.match(token) or (
-                    spaced and any(ch.isspace() for ch in token)
-                ):
-                    out.append(token)
-                else:
-                    out.append(join_morphs(token_morphs(token), joiner))
-            yield " ".join(out) + line[len(text):]
+            yield " ".join(map(render, text.split(" "))) + line[len(text):]
     except (OSError, UnicodeError) as exc:
         if isinstance(exc, UnicodeDecodeError):  # text streams decode a chunk ahead
             lineno += exc.object.count(b"\n", 0, exc.start)

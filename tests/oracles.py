@@ -5,13 +5,15 @@ one: the distance and alignment oracles are naive memoized recursions, the
 cost oracles evaluate the stated formulas in high-precision arithmetic, the
 reference lexicon keeps the plain n*ln(n) float arithmetic the cached sums
 must reproduce bit for bit, and the search oracle enumerates every
-admissible configuration.
+admissible configuration. The token-loop oracle renders every token on its
+own, with no memo.
 """
 
 import collections
 import functools
 import itertools
 import math
+import re
 
 import mpmath
 
@@ -388,3 +390,26 @@ def table_order_bpe_apply(merges, word):
     elif out and out[-1].endswith(WORD_END):
         out[-1] = out[-1][: -len(WORD_END)]
     return out
+
+
+_TAG = re.compile(r"^<to_[0-9A-Za-z]+>$")
+
+
+def per_token_segment_lines(lines, token_morphs, joiner="@@"):
+    """The apply token loop without a memo: every token is tested and
+    rendered where it occurs. Lines split on single spaces; empty tokens,
+    target tags and tokens holding whitespace other than the space pass
+    through; each line keeps its terminator."""
+    for line in lines:
+        text = line.rstrip("\r\n")
+        spaced = not text.isprintable()
+        out = []
+        for token in text.split(" "):
+            if not token or _TAG.match(token) or (
+                spaced and any(ch.isspace() for ch in token)
+            ):
+                out.append(token)
+            else:
+                morphs = list(token_morphs(token))
+                out.append(" ".join([m + joiner for m in morphs[:-1]] + morphs[-1:]))
+        yield " ".join(out) + line[len(text):]

@@ -10,6 +10,9 @@ import ast
 import importlib
 from pathlib import Path
 
+from cogseg import segmenter
+from cogseg.model import CognateModel
+
 CHILD = Path(__file__).resolve().parent.parent / "perfbench" / "child.py"
 
 # Patched by child.py outside its SETUP and TRACED tables.
@@ -50,3 +53,25 @@ def test_read_caches_count():
     for module, attr in CACHES:
         info = resolve(module, attr).cache_info()
         assert info.maxsize > 0, (module, attr)
+
+
+def test_apply_paths_reach_viterbi_through_the_module(monkeypatch):
+    # The traced run counts segmenter.viterbi_segment spans by replacing the
+    # module attribute; unseen words must still be segmented through it.
+    calls = []
+
+    def fake(lexicon, word):
+        calls.append(word)
+        return real(lexicon, word)
+
+    real = segmenter.viterbi_segment
+    monkeypatch.setattr(segmenter, "viterbi_segment", fake)
+    model = CognateModel()
+    model.lexicons["a"].add("kala", 2)
+    assert list(segmenter.segment_corpus(model, ["kalat kalat\n"], "a")) == [
+        "kala@@ t kala@@ t\n"
+    ]
+    assert calls == ["kalat"]
+    result = segmenter.override_source_segmentation(model, CognateModel(), "kalas")
+    assert result.morphs == ("kala", "s")
+    assert calls == ["kalat", "kalas"]

@@ -59,6 +59,11 @@ class TestBalanceCounts:
         with pytest.raises(ContractError, match="'a'"):
             balance_counts({"a": {"w": 0}, "b": {"x": 1}})
 
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_count_below_one_rejected(self, count):
+        with pytest.raises(ContractError, match=r"word 'w' in language 'a'"):
+            balance_counts({"a": {"v": 2, "w": count}, "b": {"x": 4}})
+
 
 class TestTrainBpe:
     def test_first_merge_by_brute_force_pair_count(self):

@@ -262,6 +262,41 @@ class TestBpeCommands:
         assert out.replace("@@ ", "") == text
 
 
+class TestPartialOutput:
+    """An error at line N leaves stdout holding exactly lines 1..N-1.
+
+    Line 3 holds the first occurrence of a token whose rendering has a
+    morph containing the joiner; lines 1-2 render on their own.
+    """
+
+    def check(self, monkeypatch, argv, bad_token):
+        good = "kala on\nvesi kala\n"
+        code, expected, err = run_cli(argv, stdin_text=good, monkeypatch=monkeypatch)
+        assert (code, err) == (0, ""), err
+        assert expected.count("\n") == 2
+        text = good + "on %s\n%s kala\n" % (bad_token, bad_token)
+        code, out, err = run_cli(argv, stdin_text=text, monkeypatch=monkeypatch)
+        assert error_payload(code, err)["error"] == "ContractError"
+        assert out == expected
+
+    def test_segment(self, workspace, monkeypatch):
+        model_path = train_model(workspace, monkeypatch)
+        assert load_model(model_path).analyses["a"]["kalassa"].morphs == ("kala", "ssa")
+        argv = ["segment", "--model", str(model_path), "--lang", "a", "--joiner", "al"]
+        self.check(monkeypatch, argv, "kalassa")
+
+    def test_segment_source(self, workspace, monkeypatch):
+        model_path = train_model(workspace, monkeypatch)
+        argv = ["segment-source", "--source-model", str(model_path),
+                "--cognate-model", str(model_path), "--joiner", "al"]
+        self.check(monkeypatch, argv, "kalassa")
+
+    def test_bpe_apply(self, workspace, monkeypatch):
+        merges = workspace / "merges.txt"
+        merges.write_text("@ @\n", encoding="utf-8")
+        self.check(monkeypatch, ["bpe-apply", "--merges", str(merges)], "a@@b")
+
+
 class TestReportCommand:
     def test_report_edits_output(self, workspace, monkeypatch):
         model_path = train_model(workspace, monkeypatch)

@@ -1,3 +1,4 @@
+import collections
 import math
 
 import pytest
@@ -11,10 +12,12 @@ from cogseg.segmenter import (
     override_source_segmentation,
     prefix_target_tag,
     segment_corpus,
+    segment_lines,
     unjoin,
     viterbi_segment,
 )
 from cogseg.trainer import TrainingParams, initialize, train
+from oracles import per_token_segment_lines
 
 
 def lexicon_from(counts):
@@ -149,7 +152,55 @@ class TestSegmentCorpus:
         assert [unjoin(line) for line in out] == [line.rstrip("\n") for line in lines]
 
 
-# one trained model shared by the hypothesis case to keep it fast
+# Tokens of the memo property: stored words, tags, near-tags, empty tokens
+# (double spaces) and tokens holding a tab, a vertical tab or a no-break space,
+# drawn with repeats, plus free text over the same characters.
+MEMO_TOKENS = st.one_of(
+    st.sampled_from([
+        "kala", "kalassa", "ssa", "vesi", "<to_et>", "<to_fi>", "<to_>", "<to_et>x",
+        "", "kala\tssa", "ssa\x0b", "\u00a0vesi", "kala\u00a0",
+    ]),
+    st.text(alphabet="kalsvü<>_to\t\x0b\u00a0 ", max_size=8),
+)
+MEMO_LINES = st.lists(
+    st.builds(
+        lambda tokens, end: " ".join(tokens) + end,
+        st.lists(MEMO_TOKENS, max_size=8),
+        st.sampled_from(["", "\n", "\r\n"]),
+    ),
+    max_size=6,
+)
+
+
+class TestTokenMemo:
+    @given(MEMO_LINES, st.sampled_from(["@@", "+"]))
+    def test_output_equals_per_token_loop(self, lines, joiner):
+        model = trained_toy_model.cache
+        analyses, lexicon = model.analyses["a"], model.lexicons["a"]
+
+        def token_morphs(token):
+            return (analyses.get(token) or viterbi_segment(lexicon, token)).morphs
+
+        out = list(segment_corpus(model, lines, "a", SegmenterConfig(joiner)))
+        assert out == list(per_token_segment_lines(lines, token_morphs, joiner))
+
+    def test_each_distinct_token_rendered_once_per_call(self):
+        calls = collections.Counter()
+
+        def token_morphs(token):
+            calls[token] += 1
+            return (token[:2], token[2:])
+
+        lines = ["kala kala <to_et> vesi\n", "vesi  kala ka\tla\n", "kala"]
+        first = list(segment_lines(lines, token_morphs, SegmenterConfig()))
+        assert first == ["ka@@ la ka@@ la <to_et> ve@@ si\n",
+                         "ve@@ si  ka@@ la ka\tla\n", "ka@@ la"]
+        assert calls == {"kala": 1, "vesi": 1}
+        assert list(segment_lines(lines, token_morphs, SegmenterConfig())) == first
+        assert calls == {"kala": 2, "vesi": 2}
+
+
+# one trained model shared by the hypothesis cases to keep them fast
 trained_toy_model.cache = None
 
 
