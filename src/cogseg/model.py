@@ -74,8 +74,11 @@ class Analysis:
             raise ContractError(
                 "morphs %r do not concatenate to %r" % (self.morphs, self.word)
             )
-        if any(ch.isspace() for ch in self.word):
-            raise ContractError("word %r contains whitespace" % self.word)
+        # isprintable() is False for every whitespace character but the
+        # space, so printable words skip the per-character check.
+        word = self.word
+        if " " in word or (not word.isprintable() and any(ch.isspace() for ch in word)):
+            raise ContractError("word %r contains whitespace" % word)
 
 
 @dataclass(frozen=True)
@@ -98,6 +101,10 @@ class CountLexicon:
     Serves both morph lexicons (forms are morphs) and the edit lexicon
     (forms are serialized edits, boundary symbol included). Zero-count forms
     are evicted immediately so type and character statistics stay exact.
+
+    trie() indexes the forms for Viterbi segmentation. It is built on first
+    use and dropped whenever a form enters or leaves the inventory; it holds
+    no counts, so a count change alone keeps it. Training never builds it.
     """
 
     __slots__ = (
@@ -107,6 +114,7 @@ class CountLexicon:
         "char_counts",
         "char_tokens",
         "log_char_sum",
+        "_trie",
     )
 
     def __init__(self):
@@ -116,10 +124,25 @@ class CountLexicon:
         self.char_counts: dict[str, int] = {}
         self.char_tokens = 0
         self.log_char_sum = 0.0
+        self._trie = None
 
     @property
     def types(self) -> int:
         return len(self.counts)
+
+    def trie(self) -> dict:
+        """Character trie of the forms: nested dicts keyed by character,
+        where a node's "" key holds the form that ends there."""
+        root = self._trie
+        if root is None:
+            root = {}
+            for form in self.counts:
+                node = root
+                for ch in form:
+                    node = node.setdefault(ch, {})
+                node[""] = form
+            self._trie = root
+        return root
 
     def add(self, form: str, delta: int) -> None:
         """Adjust the token count of form by delta (negative to remove)."""
@@ -144,8 +167,10 @@ class CountLexicon:
             self._add_form_chars(form, -1)
 
     def _add_form_chars(self, form: str, sign: int) -> None:
-        # Same float operations, in the same order, as updating
-        # self.log_char_sum in place.
+        # Runs exactly when form enters or leaves the inventory. Same float
+        # operations, in the same order, as updating self.log_char_sum in
+        # place.
+        self._trie = None
         chars = self.char_counts
         total = self.log_char_sum
         for ch in form + FORM_END:

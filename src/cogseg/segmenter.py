@@ -35,49 +35,82 @@ class SegmenterConfig:
     joiner: str = DEFAULT_JOINER
 
     def __post_init__(self):
-        if not self.joiner or self.joiner.strip() != self.joiner:
+        if not self.joiner or any(ch.isspace() for ch in self.joiner):
             raise ContractError("joiner must be a non-empty token-safe string")
 
 
 def viterbi_segment(lexicon: CountLexicon, word: str) -> Analysis:
     """Most probable segmentation of word under the lexicon's unigram model.
 
-    Ties are broken deterministically: fewest morphs first, then the
-    leftmost-longest morph sequence.
+    A forward pass over the lexicon's trie: from each start position the
+    walk follows word down the trie, so only the morphs that occur in word
+    are looked at. A morph costs ln N - ln count; the single character at a
+    start position is always a candidate, at ln N + UNKNOWN_CHAR_PENALTY
+    when it is not a morph. Ties are broken deterministically: fewest morphs
+    first, then the leftmost-longest morph sequence.
     """
     if not word:
         raise ContractError("cannot segment an empty word")
+    trie = lexicon.trie()
     counts = lexicon.counts
-    log_tokens = math.log(lexicon.tokens) if lexicon.tokens > 0 else 0.0
+    log = math.log
+    log_tokens = log(lexicon.tokens) if lexicon.tokens > 0 else 0.0
     unknown = log_tokens + UNKNOWN_CHAR_PENALTY
     n = len(word)
-    # best[i]: (cost, morph count, negated morph lengths, predecessor) over word[:i]
-    best: list[tuple | None] = [None] * (n + 1)
-    best[0] = (0.0, 0, (), -1)
-    for i in range(1, n + 1):
-        for j in range(0, i):
-            base = best[j]
-            if base is None:
-                continue
-            morph = word[j:i]
-            count = counts.get(morph)
-            if count is not None:
-                step = log_tokens - math.log(count)
-            elif i - j == 1:
-                step = unknown
-            else:
-                continue
-            cand = (base[0] + step, base[1] + 1, base[2] + (j - i,), j)
-            if best[i] is None or cand[:3] < best[i][:3]:
-                best[i] = cand
+    # Over word[:i]: the best cost, its morph count, and where its last
+    # morph starts. Candidates for each i arrive in increasing start j.
+    cost = [0.0] + [math.inf] * n
+    size = [0] * (n + 1)
+    back = [0] * (n + 1)
+    for j in range(n):
+        base = cost[j]
+        k = size[j] + 1
+        node = trie.get(word[j], _NO_FORMS)
+        step = unknown
+        i = j + 1
+        while True:
+            form = node.get("")
+            if form is not None:
+                step = log_tokens - log(counts[form])
+            if step is not None:
+                c = base + step
+                if c < cost[i] or c == cost[i] and (
+                    k < size[i]
+                    or k == size[i] and _lengths(back, j) + [j - i] < _lengths(back, i)
+                ):
+                    cost[i] = c
+                    size[i] = k
+                    back[i] = j
+                step = None
+            if i == n:
+                break
+            node = node.get(word[i])
+            if node is None:
+                break
+            i += 1
     morphs: list[str] = []
     pos = n
     while pos > 0:
-        prev = best[pos][3]
+        prev = back[pos]
         morphs.append(word[prev:pos])
         pos = prev
     morphs.reverse()
     return Analysis(word, tuple(morphs), 1)
+
+
+# The trie node of a character that begins no morph.
+_NO_FORMS: dict = {}
+
+
+def _lengths(back, pos):
+    """Negated morph lengths of the best segmentation of word[:pos]."""
+    lengths = []
+    while pos > 0:
+        prev = back[pos]
+        lengths.append(prev - pos)
+        pos = prev
+    lengths.reverse()
+    return lengths
 
 
 def join_morphs(morphs, joiner: str) -> str:

@@ -6,7 +6,8 @@ cost oracles evaluate the stated formulas in high-precision arithmetic, the
 reference lexicon keeps the plain n*ln(n) float arithmetic the cached sums
 must reproduce bit for bit, and the search oracle enumerates every
 admissible configuration. The token-loop oracle renders every token on its
-own, with no memo.
+own, with no memo, and the Viterbi oracle pulls every slice of the word from
+the lexicon's counts.
 """
 
 import collections
@@ -413,3 +414,38 @@ def per_token_segment_lines(lines, token_morphs, joiner="@@"):
                 morphs = list(token_morphs(token))
                 out.append(" ".join([m + joiner for m in morphs[:-1]] + morphs[-1:]))
         yield " ".join(out) + line[len(text):]
+
+
+def pull_viterbi_segment(lexicon, word):
+    """Morphs of the cheapest segmentation of word by a pull loop: each end
+    position i tries every slice word[j:i] in increasing j against the
+    lexicon's counts. A morph costs ln N - ln count; a single character not
+    in the lexicon costs ln N + 20. Ties go to fewer morphs, then to the
+    lexicographically smallest sequence of negated lengths (leftmost-longest)."""
+    counts = lexicon.counts
+    log_tokens = math.log(lexicon.tokens) if lexicon.tokens > 0 else 0.0
+    unknown = log_tokens + 20.0
+    n = len(word)
+    # best[i]: (cost, morph count, negated morph lengths, predecessor) over word[:i]
+    best = [None] * (n + 1)
+    best[0] = (0.0, 0, (), -1)
+    for i in range(1, n + 1):
+        for j in range(0, i):
+            base = best[j]
+            count = counts.get(word[j:i])
+            if count is not None:
+                step = log_tokens - math.log(count)
+            elif i - j == 1:
+                step = unknown
+            else:
+                continue
+            cand = (base[0] + step, base[1] + 1, base[2] + (j - i,), j)
+            if best[i] is None or cand[:3] < best[i][:3]:
+                best[i] = cand
+    morphs = []
+    pos = n
+    while pos > 0:
+        prev = best[pos][3]
+        morphs.append(word[prev:pos])
+        pos = prev
+    return tuple(reversed(morphs))

@@ -430,6 +430,23 @@ class TestErrors:
         assert error_payload(code, err)["error"] == "ContractError"
         assert not (workspace / "model").exists()
 
+    @pytest.mark.parametrize("joiner", ["x y", "a\tb", "a\u00a0b"],
+                             ids=["space", "tab", "no-break-space"])
+    @pytest.mark.parametrize("command", ["segment", "bpe-apply"])
+    def test_joiner_holding_whitespace_rejected(self, workspace, monkeypatch, command,
+                                                joiner):
+        merges = workspace / "merges.txt"
+        merges.write_text("k a\n", encoding="utf-8")
+        argv = {
+            "segment": ["segment", "--model", str(train_model(workspace, monkeypatch)),
+                        "--lang", "a"],
+            "bpe-apply": ["bpe-apply", "--merges", str(merges)],
+        }[command]
+        code, out, err = run_cli(argv + ["--joiner", joiner], stdin_text="kalassa\n",
+                                 monkeypatch=monkeypatch)
+        assert error_payload(code, err)["error"] == "ContractError"
+        assert out == ""
+
     @pytest.mark.parametrize("kind", ["model", "corpus", "counts", "pairs", "merges"])
     def test_non_utf8_file_rejected(self, workspace, monkeypatch, kind):
         model_path = train_model(workspace, monkeypatch)

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -160,6 +161,17 @@ class TestCountLexiconBookkeeping:
         lex = lexicon_from({"a": 1})
         with pytest.raises(ContractError):
             lex.add("a", -2)
+
+    def test_trie_follows_the_set_of_forms(self):
+        lex = lexicon_from({"ka": 2, "kala": 1})
+        trie = lex.trie()
+        assert trie == {"k": {"a": {"": "ka", "l": {"a": {"": "kala"}}}}}
+        lex.add("ka", 3)  # a count change alone keeps the trie
+        assert lex.trie() is trie
+        lex.add("la", 1)  # a form enters
+        assert lex.trie()["l"] == {"a": {"": "la"}}
+        lex.add("kala", -1)  # a form leaves
+        assert lex.trie() == {"k": {"a": {"": "ka"}}, "l": {"a": {"": "la"}}}
 
 
 def toy_model(alpha=0.01, edit_weight=10.0, edit_mode="full"):
@@ -322,6 +334,14 @@ class TestTypes:
     def test_analysis_whitespace_rejected(self):
         with pytest.raises(ContractError):
             Analysis("ta lo", ("ta lo",), 1)
+
+    def test_analysis_rejects_every_whitespace_character(self):
+        spaces = [chr(cp) for cp in range(sys.maxunicode + 1) if chr(cp).isspace()]
+        assert len(spaces) > 20
+        for ch in spaces:
+            word = "ta" + ch + "lo"
+            with pytest.raises(ContractError):
+                Analysis(word, (word,), 1)
 
     def test_pair_registration_unique(self):
         model = CognateModel()

@@ -2,7 +2,7 @@ import collections
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cogseg.errors import ContractError
 from cogseg.model import Analysis, CognateModel, CountLexicon
@@ -17,7 +17,7 @@ from cogseg.segmenter import (
     viterbi_segment,
 )
 from cogseg.trainer import TrainingParams, initialize, train
-from oracles import per_token_segment_lines
+from oracles import per_token_segment_lines, pull_viterbi_segment
 
 
 def lexicon_from(counts):
@@ -74,6 +74,62 @@ class TestViterbi:
     def test_empty_word_rejected(self):
         with pytest.raises(ContractError):
             viterbi_segment(lexicon_from({"a": 1}), "")
+
+    # Small alphabets and few distinct counts make cost ties common; "z" and
+    # two non-BMP characters are never morphs.
+    @settings(max_examples=400)
+    @given(
+        st.sampled_from(["ab", "abc", "abcd"]).flatmap(
+            lambda alphabet: st.tuples(
+                st.dictionaries(
+                    st.text(alphabet, min_size=1, max_size=5),
+                    st.sampled_from([1, 2, 3, 4, 6, 8]),
+                    max_size=12,
+                ),
+                st.lists(
+                    st.text(alphabet + "z\U0001F600\U00010348", min_size=1, max_size=10),
+                    min_size=1,
+                    max_size=4,
+                ),
+            )
+        )
+    )
+    @example(({}, ["ab", "\U0001F600a"]))
+    @example(({"abab": 2, "ba": 1}, ["ababa", "aba", "abab"]))
+    @example(({"aa": 2, "a": 2, "aaa": 1}, ["aaaa", "aaaaaaa"]))
+    # An exact cost tie at the end, where the three-morph candidate arrives
+    # before the two-morph one: ln 4 + ln 4 + ln 2 == ln 8 + ln 4.
+    @example(({"bb": 1, "a": 2, "ba": 4, "aab": 1}, ["aaba"]))
+    def test_equals_pull_loop_oracle(self, case):
+        counts, words = case
+        lex = lexicon_from(counts)
+        for word in words:
+            assert viterbi_segment(lex, word).morphs == pull_viterbi_segment(lex, word)
+
+    def test_index_follows_lexicon_changes(self):
+        lex = lexicon_from({"ka": 3, "la": 3})
+
+        def check(word, expected):
+            assert viterbi_segment(lex, word).morphs == expected
+            assert pull_viterbi_segment(lex, word) == expected
+
+        check("kalat", ("ka", "la", "t"))
+        lex.add("lat", 5)  # a new form enters
+        check("kalat", ("ka", "lat"))
+        lex.add("lat", -5)  # its count reaches 0
+        check("kalat", ("ka", "la", "t"))
+        lex.add("kala", 1)
+        check("kala", ("ka", "la"))
+        lex.add("kala", 9)  # no form enters or leaves; the best split flips
+        check("kala", ("kala",))
+
+    def test_training_never_builds_the_index(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("training built the lexicon trie")
+
+        monkeypatch.setattr(CountLexicon, "trie", refuse)
+        model = trained_toy_model()
+        assert model.analyses["a"] and model.analyses["b"]
 
 
 def trained_toy_model():
@@ -222,6 +278,11 @@ class TestJoiner:
     def test_invalid_joiner_rejected(self):
         with pytest.raises(ContractError):
             SegmenterConfig(joiner="")
+
+    @pytest.mark.parametrize("joiner", [" @@", "@@\n", "x y", "a\tb", "a\u00a0b", "a\u2028b"])
+    def test_joiner_holding_whitespace_rejected(self, joiner):
+        with pytest.raises(ContractError):
+            SegmenterConfig(joiner=joiner)
 
     def test_joiner_inside_morph_rejected(self):
         with pytest.raises(ContractError):
