@@ -80,14 +80,17 @@ def _resolved(args, key, default, kind):
 
 
 def _training_params(args) -> trainer.TrainingParams:
+    default = trainer.TrainingParams()
     return trainer.TrainingParams(
-        alpha=_resolved(args, "alpha", 0.01, float),
-        edit_weight=_resolved(args, "edit_weight", 10.0, float),
-        max_epochs=_resolved(args, "max_epochs", 15, int),
-        convergence_threshold=_resolved(args, "convergence", 1e-5, float),
-        rng_seed=_resolved(args, "seed", 0, int),
-        dampening=_resolved(args, "dampening", "none", str),
-        edit_mode=_resolved(args, "edit_mode", "full", str),
+        alpha=_resolved(args, "alpha", default.alpha, float),
+        edit_weight=_resolved(args, "edit_weight", default.edit_weight, float),
+        max_epochs=_resolved(args, "max_epochs", default.max_epochs, int),
+        convergence_threshold=_resolved(
+            args, "convergence", default.convergence_threshold, float
+        ),
+        rng_seed=_resolved(args, "seed", default.rng_seed, int),
+        dampening=_resolved(args, "dampening", default.dampening, str),
+        edit_mode=_resolved(args, "edit_mode", default.edit_mode, str),
     )
 
 
@@ -135,15 +138,15 @@ def cmd_train_mono(args):
 
 
 def cmd_segment(args):
-    model = serialization.load_model(args.model)
     config = segmenter.SegmenterConfig(joiner=args.joiner)
+    model = serialization.load_model(args.model)
     sys.stdout.writelines(segmenter.segment_corpus(model, sys.stdin, args.lang, config))
 
 
 def cmd_segment_source(args):
+    config = segmenter.SegmenterConfig(joiner=args.joiner)
     source = serialization.load_model(args.source_model)
     cognate_model = serialization.load_model(args.cognate_model)
-    config = segmenter.SegmenterConfig(joiner=args.joiner)
     override = segmenter.override_source_segmentation
     sys.stdout.writelines(segmenter.segment_lines(
         sys.stdin, lambda token: override(source, cognate_model, token).morphs, config
@@ -173,8 +176,8 @@ def cmd_bpe_train(args):
 
 
 def cmd_bpe_apply(args):
-    table = bpe.load_merges(args.merges)
     config = segmenter.SegmenterConfig(joiner=args.joiner)
+    table = bpe.load_merges(args.merges)
     sys.stdout.writelines(segmenter.segment_lines(
         sys.stdin, lambda token: bpe.apply_bpe(table, token), config
     ))

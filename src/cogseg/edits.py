@@ -9,10 +9,10 @@ the harder-to-reuse ' -> a').
 
 One traceback walks the alignment table and writes the operations as a
 string of letters. levenshtein_align turns those letters into AlignmentOps;
-_edit_spans merges their non-match runs into spans. extract_edits (cached,
-for the model's pair bookkeeping) builds Edit objects from the spans, and
-edit_forms (for the training search, which reads only the serialized forms)
-builds the form strings directly.
+_edit_spans merges their non-match runs into spans. edit_forms (cached)
+builds the serialized forms from the spans: the one edit path that training,
+the model's pair bookkeeping, the recount and model loading all read.
+extract_edits builds the positioned script (Edit objects and spans) from them.
 
 All functions operate on Unicode code points, never bytes.
 
@@ -322,10 +322,11 @@ def _extend_and_remerge(a: str, b: str, spans: list[list[int]]) -> list[list[int
 
 @functools.lru_cache(maxsize=1 << 17)
 def extract_edits(morph_a: str, morph_b: str) -> EditScript:
-    """Canonical edit script rewriting morph_a into morph_b.
+    """Canonical positioned edit script rewriting morph_a into morph_b.
 
     Pure and deterministic; results are cached, so the returned script must
-    be treated as immutable (it is).
+    be treated as immutable (it is). The package counts edits through
+    edit_forms; this is the positioned API, for apply_edit_script.
     """
     return EditScript(
         tuple(
@@ -335,10 +336,12 @@ def extract_edits(morph_a: str, morph_b: str) -> EditScript:
     )
 
 
+@functools.lru_cache(maxsize=1 << 17)
 def edit_forms(morph_a: str, morph_b: str) -> tuple[str, ...]:
-    """The forms of extract_edits(morph_a, morph_b).edits, built as strings
-    without Edit objects and not cached. Raises ContractError where Edit
-    would."""
+    """The serialized edits (lhs|rhs) rewriting morph_a into morph_b, the
+    forms of extract_edits(morph_a, morph_b).edits built without Edit
+    objects. Cached: every edit count in the package reads it. Raises
+    ContractError where Edit would."""
     forms = []
     for a0, a1, b0, b1 in _edit_spans(morph_a, morph_b):
         lhs, rhs = morph_a[a0:a1], morph_b[b0:b1]

@@ -25,7 +25,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .edits import Edit, extract_edits
+# extract_edits is not called here; perfbench/child.py wraps it by name.
+from .edits import edit_forms, extract_edits  # noqa: F401
 from .errors import ContractError, ModelIntegrityError
 
 # Internal end-of-form marker counted once per entry in character statistics.
@@ -205,16 +206,9 @@ class CountLexicon:
         forms = t * _log(t) - self.log_char_sum
         return freq + forms
 
-    def rebuilt(self) -> "CountLexicon":
-        """Fresh lexicon with the same counts, statistics recomputed."""
-        fresh = CountLexicon()
-        for form, count in self.counts.items():
-            fresh.add(form, count)
-        return fresh
 
-
-def aligned_edit_tokens(analysis_a: Analysis, analysis_b: Analysis) -> tuple[Edit, ...]:
-    """Edit tokens of a pair: morphs are paired up in sequence.
+def aligned_edit_tokens(analysis_a: Analysis, analysis_b: Analysis) -> tuple[str, ...]:
+    """The edit forms of a pair: morphs are paired up in sequence.
 
     Both analyses must have the same number of morphs.
     """
@@ -223,10 +217,8 @@ def aligned_edit_tokens(analysis_a: Analysis, analysis_b: Analysis) -> tuple[Edi
             "cognate analyses must have equal morph counts: %r / %r"
             % (analysis_a.morphs, analysis_b.morphs)
         )
-    tokens: list[Edit] = []
-    for ma, mb in zip(analysis_a.morphs, analysis_b.morphs):
-        tokens.extend(extract_edits(ma, mb).edits)
-    return tuple(tokens)
+    morph_pairs = zip(analysis_a.morphs, analysis_b.morphs)
+    return tuple(form for ma, mb in morph_pairs for form in edit_forms(ma, mb))
 
 
 class CognateModel:
@@ -259,8 +251,8 @@ class CognateModel:
         self.analyses: dict[str, dict[str, Analysis]] = {"a": {}, "b": {}}
         self.pairs: list[CognatePair] = []
         self._pair_by_word: dict[tuple[str, str], CognatePair] = {}
-        # Edit tokens currently counted for each linked pair, keyed by pair.key.
-        self._pair_tokens: dict[tuple[str, str], tuple[Edit, ...]] = {}
+        # The edit forms counted for each linked pair, keyed by pair.key.
+        self._pair_tokens: dict[tuple[str, str], tuple[str, ...]] = {}
 
     # -- pair registry -------------------------------------------------
 
@@ -278,7 +270,7 @@ class CognateModel:
     def pair_for(self, language: str, word: str) -> CognatePair | None:
         return self._pair_by_word.get((language, word))
 
-    def pair_tokens(self, pair: CognatePair) -> tuple[Edit, ...]:
+    def pair_tokens(self, pair: CognatePair) -> tuple[str, ...]:
         return self._pair_tokens.get(pair.key, ())
 
     # -- cost ----------------------------------------------------------
@@ -315,7 +307,7 @@ class CognateModel:
         if language not in self.analyses:
             raise ContractError("unknown language %r" % language)
 
-    def _record_pair_tokens(self, pair: CognatePair) -> tuple[Edit, ...]:
+    def _record_pair_tokens(self, pair: CognatePair) -> tuple[str, ...]:
         """Align and record the pair's edit tokens once both analyses are
         present; returns the newly recorded tokens, () if there are none."""
         if pair.key in self._pair_tokens:
@@ -330,16 +322,13 @@ class CognateModel:
 
     def _attach_pair_tokens(self, pair: CognatePair) -> None:
         lex = self.edit_lexicon
-        for edit in self._record_pair_tokens(pair):
-            lex.add(edit.form, 1)
+        for form in self._record_pair_tokens(pair):
+            lex.add(form, 1)
 
     def _detach_pair_tokens(self, pair: CognatePair) -> None:
-        tokens = self._pair_tokens.pop(pair.key, None)
-        if tokens is None:
-            return
-        lex = self.edit_lexicon
-        for edit in tokens:
-            lex.add(edit.form, -1)
+        add = self.edit_lexicon.add
+        for form in self._pair_tokens.pop(pair.key, ()):
+            add(form, -1)
 
     def add_analysis(self, analysis: Analysis, language: str) -> None:
         """Insert and count a word's analysis.
@@ -444,8 +433,8 @@ class CognateModel:
             ana_b = self.analyses["b"].get(pair.word_b)
             if ana_a is None or ana_b is None:
                 continue
-            for edit in aligned_edit_tokens(ana_a, ana_b):
-                fresh_edits.add(edit.form, 1)
+            for form in aligned_edit_tokens(ana_a, ana_b):
+                fresh_edits.add(form, 1)
         return fresh["a"], fresh["b"], fresh_edits
 
     def recompute_from_scratch(self) -> float:

@@ -19,16 +19,15 @@ the same seed. Training is deterministic given identical inputs and seeds.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import logging
 import math
 from dataclasses import dataclass, field
 
-# extract_edits is not called here. It stays importable from this module
-# because perfbench/child.py's traced run wraps trainer.extract_edits by
-# name; ROADMAP item 3 moves the benchmark onto the model's own counters.
-from .edits import edit_forms, extract_edits  # noqa: F401
+# perfbench/child.py's traced run wraps trainer.extract_edits (not called
+# here) and reads the counters of _edit_forms, the one edit-form cache;
+# ROADMAP item 4 moves the benchmark onto the model's own counters.
+from .edits import edit_forms as _edit_forms, extract_edits  # noqa: F401
 from .errors import ContractError
 from .model import Analysis, CognateModel, CognatePair, dampen_count
 
@@ -37,6 +36,11 @@ _logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class TrainingParams:
+    """Settings of initialize and train. initialize builds the model from
+    alpha, edit_weight, edit_mode, dampening and rng_seed; train reads only
+    max_epochs, convergence_threshold and record_steps, so a loaded model
+    keeps its own alpha, edit weight, edit mode, dampening and seed."""
+
     alpha: float = 0.01
     edit_weight: float = 10.0
     max_epochs: int = 15
@@ -77,11 +81,6 @@ class TrainingReport:
     @property
     def final_cost(self) -> float:
         return self.epochs[-1].total_cost if self.epochs else self.initial_cost
-
-
-# The search asks for the same forms many times; caching strings, not Edit
-# objects, keeps the cache cheap to hold and to collect.
-_edit_forms = functools.lru_cache(maxsize=1 << 17)(edit_forms)
 
 
 def initialize(corpus_a, corpus_b, pairs, params: TrainingParams) -> CognateModel:
@@ -252,9 +251,11 @@ def train(model: CognateModel, params: TrainingParams, epoch_callback=None) -> T
 
     Training stops when the relative cost improvement of an epoch falls
     below convergence_threshold (a threshold of 0 disables early stopping).
-    Units are visited in an order seeded by model.seed, the seed a saved
-    model records. epoch_callback(model, epoch), if given, is called after
-    every epoch.
+    Of params it reads only max_epochs, convergence_threshold and
+    record_steps: the cost uses the model's own settings, and units are
+    visited in an order seeded by model.seed, the seed a saved model
+    records. epoch_callback(model, epoch), if given, is called after every
+    epoch.
     """
     units = []
     for lang in ("a", "b"):

@@ -7,7 +7,8 @@ reference lexicon keeps the plain n*ln(n) float arithmetic the cached sums
 must reproduce bit for bit, and the search oracle enumerates every
 admissible configuration. The token-loop oracle renders every token on its
 own, with no memo, and the Viterbi oracle pulls every slice of the word from
-the lexicon's counts.
+the lexicon's counts. The rebuilt lexicon is the package's own CountLexicon
+fed each form once, the reference for a history of adds and removes.
 """
 
 import collections
@@ -133,6 +134,18 @@ class ReferenceCountLexicon:
             if new > 1:
                 self.log_char_sum += new * math.log(new)
         self.char_tokens += sign * (len(form) + 1)
+
+
+def rebuilt_lexicon(lexicon):
+    """A fresh CountLexicon with lexicon's counts, each form added once, so
+    its statistics are recomputed rather than carried over."""
+    from cogseg.model import CountLexicon
+
+    fresh = CountLexicon()
+    for form, count in lexicon.counts.items():
+        fresh.add(form, count)
+    return fresh
+
 
 def exact_corpus_cost(counts):
     """N*ln(N) - sum(c*ln(c)) in 50-digit arithmetic."""

@@ -10,7 +10,7 @@ import ast
 import importlib
 from pathlib import Path
 
-from cogseg import segmenter
+from cogseg import edits, segmenter, trainer
 from cogseg.model import CognateModel
 
 CHILD = Path(__file__).resolve().parent.parent / "perfbench" / "child.py"
@@ -53,6 +53,12 @@ def test_read_caches_count():
     for module, attr in CACHES:
         info = resolve(module, attr).cache_info()
         assert info.maxsize > 0, (module, attr)
+
+
+def test_search_reads_the_one_edit_forms_cache():
+    # The traced run reads trainer._edit_forms' counters; they must count
+    # every edit lookup of the program, not a second cache beside it.
+    assert trainer._edit_forms is edits.edit_forms
 
 
 def test_apply_paths_reach_viterbi_through_the_module(monkeypatch):

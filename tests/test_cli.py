@@ -447,6 +447,21 @@ class TestErrors:
         assert error_payload(code, err)["error"] == "ContractError"
         assert out == ""
 
+    @pytest.mark.parametrize("command", ["segment", "segment-source", "bpe-apply"])
+    def test_joiner_checked_before_loading(self, workspace, monkeypatch, command):
+        # The paths do not exist: the joiner is rejected before any load.
+        missing = str(workspace / "missing")
+        argv = {
+            "segment": ["segment", "--model", missing, "--lang", "a"],
+            "segment-source": ["segment-source", "--source-model", missing,
+                               "--cognate-model", missing],
+            "bpe-apply": ["bpe-apply", "--merges", missing],
+        }[command]
+        code, out, err = run_cli(argv + ["--joiner", "x y"], stdin_text="kalassa\n",
+                                 monkeypatch=monkeypatch)
+        assert error_payload(code, err)["error"] == "ContractError"
+        assert out == ""
+
     @pytest.mark.parametrize("kind", ["model", "corpus", "counts", "pairs", "merges"])
     def test_non_utf8_file_rejected(self, workspace, monkeypatch, kind):
         model_path = train_model(workspace, monkeypatch)

@@ -20,6 +20,7 @@ from oracles import (
     exact_corpus_cost,
     exact_lexicon_cost,
     exact_total_cost,
+    rebuilt_lexicon,
 )
 
 
@@ -115,7 +116,7 @@ class TestCountLexiconBookkeeping:
             else:
                 lex.add(form, count)
                 live[form] = live.get(form, 0) + count
-        fresh = lex.rebuilt()
+        fresh = rebuilt_lexicon(lex)
         assert lex.counts == live == fresh.counts
         assert lex.char_counts == fresh.char_counts
         assert lex.tokens == fresh.tokens

@@ -1,5 +1,6 @@
 import pytest
 
+from cogseg import edits, model as model_module, trainer
 from cogseg.edits import Edit
 from cogseg.errors import ContractError, FormatError
 from cogseg.model import Analysis, CognateModel, CognatePair
@@ -234,7 +235,25 @@ class TestReportEdits:
         model = trained_model()
         recount = {}
         for pair in model.pairs:
-            for edit in model.pair_tokens(pair):
-                recount[edit.form] = recount.get(edit.form, 0) + 1
+            for form in model.pair_tokens(pair):
+                recount[form] = recount.get(form, 0) + 1
         reported = {e.form: c for e, c in report_edits(model, top_k=10_000)}
         assert reported == recount
+
+
+def test_edits_are_counted_through_edit_forms_alone(tmp_path, monkeypatch):
+    # One edit path: the search, the pair bookkeeping, the recount and the
+    # loader all count edits from edits.edit_forms, never from the
+    # positioned scripts of extract_edits.
+    def refuse(*args):
+        raise AssertionError("extract_edits called with %r" % (args,))
+
+    for module in (edits, model_module, trainer):
+        monkeypatch.setattr(module, "extract_edits", refuse)
+    model = trained_model()
+    assert model.edit_lexicon.types > 0
+    path = tmp_path / "model"
+    save_model(model, path)
+    loaded = load_model(path)
+    assert loaded.edit_lexicon.counts == model.edit_lexicon.counts
+    assert loaded.recompute_from_scratch() == model.recompute_from_scratch()
