@@ -8,10 +8,13 @@ unchanged character (so a lengthened sound becomes 'a -> aa' rather than
 the harder-to-reuse ' -> a').
 
 One traceback walks the alignment table and writes the operations as a
-string of letters. levenshtein_align turns those letters into AlignmentOps;
-_edit_spans merges their non-match runs into spans. edit_forms (cached)
-builds the serialized forms from the spans: the one edit path that training,
-the model's pair bookkeeping, the recount and model loading all read.
+string of letters; it can start from any cell, since cell (i, j) of the
+table of (a, b) holds the alignment of a[i:] with b[j:]. levenshtein_align
+turns those letters into AlignmentOps; _edit_spans merges their non-match
+runs into spans. edit_forms, a bounded EditFormCache, builds the serialized
+forms from the spans: the one edit path that training, the model's pair
+bookkeeping, the recount and model loading all read. Its tails(a, b) gives
+the forms of every tail pair (a[i:], b[j:]) from one table of (a, b).
 extract_edits builds the positioned script (Edit objects and spans) from them.
 
 All functions operate on Unicode code points, never bytes.
@@ -27,7 +30,9 @@ extraction stable.
 
 from __future__ import annotations
 
+import collections
 import functools
+import itertools
 import re
 from dataclasses import dataclass
 
@@ -192,14 +197,20 @@ def _suffix_table(a: str, b: str):
     return table0, table1, one
 
 
-def _traceback(a: str, b: str) -> str:
-    """The tie-broken minimum-cost alignment of a with b, one letter per
-    operation: m(atch), s(ubstitute), d(elete), i(nsert)."""
-    table0, table1, one = _suffix_table(a, b)
+def _traceback(a: str, b: str, tables, i: int = 0, j: int = 0) -> str:
+    """The tie-broken minimum-cost alignment of a[i:] with b[j:], one letter
+    per operation: m(atch), s(ubstitute), d(elete), i(nsert).
+
+    tables is _suffix_table(a, b). Its cells at and below (i, j) depend on
+    a[i:] and b[j:] alone, and its packed ints order as (cost, runs) tuples
+    do, so the walk from cell (i, j, p=0) makes exactly the choices the walk
+    of _suffix_table(a[i:], b[j:]) makes from (0, 0, p=0).
+    """
+    table0, table1, one = tables
     tables = (table0, table1)
     la, lb = len(a), len(b)
     ops: list[str] = []
-    i = j = p = 0
+    p = 0
     while i < la or j < lb:
         cur = tables[p][i][j]
         if i < la and j < lb and a[i] == b[j] and table0[i + 1][j + 1] == cur:
@@ -232,7 +243,7 @@ def levenshtein_align(a: str, b: str) -> list[AlignmentOp]:
     """
     ops: list[AlignmentOp] = []
     i = j = 0
-    for letter in _traceback(a, b):
+    for letter in _traceback(a, b, _suffix_table(a, b)):
         source = a[i] if letter != "i" else None
         target = b[j] if letter != "d" else None
         ops.append(AlignmentOp(_KINDS[letter], source, target, i, j))
@@ -244,14 +255,13 @@ def levenshtein_align(a: str, b: str) -> list[AlignmentOp]:
 _NON_MATCH_RUN = re.compile("[^m]+")
 
 
-def _edit_spans(a: str, b: str) -> list[list[int]]:
-    """Spans [a0, a1, b0, b1) of the edits rewriting a into b: the
-    alignment's runs of non-match operations, extended and re-merged."""
-    if a == b:
-        return []
+def _edit_spans(a: str, b: str, ops: str) -> list[list[int]]:
+    """Spans [a0, a1, b0, b1) of the edits rewriting a into b, given the
+    alignment letters ops of a with b: its runs of non-match operations,
+    extended and re-merged."""
     spans: list[list[int]] = []
     i = j = end = 0
-    for run in _NON_MATCH_RUN.finditer(_traceback(a, b)):
+    for run in _NON_MATCH_RUN.finditer(ops):
         # Everything between the previous run and this one is matches.
         start = run.start()
         i += start - end
@@ -320,6 +330,11 @@ def _extend_and_remerge(a: str, b: str, spans: list[list[int]]) -> list[list[int
     return spans
 
 
+def _spans(a: str, b: str) -> list[list[int]]:
+    """The edit spans of a with b, from their own alignment table."""
+    return [] if a == b else _edit_spans(a, b, _traceback(a, b, _suffix_table(a, b)))
+
+
 @functools.lru_cache(maxsize=1 << 17)
 def extract_edits(morph_a: str, morph_b: str) -> EditScript:
     """Canonical positioned edit script rewriting morph_a into morph_b.
@@ -331,23 +346,103 @@ def extract_edits(morph_a: str, morph_b: str) -> EditScript:
     return EditScript(
         tuple(
             PositionedEdit(Edit(morph_a[a0:a1], morph_b[b0:b1]), a0, a1)
-            for a0, a1, b0, b1 in _edit_spans(morph_a, morph_b)
+            for a0, a1, b0, b1 in _spans(morph_a, morph_b)
         )
     )
 
 
-@functools.lru_cache(maxsize=1 << 17)
-def edit_forms(morph_a: str, morph_b: str) -> tuple[str, ...]:
-    """The serialized edits (lhs|rhs) rewriting morph_a into morph_b, the
-    forms of extract_edits(morph_a, morph_b).edits built without Edit
-    objects. Cached: every edit count in the package reads it. Raises
-    ContractError where Edit would."""
+def _forms(a: str, b: str, spans) -> tuple[str, ...]:
     forms = []
-    for a0, a1, b0, b1 in _edit_spans(morph_a, morph_b):
-        lhs, rhs = morph_a[a0:a1], morph_b[b0:b1]
+    for a0, a1, b0, b1 in spans:
+        lhs, rhs = a[a0:a1], b[b0:b1]
         _check_sides(lhs, rhs)
         forms.append(lhs + EDIT_BOUNDARY + rhs)
     return tuple(forms)
+
+
+CacheInfo = collections.namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
+class EditFormCache:
+    """The edit forms (lhs|rhs) rewriting morph_a into morph_b, the forms of
+    extract_edits(morph_a, morph_b).edits built without Edit objects.
+
+    Calling the cache returns them; tails(a, b) returns the forms of every
+    tail pair (a[i:], b[j:]), traced from one shared alignment table. Both
+    read and fill one bounded store, which evicts its older half when
+    full, and count their hits and misses in cache_info() as
+    functools.lru_cache does. Raises ContractError where Edit would.
+    """
+
+    def __init__(self, maxsize: int):
+        self.maxsize = maxsize
+        self._store: dict[tuple[str, str], tuple[str, ...]] = {}
+        self._hits = self._misses = 0
+
+    def __call__(self, morph_a: str, morph_b: str) -> tuple[str, ...]:
+        key = (morph_a, morph_b)
+        forms = self._store.get(key)
+        if forms is None:
+            return self._put(key, _forms(morph_a, morph_b, _spans(morph_a, morph_b)))
+        self._hits += 1
+        return forms
+
+    def tails(self, a: str, b: str):
+        """A function of (i, j) returning the forms of (a[i:], b[j:]). The
+        alignment table of (a, b) is built on the first tail that misses the
+        cache, and every missing tail is traced back from it."""
+        store = self._store
+        tables = None
+
+        def tail(i: int, j: int) -> tuple[str, ...]:
+            nonlocal tables
+            key = (a_tail, b_tail) = (a[i:], b[j:])
+            forms = store.get(key)
+            if forms is not None:
+                self._hits += 1
+                return forms
+            spans = []
+            if a_tail != b_tail:
+                if tables is None:
+                    tables = _suffix_table(a, b)
+                spans = _edit_spans(a_tail, b_tail, _traceback(a, b, tables, i, j))
+            return self._put(key, _forms(a_tail, b_tail, spans))
+
+        return tail
+
+    def _put(self, key, forms):
+        self._misses += 1
+        store = self._store
+        if len(store) >= self.maxsize:
+            for old in list(itertools.islice(store, (len(store) + 1) // 2)):
+                del store[old]
+        store[key] = forms
+        return forms
+
+    def fit(self, units: int) -> None:
+        """Raise the bound to ENTRIES_PER_UNIT per training unit, at most
+        MAX_ENTRIES; the bound never falls."""
+        self.maxsize = max(self.maxsize, min(ENTRIES_PER_UNIT * units, MAX_ENTRIES))
+
+    def cache_info(self) -> CacheInfo:
+        return CacheInfo(self._hits, self._misses, self.maxsize, len(self._store))
+
+    def cache_clear(self) -> None:
+        self._store.clear()
+        self._hits = self._misses = 0
+
+
+# The bound of edit_forms: MIN_ENTRIES, raised by trainer.train to
+# ENTRIES_PER_UNIT per training unit, up to MAX_ENTRIES. A 2-epoch joint run
+# on the benchmark corpus looks up about 37 distinct keys per unit, and an
+# entry takes about 300 bytes, so the cache stays below about 300 MB.
+MIN_ENTRIES = 1 << 17
+ENTRIES_PER_UNIT = 64
+MAX_ENTRIES = 1 << 20
+
+# The one edit-form cache: training, the model's pair bookkeeping, the
+# recount and model loading all read it.
+edit_forms = EditFormCache(MIN_ENTRIES)
 
 
 def apply_edit_script(morph: str, script: EditScript) -> str:

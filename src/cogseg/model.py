@@ -188,23 +188,74 @@ class CountLexicon:
         self.log_char_sum = total
         self.char_tokens += sign * (len(form) + 1)
 
+    def costs(self) -> tuple[float, float]:
+        """(lexicon cost, corpus cost) of the inventory."""
+        return _costs(
+            len(self.counts), self.tokens, self.log_token_sum, self.char_tokens, self.log_char_sum
+        )
+
+    def costs_with(self, forms, delta: int) -> tuple[float, float]:
+        """(lexicon cost, corpus cost) with delta > 0 added to the count of
+        each of forms (twice for a form listed twice), computed from the
+        counts without writing them. The result depends only on the
+        inventory and the arguments."""
+        changes = dict.fromkeys(forms, 0)
+        for form in forms:
+            changes[form] += delta
+        counts = self.counts
+        token_gain = 0.0
+        entering = []
+        for form, change in changes.items():
+            old = counts.get(form, 0)
+            new = old + change
+            # XLOGX[0] == XLOGX[1] == 0.0, the value of n*ln(n) at n = 1.
+            token_gain += (XLOGX[new] if new < _XLOGX_SIZE else new * _log(new)) - (
+                XLOGX[old] if old < _XLOGX_SIZE else old * _log(old)
+            )
+            if not old:
+                entering.append(form)
+        char_tokens = self.char_tokens
+        char_gain = 0.0
+        if entering:
+            text = FORM_END.join(entering) + FORM_END
+            char_tokens += len(text)
+            chars = dict.fromkeys(text, 0)
+            for ch in text:
+                chars[ch] += 1
+            char_counts = self.char_counts
+            for ch, change in chars.items():
+                old = char_counts.get(ch, 0)
+                new = old + change
+                char_gain += (XLOGX[new] if new < _XLOGX_SIZE else new * _log(new)) - (
+                    XLOGX[old] if old < _XLOGX_SIZE else old * _log(old)
+                )
+        return _costs(
+            len(counts) + len(entering),
+            self.tokens + delta * len(forms),
+            self.log_token_sum + token_gain,
+            char_tokens,
+            self.log_char_sum + char_gain,
+        )
+
     def corpus_cost(self) -> float:
         """Token code N*ln(N) - sum(c*ln(c)); zero for an empty inventory."""
-        n = self.tokens
-        if n == 0:
-            return 0.0
-        return n * _log(n) - self.log_token_sum
+        return self.costs()[1]
 
     def lexicon_cost(self) -> float:
         """Frequency-distribution code plus character code over entry forms."""
-        m = self.types
-        if m == 0:
-            return 0.0
-        n = self.tokens
-        freq = _lgamma(n) - _lgamma(m) - _lgamma(n - m + 1)
-        t = self.char_tokens
-        forms = t * _log(t) - self.log_char_sum
-        return freq + forms
+        return self.costs()[0]
+
+
+def _costs(types, tokens, token_sum, char_tokens, char_sum) -> tuple[float, float]:
+    """(lexicon cost, corpus cost) of an inventory of types forms and tokens
+    tokens, with token_sum = sum(c*ln(c)) over the form counts, char_tokens
+    characters (end markers included) and char_sum = sum(c*ln(c)) over the
+    character counts. Both are zero for an empty inventory."""
+    if types == 0:
+        return 0.0, 0.0
+    freq = _lgamma(tokens) - _lgamma(types) - _lgamma(tokens - types + 1)
+    forms = char_tokens * _log(char_tokens) - char_sum
+    return freq + forms, tokens * _log(tokens) - token_sum
 
 
 def aligned_edit_tokens(analysis_a: Analysis, analysis_b: Analysis) -> tuple[str, ...]:
@@ -276,19 +327,36 @@ class CognateModel:
     # -- cost ----------------------------------------------------------
 
     def total_cost(self) -> float:
-        lex_a = self.lexicons["a"]
-        lex_b = self.lexicons["b"]
-        cost = (
-            lex_a.lexicon_cost()
-            + lex_b.lexicon_cost()
-            + self.alpha * (lex_a.corpus_cost() + lex_b.corpus_cost())
+        return self.weigh(
+            self.lexicons["a"].costs(), self.lexicons["b"].costs(), self.edit_lexicon.costs()
         )
+
+    def weigh(self, costs_a, costs_b, costs_edits) -> float:
+        """The total cost from the (lexicon cost, corpus cost) of lexicon a,
+        lexicon b and the edit lexicon. costs_edits is not read in the
+        count-only mode."""
+        lexicon_a, corpus_a = costs_a
+        lexicon_b, corpus_b = costs_b
+        cost = lexicon_a + lexicon_b + self.alpha * (corpus_a + corpus_b)
         if self.edit_mode == EDIT_MODE_FULL:
-            edits = self.edit_lexicon
-            cost += self.edit_weight * (
-                edits.lexicon_cost() + self.alpha * edits.corpus_cost()
-            )
+            lexicon_e, corpus_e = costs_edits
+            cost += self.edit_weight * (lexicon_e + self.alpha * corpus_e)
         return cost
+
+    def cost_with(self, entries) -> float:
+        """The total cost with a detached unit's (language, analysis)
+        entries counted in, computed from the counts without writing them.
+        entries are one word, or the a and b words of a cognate pair, whose
+        edit forms are counted too."""
+        costs = {language: lex.costs() for language, lex in self.lexicons.items()}
+        for language, analysis in entries:
+            costs[language] = self.lexicons[language].costs_with(analysis.morphs, analysis.count)
+        costs_edits = self.edit_lexicon.costs()
+        if len(entries) > 1:
+            (_, analysis_a), (_, analysis_b) = entries
+            forms = aligned_edit_tokens(analysis_a, analysis_b)
+            costs_edits = self.edit_lexicon.costs_with(forms, 1)
+        return self.weigh(costs["a"], costs["b"], costs_edits)
 
     def cost_components(self) -> dict[str, float]:
         """Raw (unweighted) cost terms, for reporting."""

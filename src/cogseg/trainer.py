@@ -8,8 +8,13 @@ it splits the two words jointly, so either neither morph of an aligned pair
 splits or both do, with all split-point combinations tried, and the two
 analyses always keep equal morph counts.
 
-Every step compares the search result against the unit's previous analysis
-and keeps whichever is cheaper, so the total cost never increases.
+The search scores every candidate split from the counts without writing
+them (CountLexicon.costs_with, combined by CognateModel.weigh) and writes
+only the morphs and edit forms it chooses. Every step then scores the
+search result and the unit's previous analyses the same way from the same
+counts, and restores the previous ones only when they are strictly
+cheaper, so the total cost never increases and a unit whose analysis the
+search finds again keeps it.
 
 Unit ordering is derived by sorting on a keyed hash of the unit identity
 (not the language), which makes a joint run with an empty pair list visit
@@ -29,7 +34,7 @@ from dataclasses import dataclass, field
 # ROADMAP item 4 moves the benchmark onto the model's own counters.
 from .edits import edit_forms as _edit_forms, extract_edits  # noqa: F401
 from .errors import ContractError
-from .model import Analysis, CognateModel, CognatePair, dampen_count
+from .model import EDIT_MODE_FULL, Analysis, CognateModel, CognatePair, dampen_count
 
 _logger = logging.getLogger(__name__)
 
@@ -66,6 +71,10 @@ class EpochStats:
     morph_types_a: int
     morph_types_b: int
     edit_types: int
+    # Units whose analyses the epoch changed, and steps that put the old
+    # analyses back because the search found only costlier ones.
+    units_changed: int
+    restores: int
 
 
 @dataclass
@@ -125,67 +134,89 @@ def _search(model: CognateModel, unit) -> list[Analysis]:
     and the two parts of a split are searched in turn. For a cognate pair a
     split in one morph forces a split in the other: every split-point
     combination is tried, with the edit cost of re-pairing the sub-morphs.
-    Leaves the chosen morphs and edit tokens counted and returns the new
-    analyses, one per entry, without recording them.
+
+    A candidate is scored with CountLexicon.costs_with from the counts as
+    they stand plus the candidate's own morphs and edit forms, so its score
+    does not depend on the candidates scored before it. Within one morph
+    (pair) the a lexicon is scored once per split point i, the b lexicon
+    once per split point j, and only the edit lexicon per (i, j); in the
+    count-only mode the edit lexicon is not scored. Staying whole is scored
+    first, and a split replaces the best on a tie, so among equal costs the
+    last i, then the last j, wins. The tail edit forms (a[i:], b[j:]) come
+    from one alignment table of the morph pair (EditFormCache.tails).
+
+    Only chosen morphs and edit forms are written: the tail of a split
+    while its head is searched, and each final morph (pair). Leaves the
+    final ones counted and returns the new analyses, one per entry, without
+    recording them.
     """
     records = [model.analyses[language][word] for language, word in unit]
-    add_a = model.lexicons[unit[0][0]].add
+    language = unit[0][0]
+    lex_a = model.lexicons[language]
+    add_a, score_a = lex_a.add, lex_a.costs_with
     count_a = records[0].count
+    weigh = model.weigh
     if len(unit) > 1:
-        add_b = model.lexicons[unit[1][0]].add
+        lex_b, lex_e = model.lexicons[unit[1][0]], model.edit_lexicon
+        add_b, score_b = lex_b.add, lex_b.costs_with
+        add_edit, score_e = lex_e.add, lex_e.costs_with
         count_b = records[1].count
-        add_edit = model.edit_lexicon.add
-    total_cost = model.total_cost
-    morphs_a, morphs_b = [], []
+        full = model.edit_mode == EDIT_MODE_FULL
+    else:
+        # A word changes one lexicon; the other two cost what they cost.
+        others = {lang: lex.costs() for lang, lex in model.lexicons.items()}
+        others["edits"] = model.edit_lexicon.costs()
 
-    # b is the morph paired with a, or None for a single word; forms are
-    # the edit forms of the pairing.
-    def put_b(b_parts, forms, sign):
-        for b in b_parts:
-            add_b(b, sign * count_b)
-        for form in forms:
-            add_edit(form, sign)
+        def weigh_word(costs_a):
+            others[language] = costs_a
+            return weigh(others["a"], others["b"], others["edits"])
+
+    morphs_a, morphs_b = [], []
 
     def put(a, b, forms, sign):
         add_a(a, sign * count_a)
         if b is not None:
-            put_b((b,), forms, sign)
+            add_b(b, sign * count_b)
+            for form in forms:
+                add_edit(form, sign)
 
     def rec(a, b):
-        forms = None if b is None else _edit_forms(a, b)
         split = None
-        if len(a) > 1 and (b is None or len(b) > 1):
-            put(a, b, forms, 1)
-            best = total_cost()
-            put(a, b, forms, -1)
-            for i in range(1, len(a)):
-                a1, a2 = a[:i], a[i:]
-                add_a(a1, count_a)
-                add_a(a2, count_a)
-                if b is None:
-                    cost = total_cost()
+        if b is None:
+            if len(a) > 1:
+                best = weigh_word(score_a((a,), count_a))
+                for i in range(1, len(a)):
+                    cost = weigh_word(score_a((a[:i], a[i:]), count_a))
                     if cost <= best:
                         best, split = cost, (i, None)
-                else:
-                    for j in range(1, len(b)):
-                        b1, b2 = b[:j], b[j:]
-                        split_forms = _edit_forms(a1, b1) + _edit_forms(a2, b2)
-                        put_b((b1, b2), split_forms, 1)
-                        cost = total_cost()
-                        put_b((b1, b2), split_forms, -1)
+        else:
+            tail = _edit_forms.tails(a, b)
+            if len(a) > 1 and len(b) > 1:
+                best = weigh(
+                    score_a((a,), count_a),
+                    score_b((b,), count_b),
+                    score_e(tail(0, 0), 1) if full else None,
+                )
+                costs_b = [score_b((b[:j], b[j:]), count_b) for j in range(1, len(b))]
+                for i in range(1, len(a)):
+                    a1 = a[:i]
+                    costs_a = score_a((a1, a[i:]), count_a)
+                    for j, cost_b in enumerate(costs_b, 1):
+                        costs_e = None
+                        if full:
+                            costs_e = score_e(_edit_forms(a1, b[:j]) + tail(i, j), 1)
+                        cost = weigh(costs_a, cost_b, costs_e)
                         if cost <= best:
                             best, split = cost, (i, j)
-                add_a(a1, -count_a)
-                add_a(a2, -count_a)
         if split is None:
-            put(a, b, forms, 1)
+            put(a, b, () if b is None else tail(0, 0), 1)
             morphs_a.append(a)
             morphs_b.append(b)
             return
         i, j = split
         a1, a2 = a[:i], a[i:]
         b1, b2 = (None, None) if b is None else (b[:j], b[j:])
-        tail_forms = None if b is None else _edit_forms(a2, b2)
+        tail_forms = () if b is None else tail(i, j)
         put(a2, b2, tail_forms, 1)
         rec(a1, b1)
         put(a2, b2, tail_forms, -1)
@@ -221,12 +252,15 @@ def resegment_pair(model: CognateModel, pair: CognatePair):
     return new_a, new_b
 
 
-def _optimize(model: CognateModel, unit) -> None:
+def _optimize(model: CognateModel, unit) -> tuple[bool, bool]:
     """One local-search step on a unit of (language, word) entries: one
     word, or the two words of a cognate pair. The unit is detached and
-    resegmented; if the total cost rose, its old analyses are restored."""
+    resegmented. When the search found other analyses than the old ones,
+    both are scored with CognateModel.cost_with from the detached counts,
+    and the old ones are restored, through restore_analyses, only when they
+    are strictly cheaper. A search that finds the unit's own analyses again
+    keeps them. Returns (changed, restored)."""
     old = [(language, model.analyses[language][word]) for language, word in unit]
-    before = model.total_cost()
     for language, word in unit:
         model.detach_word(word, language)
     if len(unit) == 1:
@@ -234,8 +268,18 @@ def _optimize(model: CognateModel, unit) -> None:
         resegment_word(model, word, language)
     else:
         resegment_pair(model, model.pair_for(*unit[0]))
-    if model.total_cost() > before:
+    new = [(language, model.analyses[language][word]) for language, word in unit]
+    if new == old:
+        # Equal analyses score equally: keep them without scoring.
+        return False, False
+    for language, word in unit:
+        model.detach_word(word, language)
+    restore = model.cost_with(old) < model.cost_with(new)
+    for language, word in unit:
+        model.attach_word(word, language)
+    if restore:
         model.restore_analyses(old)
+    return not restore, restore
 
 
 def _unit_sort_key(seed: int, epoch: int, unit) -> bytes:
@@ -264,6 +308,7 @@ def train(model: CognateModel, params: TrainingParams, epoch_callback=None) -> T
                 units.append(((lang, word),))
     for pair in model.pairs:
         units.append((("a", pair.word_a), ("b", pair.word_b)))
+    _edit_forms.fit(len(units))
 
     prev = model.total_cost()
     report = TrainingReport(initial_cost=prev)
@@ -273,8 +318,11 @@ def train(model: CognateModel, params: TrainingParams, epoch_callback=None) -> T
 
     for epoch in range(1, params.max_epochs + 1):
         units.sort(key=lambda u: _unit_sort_key(model.seed, epoch, u))
+        changed = restores = 0
         for unit in units:
-            _optimize(model, unit)
+            unit_changed, restored = _optimize(model, unit)
+            changed += unit_changed
+            restores += restored
             if params.record_steps:
                 report.step_costs.append(model.total_cost())
         cost = model.total_cost()
@@ -286,6 +334,8 @@ def train(model: CognateModel, params: TrainingParams, epoch_callback=None) -> T
                 morph_types_a=model.lexicons["a"].types,
                 morph_types_b=model.lexicons["b"].types,
                 edit_types=model.edit_lexicon.types,
+                units_changed=changed,
+                restores=restores,
             )
         )
         if epoch_callback is not None:

@@ -462,3 +462,78 @@ def pull_viterbi_segment(lexicon, word):
         morphs.append(word[prev:pos])
         pos = prev
     return tuple(reversed(morphs))
+
+
+def put_and_take_back_search(model, unit, on_score=None):
+    """Recursive splitting of a detached unit of (language, word) entries,
+    scoring each candidate by adding its morphs and edit forms to the
+    lexicons, reading model.total_cost() and taking them back out.
+
+    The same greedy recursion and tie rule as trainer._search (staying whole
+    is scored first; a split replaces the best on <=), so it is the
+    reference for the search's read-only scorer. Leaves the chosen morphs
+    and edit forms counted and returns the new analyses. on_score, if
+    given, is called as on_score(parts, forms, cost) after each candidate
+    has been taken back out: parts are its (morph_a, morph_b) pairs
+    (morph_b None for a word), forms its edit forms, cost the total cost
+    read with it counted in.
+    """
+    from cogseg.edits import edit_forms
+    from cogseg.model import Analysis
+
+    records = [model.analyses[language][word] for language, word in unit]
+    add_a = model.lexicons[unit[0][0]].add
+    count_a = records[0].count
+    if len(unit) > 1:
+        add_b = model.lexicons[unit[1][0]].add
+        count_b = records[1].count
+        add_edit = model.edit_lexicon.add
+    morphs_a, morphs_b = [], []
+
+    def put(parts, forms, sign):
+        for a, b in parts:
+            add_a(a, sign * count_a)
+            if b is not None:
+                add_b(b, sign * count_b)
+        for form in forms:
+            add_edit(form, sign)
+
+    def scored(parts, forms):
+        put(parts, forms, 1)
+        cost = model.total_cost()
+        put(parts, forms, -1)
+        if on_score is not None:
+            on_score(parts, forms, cost)
+        return cost
+
+    def rec(a, b):
+        forms = () if b is None else edit_forms(a, b)
+        split = None
+        if len(a) > 1 and (b is None or len(b) > 1):
+            best = scored([(a, b)], forms)
+            for i in range(1, len(a)):
+                for j in [None] if b is None else range(1, len(b)):
+                    parts = [(a[:i], None), (a[i:], None)]
+                    split_forms = ()
+                    if b is not None:
+                        parts = [(a[:i], b[:j]), (a[i:], b[j:])]
+                        split_forms = edit_forms(a[:i], b[:j]) + edit_forms(a[i:], b[j:])
+                    cost = scored(parts, split_forms)
+                    if cost <= best:
+                        best, split = cost, (i, j)
+        if split is None:
+            put([(a, b)], forms, 1)
+            morphs_a.append(a)
+            morphs_b.append(b)
+            return
+        i, j = split
+        head = (a[:i], None if b is None else b[:j])
+        tail = (a[i:], None if b is None else b[j:])
+        tail_forms = () if b is None else edit_forms(*tail)
+        put([tail], tail_forms, 1)
+        rec(*head)
+        put([tail], tail_forms, -1)
+        rec(*tail)
+
+    rec(unit[0][1], unit[1][1] if len(unit) > 1 else None)
+    return [Analysis(r.word, tuple(m), r.count) for r, m in zip(records, (morphs_a, morphs_b))]

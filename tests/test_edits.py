@@ -10,6 +10,7 @@ from cogseg.edits import (
     INSERT,
     MATCH,
     Edit,
+    EditFormCache,
     apply_edit_script,
     edit_forms,
     extract_edits,
@@ -169,6 +170,57 @@ class TestEditForms:
         assert edit_forms("a|b", "a|c") == ("b|c",)
         with pytest.raises(ContractError):
             edit_forms("a|b", "c")
+
+
+# Two to four letters, one alphabet with characters outside the BMP.
+ALPHABETS = st.sampled_from(
+    ["ab", "abc", "abcd", "a\U0001d538b", "\U0001d538\U0001d539\U0001f600"]
+)
+
+
+@st.composite
+def tail_pairs(draw):
+    """(a, b) of up to 8 characters; b often ends like a, so tails repeat."""
+    alphabet = draw(ALPHABETS)
+    a = draw(st.text(alphabet=alphabet, max_size=8))
+    b = draw(st.text(alphabet=alphabet, max_size=8))
+    if draw(st.booleans()):
+        b = b[: draw(st.integers(0, len(b)))] + a[draw(st.integers(0, len(a))) :]
+    return a, b
+
+
+class TestEditFormCache:
+    @given(tail_pairs())
+    def test_tails_from_one_table_equal_their_own_alignment(self, pair):
+        a, b = pair
+        tail = EditFormCache(1 << 10).tails(a, b)
+        standalone = EditFormCache(1 << 10)
+        for i in range(len(a) + 1):
+            for j in range(len(b) + 1):
+                assert tail(i, j) == standalone(a[i:], b[j:]), (a, b, i, j)
+
+    def test_tiny_bound_evicts_and_returns_equal_forms(self):
+        rng = random.Random(3)
+        words = ["".join(rng.choice("abc") for _ in range(rng.randint(0, 6))) for _ in range(40)]
+        tiny = EditFormCache(4)
+        for a, b in itertools.product(words[:20], words[20:]):
+            assert tiny(a, b) == edit_forms(a, b)
+            i, j = min(1, len(a)), min(1, len(b))
+            assert tiny.tails(a, b)(i, j) == edit_forms(a[i:], b[j:])
+            assert tiny.cache_info().currsize <= 4
+        info = tiny.cache_info()
+        assert info.misses > 4 and info.hits > 0
+
+    def test_tail_lookups_are_counted(self):
+        cache = EditFormCache(16)
+        tail = cache.tails("talossa", "talus")
+        assert tail(4, 4) == ("ssa|s",)
+        assert tail(0, 0) == ("ossa|us",)
+        assert cache.cache_info() == (0, 2, 16, 2)
+        assert cache.tails("talossa", "talus")(4, 4) == cache("ssa", "s") == ("ssa|s",)
+        assert cache.cache_info() == (2, 2, 16, 2)
+        cache.cache_clear()
+        assert cache.cache_info() == (0, 0, 16, 0)
 
 
 class TestApplyScript:

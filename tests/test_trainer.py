@@ -240,7 +240,37 @@ class TestOptimizeRestore:
         assert model.pair_tokens(model.pairs[0]) == aligned_edit_tokens(old_a, old_b)
 
 
+class TestOptimizeKeep:
+    def test_refound_analysis_is_never_restored(self, monkeypatch):
+        # The search keeps "abba" whole. Adding and taking back its split
+        # candidates used to leave the cached cost one rounding step above
+        # the old one, and the step restored the identical analysis.
+        model = initialize({"abba": 1}, {}, [], default_params(alpha=0.1))
+        restored = []
+        monkeypatch.setattr(model, "restore_analyses", restored.append)
+        result = _optimize(model, (("a", "abba"),))
+        assert restored == []
+        assert model.analyses["a"]["abba"].morphs == ("abba",)
+        assert result == (False, False)
+
+
 class TestTrain:
+    def test_epochs_count_changed_units_and_restores(self):
+        params = default_params(alpha=0.5, rng_seed=1, max_epochs=3, convergence_threshold=0.0)
+        corpora = TestPinnedTraining
+        model = initialize(corpora.CORPUS_A, corpora.CORPUS_B, corpora.PAIRS, params)
+        report = train(model, params)
+        assert [e.units_changed for e in report.epochs] == [11, 1, 0]
+        assert [e.restores for e in report.epochs] == [0, 0, 0]
+
+    def test_restores_are_counted(self):
+        # The search misses the cheaper three-morph analysis (TestOptimizeRestore).
+        model = initialize({"ccc": 3}, {}, [], default_params(alpha=0.5))
+        model.remove_analysis("ccc", "a")
+        model.add_analysis(Analysis("ccc", ("c", "c", "c"), 3), "a")
+        report = train(model, default_params(max_epochs=1))
+        assert (report.epochs[0].units_changed, report.epochs[0].restores) == (0, 1)
+
     def test_already_converged_stops_after_one_epoch(self):
         model = initialize({"a": 1}, {"b": 1}, [], default_params())
         report = train(model, default_params())
@@ -417,7 +447,7 @@ class TestPinnedTraining:
         save_model(model, path)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert report.epochs_run == 2
-        assert repr(report.final_cost) == "1190.9116639330086"
+        assert repr(report.final_cost) == "1190.9116639329977"
         assert digest == (
             "8afb6d3b187e47df31509d3d7e83155c2651e629586c21360d9a7b58a79b99c9"
         )
