@@ -68,30 +68,33 @@ def _load_config(path) -> dict:
     return config
 
 
-def _resolved(args, key, default, kind):
-    """flags > config file > defaults, converted with kind."""
-    value = getattr(args, key)
-    if value is _UNSET:
-        value = args._config.get(key, default)
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise CogsegError("bad value %r for %r" % (value, key)) from None
-
-
 def _training_params(args) -> trainer.TrainingParams:
+    """flags > config file > defaults, for the seven training settings; a
+    config key that names none of them is rejected."""
+    # Each config key (the flag's dest) with its TrainingParams field and type.
+    fields = {
+        "alpha": ("alpha", float),
+        "edit_weight": ("edit_weight", float),
+        "max_epochs": ("max_epochs", int),
+        "convergence": ("convergence_threshold", float),
+        "seed": ("rng_seed", int),
+        "dampening": ("dampening", str),
+        "edit_mode": ("edit_mode", str),
+    }
+    unknown = sorted(set(args._config) - set(fields))
+    if unknown:
+        raise FormatError("unknown config key %r" % unknown[0], args.config)
     default = trainer.TrainingParams()
-    return trainer.TrainingParams(
-        alpha=_resolved(args, "alpha", default.alpha, float),
-        edit_weight=_resolved(args, "edit_weight", default.edit_weight, float),
-        max_epochs=_resolved(args, "max_epochs", default.max_epochs, int),
-        convergence_threshold=_resolved(
-            args, "convergence", default.convergence_threshold, float
-        ),
-        rng_seed=_resolved(args, "seed", default.rng_seed, int),
-        dampening=_resolved(args, "dampening", default.dampening, str),
-        edit_mode=_resolved(args, "edit_mode", default.edit_mode, str),
-    )
+    settings = {}
+    for key, (name, kind) in fields.items():
+        value = getattr(args, key)
+        if value is _UNSET:
+            value = args._config.get(key, getattr(default, name))
+        try:
+            settings[name] = kind(value)
+        except (TypeError, ValueError):
+            raise CogsegError("bad value %r for %r" % (value, key)) from None
+    return trainer.TrainingParams(**settings)
 
 
 def _add_training_flags(sub, with_edits: bool):

@@ -58,10 +58,7 @@ def filter_pairs(pairs, min_count: int = 2, short_len: int = 4) -> list[AlignedP
         if any(excluded_char(ch) for ch in pair.word_a + pair.word_b):
             continue
         limit = levenshtein_threshold(len(pair.word_a), len(pair.word_b), short_len)
-        if limit == 0:
-            if pair.word_a != pair.word_b:
-                continue
-        elif levenshtein_distance(pair.word_a, pair.word_b) > limit:
+        if levenshtein_distance(pair.word_a, pair.word_b) > limit:
             continue
         kept.append(pair)
     return kept

@@ -7,9 +7,11 @@ non-match operations, and extension of one-sided edits over a neighboring
 unchanged character (so a lengthened sound becomes 'a -> aa' rather than
 the harder-to-reuse ' -> a').
 
-One traceback walks the alignment table and writes the operations as a
-string of letters; it can start from any cell, since cell (i, j) of the
-table of (a, b) holds the alignment of a[i:] with b[j:]. levenshtein_align
+One alignment table serves distance, alignment and edits:
+levenshtein_distance reads the cost from its first cell. One traceback
+walks the table and writes the operations as a string of letters; it can
+start from any cell, since cell (i, j) of the table of (a, b) holds the
+alignment of a[i:] with b[j:]. levenshtein_align
 turns those letters into AlignmentOps; _edit_spans merges their non-match
 runs into spans. edit_forms, a bounded EditFormCache, builds the serialized
 forms from the spans: the one edit path that training, the model's pair
@@ -124,24 +126,12 @@ class EditScript:
 
 
 def levenshtein_distance(a: str, b: str) -> int:
-    """Plain unit-cost edit distance."""
+    """Plain unit-cost edit distance: the cost packed above the run count
+    in cell (0, 0) of the alignment table of a with b."""
     if a == b:
         return 0
-    la, lb = len(a), len(b)
-    if la == 0 or lb == 0:
-        return la or lb
-    prev = list(range(lb + 1))
-    for i in range(1, la + 1):
-        cur = [i] + [0] * lb
-        ca = a[i - 1]
-        for j in range(1, lb + 1):
-            cur[j] = min(
-                prev[j - 1] + (ca != b[j - 1]),
-                prev[j] + 1,
-                cur[j - 1] + 1,
-            )
-        prev = cur
-    return prev[lb]
+    table0, _, one = _suffix_table(a, b)
+    return table0[0][0] // one
 
 
 def _suffix_table(a: str, b: str):

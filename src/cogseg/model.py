@@ -472,15 +472,13 @@ class CognateModel:
             if pair is not None:
                 self._record_pair_tokens(pair)
 
-    def restore_analyses(self, entries) -> None:
-        """Put a unit's earlier (language, analysis) entries back in place
-        of its current, counted analyses.
+    def attach_analyses(self, entries) -> None:
+        """Record a detached unit's (language, analysis) entries and count
+        them in, with a pair's edit tokens.
 
-        Every word is detached before any record is restored, so a pair's
+        Every record is in place before any word is attached, so a pair's
         edit tokens are never aligned from one old and one new analysis.
         """
-        for language, analysis in entries:
-            self.detach_word(analysis.word, language)
         for language, analysis in entries:
             self.analyses[language][analysis.word] = analysis
         for language, analysis in entries:

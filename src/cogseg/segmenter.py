@@ -137,7 +137,9 @@ def segment_lines(lines, token_morphs, config: SegmenterConfig):
     (while it stays among the memo's 2^16 most recent). Each line keeps its
     terminator, so unjoin restores the input byte for byte. An error at line
     N stops the stream after lines 1..N-1; I/O and decoding failures are
-    reported with the offending line number.
+    reported with the offending line number. A text stream decodes a chunk
+    ahead, so a line that is not UTF-8 stops the stream before the earlier
+    lines of its chunk too.
     """
     joiner = config.joiner
 

@@ -28,13 +28,13 @@ _SECTIONS = (
 
 # Header fields in file order, each with the parser of its value. Each is the
 # str() of the model attribute of the same name, with "-" for "_".
-_HEADER_FIELDS = (
-    ("alpha", float),
-    ("edit-weight", float),
-    ("edit-mode", str),
-    ("seed", int),
-    ("dampening", str),
-)
+_HEADER_FIELDS = {
+    "alpha": float,
+    "edit-weight": float,
+    "edit-mode": str,
+    "seed": int,
+    "dampening": str,
+}
 
 _ESCAPES = {"\\": "\\\\", "\t": "\\t", "\n": "\\n", "|": "\\|"}
 _UNESCAPES = {"\\": "\\", "t": "\t", "n": "\n", "|": "|"}
@@ -74,7 +74,7 @@ def _check_token(token: str, what: str) -> str:
 def save_model(model: CognateModel, path) -> None:
     """Write the model to path; output bytes depend only on the model state."""
     lines = ["%s %d" % (FORMAT_NAME, FORMAT_VERSION)]
-    for key, _ in _HEADER_FIELDS:
+    for key in _HEADER_FIELDS:
         lines.append("%s %s" % (key, getattr(model, key.replace("-", "_"))))
     for lang, name in (("a", "LEXICON-A"), ("b", "LEXICON-B")):
         lines.append("[%s]" % name)
@@ -147,10 +147,14 @@ def load_model(path) -> CognateModel:
         key, sep, value = raw[lineno].partition(" ")
         if not sep:
             raise FormatError("bad header line %r" % raw[lineno], path, lineno + 1)
+        if key not in _HEADER_FIELDS:
+            raise FormatError("unknown header field %r" % key, path, lineno + 1)
+        if key in header:
+            raise FormatError("repeated header field %r" % key, path, lineno + 1)
         header[key] = (lineno + 1, value)
         lineno += 1
     settings = {}
-    for key, parse in _HEADER_FIELDS:
+    for key, parse in _HEADER_FIELDS.items():
         if key not in header:
             raise FormatError("missing header field %r" % key, path, lineno + 1)
         line, text = header[key]
@@ -241,6 +245,8 @@ def load_model(path) -> CognateModel:
             if len(fields) != 2:
                 raise FormatError("lexicon rows need 2 fields", path, line_no)
             form = unescape_field(fields[0], path, line_no)
+            if form in stored:
+                raise FormatError("repeated row for %r" % form, path, line_no)
             stored[form] = parse_positive(fields[1], path, line_no)
             if form not in lexicon.counts or lexicon.counts[form] != stored[form]:
                 raise FormatError(

@@ -10,11 +10,11 @@ analyses always keep equal morph counts.
 
 The search scores every candidate split from the counts without writing
 them (CountLexicon.costs_with, combined by CognateModel.weigh) and writes
-only the morphs and edit forms it chooses. Every step then scores the
-search result and the unit's previous analyses the same way from the same
-counts, and restores the previous ones only when they are strictly
-cheaper, so the total cost never increases and a unit whose analysis the
-search finds again keeps it.
+only the morphs and edit forms it chooses. Every step then detaches the
+search result, scores it and the unit's previous analyses the same way
+from the same counts, and counts one of them back in, in one commit: the
+previous ones only when they are strictly cheaper, so the total cost
+never increases and a unit whose analysis the search finds again keeps it.
 
 Unit ordering is derived by sorting on a keyed hash of the unit identity
 (not the language), which makes a joint run with an empty pair list visit
@@ -256,10 +256,11 @@ def _optimize(model: CognateModel, unit) -> tuple[bool, bool]:
     """One local-search step on a unit of (language, word) entries: one
     word, or the two words of a cognate pair. The unit is detached and
     resegmented. When the search found other analyses than the old ones,
-    both are scored with CognateModel.cost_with from the detached counts,
-    and the old ones are restored, through restore_analyses, only when they
-    are strictly cheaper. A search that finds the unit's own analyses again
-    keeps them. Returns (changed, restored)."""
+    those are detached again and both are scored with
+    CognateModel.cost_with from the detached counts; one attach_analyses
+    call then commits the new ones, or the old ones when they are strictly
+    cheaper. A search that finds the unit's own analyses again keeps them.
+    Returns (changed, restored)."""
     old = [(language, model.analyses[language][word]) for language, word in unit]
     for language, word in unit:
         model.detach_word(word, language)
@@ -275,10 +276,7 @@ def _optimize(model: CognateModel, unit) -> tuple[bool, bool]:
     for language, word in unit:
         model.detach_word(word, language)
     restore = model.cost_with(old) < model.cost_with(new)
-    for language, word in unit:
-        model.attach_word(word, language)
-    if restore:
-        model.restore_analyses(old)
+    model.attach_analyses(old if restore else new)
     return not restore, restore
 
 

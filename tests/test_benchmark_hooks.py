@@ -1,8 +1,9 @@
 """The names perfbench/child.py patches must exist in the package.
 
 The benchmark's traced run (--trace 1) wraps functions where they are looked
-up and reads lru_cache counters; a refactor that renames or removes one of
-them breaks that run. The tables are read from child.py's source, so the
+up and reads the edit caches' cache_info() counters: extract_edits is an
+lru_cache, and edit_forms an EditFormCache with the same cache_info(). A
+refactor that renames or removes one of them breaks that run. The tables are read from child.py's source, so the
 benchmark is neither imported nor changed.
 """
 

@@ -297,6 +297,33 @@ class TestPartialOutput:
         self.check(monkeypatch, ["bpe-apply", "--merges", str(merges)], "a@@b")
 
 
+class TestUndecodableInput:
+    """A line that is not UTF-8 is reported by its number, but the text
+    stream decodes a whole chunk (8 KiB) ahead of the lines it hands out,
+    so stdout keeps only the whole lines of the chunks decoded before it."""
+
+    def run(self, workspace, monkeypatch, data):
+        merges = workspace / "merges.txt"
+        merges.write_text("t e\n", encoding="utf-8")
+        argv = ["bpe-apply", "--merges", str(merges)]
+        return run_cli(argv, stdin_text=data, monkeypatch=monkeypatch)
+
+    def test_bad_line_in_first_chunk_leaves_nothing(self, workspace, monkeypatch):
+        data = b"tere maailm\nteine rida\n\xff\xfe katki\nneljas\n"
+        code, out, err = self.run(workspace, monkeypatch, data)
+        assert error_payload(code, err)["message"].startswith("line 3: ")
+        assert out == ""
+
+    def test_bad_line_after_first_chunk_leaves_whole_lines(self, workspace, monkeypatch):
+        good = "".join("rida %d tere maailm\n" % n for n in range(1000)).encode("utf-8")
+        assert len(good) > 8192
+        code, clean, err = self.run(workspace, monkeypatch, good + b" katki\nneljas\n")
+        assert (code, err) == (0, "")
+        code, out, err = self.run(workspace, monkeypatch, good + b"\xff katki\nneljas\n")
+        assert error_payload(code, err)["message"].startswith("line 1001: ")
+        assert out and out.endswith("\n") and clean.startswith(out)
+
+
 class TestReportCommand:
     def test_report_edits_output(self, workspace, monkeypatch):
         model_path = train_model(workspace, monkeypatch)
@@ -396,8 +423,9 @@ class TestErrors:
 
     @pytest.mark.parametrize(
         "text", ["{alpha", '"alpha"', '{"alpha": "x"}', '{"seed": null}', '{"alpha": NaN}',
-                 '{"max_epochs": -3}'],
-        ids=["malformed", "not-an-object", "non-numeric", "null", "nan", "negative-epochs"],
+                 '{"max_epochs": -3}', '{"alhpa": 0.5}', '{"max-epochs": 0}'],
+        ids=["malformed", "not-an-object", "non-numeric", "null", "nan", "negative-epochs",
+             "misspelled-key", "flag-spelled-key"],
     )
     def test_bad_config_rejected(self, workspace, monkeypatch, text):
         config = workspace / "config.json"
@@ -409,6 +437,24 @@ class TestErrors:
         )
         error_payload(code, err)
         assert not (workspace / "model").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["train-mono", "--corpus", "missing.txt"],
+         ["train", "--corpus-a", "missing.txt", "--corpus-b", "missing.txt"]],
+        ids=["train-mono", "train"],
+    )
+    def test_unknown_config_key_rejected_before_corpus_read(self, workspace, monkeypatch, argv):
+        config = workspace / "config.json"
+        config.write_text('{"alpha": 0.5, "alhpa": 0.5}', encoding="utf-8")
+        argv = [str(workspace / a) if a.endswith(".txt") else a for a in argv]
+        code, _, err = run_cli(
+            argv + ["--config", str(config), "--out", str(workspace / "model")],
+            monkeypatch=monkeypatch,
+        )
+        payload = error_payload(code, err)
+        assert payload["error"] == "FormatError"
+        assert payload["message"].startswith("%s: unknown config key 'alhpa'" % config)
 
     @pytest.mark.parametrize(
         "argv",

@@ -147,6 +147,38 @@ class TestValidation:
             load_model(path)
         assert str(err.value).startswith("%s:%d: bad header field %r" % (path, index + 1, key))
 
+    @pytest.mark.parametrize(
+        "extra, reason",
+        [("alhpa 0.5", "unknown header field 'alhpa'"),
+         ("alpha 0.5", "repeated header field 'alpha'")],
+    )
+    def test_unknown_or_repeated_header_field_rejected(self, tmp_path, extra, reason):
+        # The extra line follows the last header field. Unchecked, the
+        # misspelled key would load at the file's alpha (0.01), and the
+        # repeated one would silently win.
+        path = self.make_file(tmp_path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        index = lines.index("[LEXICON-A]")
+        lines.insert(index, extra)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(FormatError) as err:
+            load_model(path)
+        assert str(err.value) == "%s:%d: %s" % (path, index + 1, reason)
+
+    @pytest.mark.parametrize(
+        "section, row", [("LEXICON-A", "ta\t5"), ("LEXICON-B", "ta\t3"), ("EDITS", "o|u\t1")]
+    )
+    def test_repeated_lexicon_row_rejected_at_its_line(self, tmp_path, section, row):
+        path = self.make_file(tmp_path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        start = lines.index("[%s]" % section)
+        index = lines.index(row, start) + 1
+        lines.insert(index, row)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(FormatError) as err:
+            load_model(path)
+        assert str(err.value).startswith("%s:%d: repeated row" % (path, index + 1))
+
     def test_lexicon_disagreeing_with_analyses_rejected(self, tmp_path):
         path = self.make_file(tmp_path)
         text = path.read_text(encoding="utf-8")
