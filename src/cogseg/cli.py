@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Every command is deterministic given identical inputs, flags, and seeds.
-Errors exit nonzero with a single machine-readable JSON line on stderr.
+Errors, usage errors included, exit nonzero with a single machine-readable
+JSON line on stderr.
 Flags take precedence over values from an optional JSON config file
 (--config), which takes precedence over built-in defaults.
 """
@@ -15,7 +16,7 @@ import logging
 import sys
 
 from . import bpe, cognates, segmenter, serialization, trainer
-from .errors import CogsegError, FormatError, open_text, parse_positive, read_rows
+from .errors import CogsegError, FormatError, UsageError, open_text, parse_positive, read_rows
 from .model import DAMPENING_MODES, EDIT_MODES
 
 _logger = logging.getLogger(__name__)
@@ -110,6 +111,27 @@ def _add_training_flags(sub, with_edits: bool):
         sub.add_argument("--edit-mode", choices=EDIT_MODES, default=_UNSET, dest="edit_mode")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise UsageError, so they exit
+    as every other error does; subparsers are of the same class."""
+
+    def error(self, message):
+        raise UsageError("%s: %s" % (self.prog, message))
+
+
+def _int_at_least(low: int):
+    """An argparse type: an integer of at least low."""
+
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError("must be at least %d, got %d" % (low, value))
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its "invalid int value"
+    return parse
+
+
 def cmd_extract_cognates(args):
     pairs = cognates.read_pairs_tsv(args.pairs)
     result = cognates.extract(pairs, min_count=args.min_count, short_len=args.short_len)
@@ -193,7 +215,7 @@ def cmd_report_edits(args):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cogseg",
         description="Bilingual subword segmentation toolkit: linked-lexicon "
         "training, cognate extraction, corpus segmentation, and a balanced "
@@ -205,8 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extract-cognates", help="filter aligned pairs to a cognate list")
     p.add_argument("--pairs", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--min-count", type=int, default=2, dest="min_count")
-    p.add_argument("--short-len", type=int, default=4, dest="short_len")
+    p.add_argument("--min-count", type=_int_at_least(1), default=2, dest="min_count")
+    p.add_argument("--short-len", type=_int_at_least(0), default=4, dest="short_len")
     p.set_defaults(func=cmd_extract_cognates)
 
     p = sub.add_parser("train", help="train the bilingual model")
@@ -254,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report-edits", help="most frequent learned edits")
     p.add_argument("--model", required=True)
-    p.add_argument("--top", type=int, default=30)
+    p.add_argument("--top", type=_int_at_least(1), default=30)
     p.add_argument("--direction", choices=("ab", "ba"), default="ab")
     p.set_defaults(func=cmd_report_edits)
     return parser
@@ -264,13 +286,12 @@ def main(argv=None) -> int:
     for stream in (sys.stdin, sys.stdout, sys.stderr):
         if hasattr(stream, "reconfigure"):
             stream.reconfigure(encoding="utf-8")
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    logging.basicConfig(
-        level=logging.INFO if args.verbose else logging.WARNING,
-        format="%(levelname)s %(message)s",
-    )
     try:
+        args = build_parser().parse_args(argv)
+        logging.basicConfig(
+            level=logging.INFO if args.verbose else logging.WARNING,
+            format="%(levelname)s %(message)s",
+        )
         args._config = _load_config(args.config) if getattr(args, "config", None) else {}
         args.func(args)
     except (CogsegError, OSError, UnicodeError) as exc:

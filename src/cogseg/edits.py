@@ -424,8 +424,10 @@ class EditFormCache:
 
 # The bound of edit_forms: MIN_ENTRIES, raised by trainer.train to
 # ENTRIES_PER_UNIT per training unit, up to MAX_ENTRIES. A 2-epoch joint run
-# on the benchmark corpus looks up about 37 distinct keys per unit, and an
-# entry takes about 300 bytes, so the cache stays below about 300 MB.
+# on the benchmark corpus looks up about 9 distinct keys per unit (the split
+# search skips the lookups of combinations it rules out), and an entry takes
+# about 300 bytes, so the cache stays below about 300 MB. A world four times
+# that size still outgrows the base bound.
 MIN_ENTRIES = 1 << 17
 ENTRIES_PER_UNIT = 64
 MAX_ENTRIES = 1 << 20

@@ -15,6 +15,10 @@ class ModelIntegrityError(CogsegError):
     """Cached model statistics disagree with a from-scratch recount."""
 
 
+class UsageError(CogsegError):
+    """The command line could not be parsed or holds a value out of range."""
+
+
 class FormatError(CogsegError):
     """A model or data file could not be parsed or failed validation.
 

@@ -198,7 +198,9 @@ class CountLexicon:
         """(lexicon cost, corpus cost) with delta > 0 added to the count of
         each of forms (twice for a form listed twice), computed from the
         counts without writing them. The result depends only on the
-        inventory and the arguments."""
+        inventory and the arguments. Neither cost is below the matching one
+        of costs(): more tokens or types never shorten either code, which
+        the split search's bound relies on."""
         changes = dict.fromkeys(forms, 0)
         for form in forms:
             changes[form] += delta
@@ -334,7 +336,8 @@ class CognateModel:
     def weigh(self, costs_a, costs_b, costs_edits) -> float:
         """The total cost from the (lexicon cost, corpus cost) of lexicon a,
         lexicon b and the edit lexicon. costs_edits is not read in the
-        count-only mode."""
+        count-only mode. Increasing in every cost term it reads, since
+        alpha and edit_weight are positive."""
         lexicon_a, corpus_a = costs_a
         lexicon_b, corpus_b = costs_b
         cost = lexicon_a + lexicon_b + self.alpha * (corpus_a + corpus_b)

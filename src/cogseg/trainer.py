@@ -8,13 +8,22 @@ it splits the two words jointly, so either neither morph of an aligned pair
 splits or both do, with all split-point combinations tried, and the two
 analyses always keep equal morph counts.
 
-The search scores every candidate split from the counts without writing
+The search scores candidate splits from the counts without writing
 them (CountLexicon.costs_with, combined by CognateModel.weigh) and writes
-only the morphs and edit forms it chooses. Every step then detaches the
-search result, scores it and the unit's previous analyses the same way
-from the same counts, and counts one of them back in, in one commit: the
-previous ones only when they are strictly cheaper, so the total cost
-never increases and a unit whose analysis the search finds again keeps it.
+only the morphs and edit forms it chooses. For a pair it skips the split
+combinations that the a and b costs already rule out: counting more tokens
+or types into a lexicon never lowers either of its costs, and weigh
+increases with each of them, so a combination costs at least its a and b
+costs weighed with the edit lexicon as it stands. A combination whose
+bound exceeds the best cost so far by more than the recount tolerance
+cannot win, so its edit forms are neither aligned nor scored, and the
+search chooses exactly what scoring every combination would.
+
+Every step then detaches the search result, scores it and the unit's
+previous analyses the same way from the same counts, and counts one of them
+back in, in one commit: the previous ones only when they are strictly
+cheaper, so the total cost never increases and a unit whose analysis the
+search finds again keeps it.
 
 Unit ordering is derived by sorting on a keyed hash of the unit identity
 (not the language), which makes a joint run with an empty pair list visit
@@ -27,6 +36,7 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
+import time
 from dataclasses import dataclass, field
 
 # perfbench/child.py's traced run wraps trainer.extract_edits (not called
@@ -75,6 +85,12 @@ class EpochStats:
     # analyses back because the search found only costlier ones.
     units_changed: int
     restores: int
+    # Wall time, and the epoch's lookups in the edit-form cache. They
+    # describe the run, not its result, so reports compare without them:
+    # identical runs differ in time and in what the shared cache held.
+    seconds: float = field(compare=False)
+    edit_cache_hits: int = field(compare=False)
+    edit_cache_misses: int = field(compare=False)
 
 
 @dataclass
@@ -138,12 +154,17 @@ def _search(model: CognateModel, unit) -> list[Analysis]:
     A candidate is scored with CountLexicon.costs_with from the counts as
     they stand plus the candidate's own morphs and edit forms, so its score
     does not depend on the candidates scored before it. Within one morph
-    (pair) the a lexicon is scored once per split point i, the b lexicon
-    once per split point j, and only the edit lexicon per (i, j); in the
-    count-only mode the edit lexicon is not scored. Staying whole is scored
-    first, and a split replaces the best on a tie, so among equal costs the
-    last i, then the last j, wins. The tail edit forms (a[i:], b[j:]) come
-    from one alignment table of the morph pair (EditFormCache.tails).
+    (pair) the a lexicon is scored once per split point i and the b lexicon
+    once per split point j. In the full edit mode the edit lexicon is
+    scored per (i, j) only when the lower bound weigh(a costs, b costs,
+    edit lexicon costs as they stand) is within 1e-9 * |best| of the best
+    cost so far; a skipped candidate's edit forms are never looked up.
+    Ties and near-ties are always scored, so the choice is that of scoring
+    every (i, j). In the count-only mode the edit lexicon is not scored.
+    Staying whole is scored first, and a split replaces the best on a tie,
+    so among equal costs the last i, then the last j, wins. The tail edit
+    forms (a[i:], b[j:]) come from one alignment table of the morph pair
+    (EditFormCache.tails).
 
     Only chosen morphs and edit forms are written: the tail of a split
     while its head is searched, and each final morph (pair). Leaves the
@@ -198,12 +219,15 @@ def _search(model: CognateModel, unit) -> list[Analysis]:
                     score_e(tail(0, 0), 1) if full else None,
                 )
                 costs_b = [score_b((b[:j], b[j:]), count_b) for j in range(1, len(b))]
+                floor_e = lex_e.costs()
                 for i in range(1, len(a)):
                     a1 = a[:i]
                     costs_a = score_a((a1, a[i:]), count_a)
                     for j, cost_b in enumerate(costs_b, 1):
                         costs_e = None
                         if full:
+                            if weigh(costs_a, cost_b, floor_e) > best + 1e-9 * abs(best):
+                                continue
                             costs_e = score_e(_edit_forms(a1, b[:j]) + tail(i, j), 1)
                         cost = weigh(costs_a, cost_b, costs_e)
                         if cost <= best:
@@ -317,6 +341,7 @@ def train(model: CognateModel, params: TrainingParams, epoch_callback=None) -> T
     for epoch in range(1, params.max_epochs + 1):
         units.sort(key=lambda u: _unit_sort_key(model.seed, epoch, u))
         changed = restores = 0
+        start, cache_start = time.perf_counter(), _edit_forms.cache_info()
         for unit in units:
             unit_changed, restored = _optimize(model, unit)
             changed += unit_changed
@@ -324,6 +349,9 @@ def train(model: CognateModel, params: TrainingParams, epoch_callback=None) -> T
             if params.record_steps:
                 report.step_costs.append(model.total_cost())
         cost = model.total_cost()
+        seconds = time.perf_counter() - start
+        cache = _edit_forms.cache_info()
+        hits, misses = cache.hits - cache_start.hits, cache.misses - cache_start.misses
         report.epochs.append(
             EpochStats(
                 epoch=epoch,
@@ -334,12 +362,18 @@ def train(model: CognateModel, params: TrainingParams, epoch_callback=None) -> T
                 edit_types=model.edit_lexicon.types,
                 units_changed=changed,
                 restores=restores,
+                seconds=seconds,
+                edit_cache_hits=hits,
+                edit_cache_misses=misses,
             )
         )
         if epoch_callback is not None:
             epoch_callback(model, epoch)
         improvement = prev - cost
-        _logger.info("epoch %d: cost %.4f (improvement %.6f)", epoch, cost, improvement)
+        _logger.info(
+            "epoch %d: cost %.4f (improvement %.6f), %.2f s, edit cache %d hits %d misses",
+            epoch, cost, improvement, seconds, hits, misses,
+        )
         if improvement < params.convergence_threshold * abs(prev):
             break
         prev = cost

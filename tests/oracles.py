@@ -5,9 +5,10 @@ one: the distance and alignment oracles are naive memoized recursions, the
 cost oracles evaluate the stated formulas in high-precision arithmetic, the
 reference lexicon keeps the plain n*ln(n) float arithmetic the cached sums
 must reproduce bit for bit, and the search oracle enumerates every
-admissible configuration. The token-loop oracle renders every token on its
-own, with no memo, and the Viterbi oracle pulls every slice of the word from
-the lexicon's counts. The rebuilt lexicon is the package's own CountLexicon
+admissible configuration; the unbounded search scores every split
+combination of a cognate pair. The token-loop oracle renders every token on
+its own, with no memo, and the Viterbi oracle pulls every slice of the word
+from the lexicon's counts. The rebuilt lexicon is the package's own CountLexicon
 fed each form once, the reference for a history of adds and removes.
 """
 
@@ -534,6 +535,92 @@ def put_and_take_back_search(model, unit, on_score=None):
         rec(*head)
         put([tail], tail_forms, -1)
         rec(*tail)
+
+    rec(unit[0][1], unit[1][1] if len(unit) > 1 else None)
+    return [Analysis(r.word, tuple(m), r.count) for r, m in zip(records, (morphs_a, morphs_b))]
+
+
+def score_every_pair_search(model, unit):
+    """trainer._search as it was before the split search bounded its pair
+    candidates: every split combination (i, j) of a cognate pair is scored,
+    in the full edit mode with its edit forms looked up and scored. The
+    same scorer, recursion, writes and tie rule as trainer._search, so the
+    two must choose the same analyses and leave the same counts, exactly.
+    Leaves the chosen morphs and edit forms counted and returns the new
+    analyses."""
+    from cogseg.edits import edit_forms
+    from cogseg.model import EDIT_MODE_FULL, Analysis
+
+    records = [model.analyses[language][word] for language, word in unit]
+    language = unit[0][0]
+    lex_a = model.lexicons[language]
+    add_a, score_a = lex_a.add, lex_a.costs_with
+    count_a = records[0].count
+    weigh = model.weigh
+    if len(unit) > 1:
+        lex_b, lex_e = model.lexicons[unit[1][0]], model.edit_lexicon
+        add_b, score_b = lex_b.add, lex_b.costs_with
+        add_edit, score_e = lex_e.add, lex_e.costs_with
+        count_b = records[1].count
+        full = model.edit_mode == EDIT_MODE_FULL
+    else:
+        others = {lang: lex.costs() for lang, lex in model.lexicons.items()}
+        others["edits"] = model.edit_lexicon.costs()
+
+        def weigh_word(costs_a):
+            others[language] = costs_a
+            return weigh(others["a"], others["b"], others["edits"])
+
+    morphs_a, morphs_b = [], []
+
+    def put(a, b, forms, sign):
+        add_a(a, sign * count_a)
+        if b is not None:
+            add_b(b, sign * count_b)
+            for form in forms:
+                add_edit(form, sign)
+
+    def rec(a, b):
+        split = None
+        if b is None:
+            if len(a) > 1:
+                best = weigh_word(score_a((a,), count_a))
+                for i in range(1, len(a)):
+                    cost = weigh_word(score_a((a[:i], a[i:]), count_a))
+                    if cost <= best:
+                        best, split = cost, (i, None)
+        else:
+            tail = edit_forms.tails(a, b)
+            if len(a) > 1 and len(b) > 1:
+                best = weigh(
+                    score_a((a,), count_a),
+                    score_b((b,), count_b),
+                    score_e(tail(0, 0), 1) if full else None,
+                )
+                costs_b = [score_b((b[:j], b[j:]), count_b) for j in range(1, len(b))]
+                for i in range(1, len(a)):
+                    a1 = a[:i]
+                    costs_a = score_a((a1, a[i:]), count_a)
+                    for j, cost_b in enumerate(costs_b, 1):
+                        costs_e = None
+                        if full:
+                            costs_e = score_e(edit_forms(a1, b[:j]) + tail(i, j), 1)
+                        cost = weigh(costs_a, cost_b, costs_e)
+                        if cost <= best:
+                            best, split = cost, (i, j)
+        if split is None:
+            put(a, b, () if b is None else tail(0, 0), 1)
+            morphs_a.append(a)
+            morphs_b.append(b)
+            return
+        i, j = split
+        a1, a2 = a[:i], a[i:]
+        b1, b2 = (None, None) if b is None else (b[:j], b[j:])
+        tail_forms = () if b is None else tail(i, j)
+        put(a2, b2, tail_forms, 1)
+        rec(a1, b1)
+        put(a2, b2, tail_forms, -1)
+        rec(a2, b2)
 
     rec(unit[0][1], unit[1][1] if len(unit) > 1 else None)
     return [Analysis(r.word, tuple(m), r.count) for r, m in zip(records, (morphs_a, morphs_b))]

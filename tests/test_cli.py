@@ -353,6 +353,39 @@ class TestReportCommand:
 
 
 class TestErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [["train-mono", "--corpus", "a.txt", "--max-epochs", "abc", "--out", "m"],
+         ["train-mono", "--corpus", "a.txt", "--out", "m", "--no-such-flag"],
+         ["train-mono", "--corpus", "a.txt"],
+         ["segment", "--model", "model", "--lang", "c"],
+         ["no-such-command"],
+         ["report-edits", "--model", "model", "--top", "-2"],
+         ["report-edits", "--model", "model", "--top", "0"],
+         ["extract-cognates", "--pairs", "cognates.tsv", "--out", "o", "--min-count", "0"],
+         ["extract-cognates", "--pairs", "cognates.tsv", "--out", "o", "--short-len", "-1"]],
+        ids=["bad-int", "unknown-flag", "missing-out", "bad-choice", "unknown-command",
+             "negative-top", "zero-top", "zero-min-count", "negative-short-len"],
+    )
+    def test_usage_error_is_one_json_line(self, workspace, monkeypatch, argv):
+        # Every file named exists, so only the command line is at fault.
+        train_model(workspace, monkeypatch)
+        argv = [str(workspace / a) if (workspace / a).is_file() else a for a in argv]
+        code, out, err = run_cli(argv, monkeypatch=monkeypatch)
+        payload = error_payload(code, err)
+        assert payload["error"] == "UsageError"
+        assert out == ""
+        assert not (workspace / "m").exists() and not (workspace / "o").exists()
+
+    @pytest.mark.parametrize("argv", [["--help"], ["train-mono", "--help"]],
+                             ids=["top", "subcommand"])
+    def test_help_prints_usage_and_exits_0(self, monkeypatch, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(argv, monkeypatch=monkeypatch)
+        assert exit_info.value.code == 0
+        assert cli.sys.stdout.getvalue().startswith("usage: cogseg")
+        assert cli.sys.stderr.getvalue() == ""
+
     def test_missing_file_is_machine_readable(self, workspace, monkeypatch):
         code, _, err = run_cli(
             ["segment", "--model", str(workspace / "nope"), "--lang", "a"],

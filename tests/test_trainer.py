@@ -1,9 +1,10 @@
 import hashlib
+import logging
 import math
 
 import pytest
 
-from cogseg.edits import extract_edits
+from cogseg.edits import edit_forms, extract_edits
 from cogseg.errors import ContractError
 from cogseg.model import Analysis, CognatePair, aligned_edit_tokens
 from cogseg.serialization import load_model, save_model
@@ -250,6 +251,32 @@ class TestTrain:
         report = train(model, params)
         assert [e.units_changed for e in report.epochs] == [11, 1, 0]
         assert [e.restores for e in report.epochs] == [0, 0, 0]
+
+    def test_epochs_report_time_and_edit_cache_lookups(self, caplog):
+        params = default_params(alpha=0.5, rng_seed=1, max_epochs=2, convergence_threshold=0.0)
+        corpora = TestPinnedTraining
+        model = initialize(corpora.CORPUS_A, corpora.CORPUS_B, corpora.PAIRS, params)
+        edit_forms.cache_clear()  # earlier tests may have looked these keys up
+        with caplog.at_level(logging.INFO, logger="cogseg.trainer"):
+            report = train(model, params)
+        info = edit_forms.cache_info()
+        assert report.epochs_run == 2
+        assert report.epochs[0].edit_cache_misses > 0
+        assert sum(e.edit_cache_hits for e in report.epochs) == info.hits
+        assert sum(e.edit_cache_misses for e in report.epochs) == info.misses
+        assert all(e.seconds > 0 for e in report.epochs)
+        logged = [r.getMessage() for r in caplog.records if r.getMessage().startswith("epoch ")]
+        assert len(logged) == 2
+        first = report.epochs[0]
+        assert logged[0].endswith(
+            "s, edit cache %d hits %d misses" % (first.edit_cache_hits, first.edit_cache_misses)
+        )
+
+    def test_monolingual_epochs_look_up_no_edits(self):
+        params = default_params(alpha=0.5, rng_seed=1, max_epochs=2, convergence_threshold=0.0)
+        model = initialize(TestPinnedTraining.CORPUS_A, {}, [], params)
+        report = train(model, params)
+        assert [(e.edit_cache_hits, e.edit_cache_misses) for e in report.epochs] == [(0, 0)] * 2
 
     def test_restores_are_counted(self):
         # The search misses the cheaper three-morph analysis (TestOptimizeRestore).
