@@ -24,8 +24,6 @@ _logger = logging.getLogger(__name__)
 # Characters that would collide with the file formats or segment markers.
 RESERVED_SUBSTRINGS = ("|", "@@")
 
-_UNSET = object()
-
 
 def validate_token(token: str) -> str:
     for bad in RESERVED_SUBSTRINGS:
@@ -71,7 +69,8 @@ def _load_config(path) -> dict:
 
 def _training_params(args) -> trainer.TrainingParams:
     """flags > config file > defaults, for the seven training settings; a
-    config key that names none of them is rejected."""
+    config key that names none of them is rejected. Reads only the config
+    file, so a caller checks its settings before reading any corpus."""
     # Each config key (the flag's dest) with its TrainingParams field and type.
     fields = {
         "alpha": ("alpha", float),
@@ -82,15 +81,17 @@ def _training_params(args) -> trainer.TrainingParams:
         "dampening": ("dampening", str),
         "edit_mode": ("edit_mode", str),
     }
-    unknown = sorted(set(args._config) - set(fields))
+    config = _load_config(args.config) if args.config else {}
+    unknown = sorted(set(config) - set(fields))
     if unknown:
         raise FormatError("unknown config key %r" % unknown[0], args.config)
     default = trainer.TrainingParams()
     settings = {}
     for key, (name, kind) in fields.items():
-        value = getattr(args, key)
-        if value is _UNSET:
-            value = args._config.get(key, getattr(default, name))
+        # train-mono has no --edit-weight or --edit-mode flag.
+        value = getattr(args, key, None)
+        if value is None:
+            value = config.get(key, getattr(default, name))
         try:
             settings[name] = kind(value)
         except (TypeError, ValueError):
@@ -99,16 +100,16 @@ def _training_params(args) -> trainer.TrainingParams:
 
 
 def _add_training_flags(sub, with_edits: bool):
-    sub.add_argument("--alpha", type=float, default=_UNSET)
-    sub.add_argument("--seed", type=int, default=_UNSET)
-    sub.add_argument("--max-epochs", type=int, default=_UNSET, dest="max_epochs")
-    sub.add_argument("--convergence", type=float, default=_UNSET)
-    sub.add_argument("--dampening", choices=DAMPENING_MODES, default=_UNSET)
-    sub.add_argument("--config", default=None)
+    sub.add_argument("--alpha", type=float)
+    sub.add_argument("--seed", type=int)
+    sub.add_argument("--max-epochs", type=int, dest="max_epochs")
+    sub.add_argument("--convergence", type=float)
+    sub.add_argument("--dampening", choices=DAMPENING_MODES)
+    sub.add_argument("--config")
     sub.add_argument("--out", required=True)
     if with_edits:
-        sub.add_argument("--edit-weight", type=float, default=_UNSET, dest="edit_weight")
-        sub.add_argument("--edit-mode", choices=EDIT_MODES, default=_UNSET, dest="edit_mode")
+        sub.add_argument("--edit-weight", type=float, dest="edit_weight")
+        sub.add_argument("--edit-mode", choices=EDIT_MODES, dest="edit_mode")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -180,10 +181,9 @@ def cmd_segment_source(args):
 
 def cmd_prep_tag(args):
     targets = tuple(args.targets.split(","))
-    for line in sys.stdin:
-        sys.stdout.write(
-            segmenter.prefix_target_tag(line.rstrip("\n"), args.lang, targets) + "\n"
-        )
+    sys.stdout.writelines(segmenter.map_lines(
+        sys.stdin, lambda text: segmenter.prefix_target_tag(text, args.lang, targets)
+    ))
 
 
 def cmd_bpe_train(args):
@@ -241,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-mono", help="train a single-language model")
     p.add_argument("--corpus", required=True)
     _add_training_flags(p, with_edits=False)
-    p.set_defaults(func=cmd_train_mono, edit_weight=_UNSET, edit_mode=_UNSET)
+    p.set_defaults(func=cmd_train_mono)
 
     p = sub.add_parser("segment", help="segment stdin with a trained model")
     p.add_argument("--model", required=True)
@@ -292,7 +292,6 @@ def main(argv=None) -> int:
             level=logging.INFO if args.verbose else logging.WARNING,
             format="%(levelname)s %(message)s",
         )
-        args._config = _load_config(args.config) if getattr(args, "config", None) else {}
         args.func(args)
     except (CogsegError, OSError, UnicodeError) as exc:
         sys.stderr.write(

@@ -13,10 +13,11 @@ walks the table and writes the operations as a string of letters; it can
 start from any cell, since cell (i, j) of the table of (a, b) holds the
 alignment of a[i:] with b[j:]. levenshtein_align
 turns those letters into AlignmentOps; _edit_spans merges their non-match
-runs into spans. edit_forms, a bounded EditFormCache, builds the serialized
-forms from the spans: the one edit path that training, the model's pair
-bookkeeping, the recount and model loading all read. Its tails(a, b) gives
-the forms of every tail pair (a[i:], b[j:]) from one table of (a, b).
+runs into spans. edit_forms, an EditFormCache with one fixed bound of
+MAX_ENTRIES (2^20) entries, builds the serialized forms from the spans: the
+one edit path that training, the model's pair bookkeeping, the recount and
+model loading all read. Its tails(a, b)
+gives the forms of every tail pair (a[i:], b[j:]) from one table of (a, b).
 extract_edits builds the positioned script (Edit objects and spans) from them.
 
 All functions operate on Unicode code points, never bytes.
@@ -266,58 +267,55 @@ def _edit_spans(a: str, b: str, ops: str) -> list[list[int]]:
 
 
 def _extend_and_remerge(a: str, b: str, spans: list[list[int]]) -> list[list[int]]:
-    """Grow one-sided spans over a neighboring equal character, re-merging
-    spans that become adjacent, until nothing changes.
+    """Grow one-sided spans over a neighboring equal character, then merge
+    spans that became adjacent.
 
     A neighbor is eligible when it is an unchanged (matched) character, the
     non-empty side of the edit contains it, and it is not already claimed by
     the adjacent span. The left neighbor is preferred over the right.
+
+    One pass of each reaches the fixed point. A span that grows gains its
+    second side, so it never grows again. A one-sided span that cannot grow
+    never can: its neighbors' characters and the left span it was checked
+    against stay as they are, and the right span can only grow towards it.
+    The input spans are maximal non-match runs, so only grown spans can
+    become adjacent, and one merge pass joins every such chain.
     """
-    changed = True
-    while changed:
-        changed = False
-        for k, span in enumerate(spans):
-            a0, a1, b0, b1 = span
-            lhs_empty = a0 == a1
-            rhs_empty = b0 == b1
-            if lhs_empty == rhs_empty:
-                continue
-            nonempty = a[a0:a1] if rhs_empty else b[b0:b1]
-            prev = spans[k - 1] if k > 0 else None
-            nxt = spans[k + 1] if k + 1 < len(spans) else None
-            can_left = (
-                a0 > 0
-                and b0 > 0
-                and a[a0 - 1] == b[b0 - 1]
-                and a[a0 - 1] in nonempty
-                and (prev is None or (prev[1] < a0 and prev[3] < b0))
-            )
-            if can_left:
-                span[0] = a0 - 1
-                span[2] = b0 - 1
-                changed = True
-                continue
-            can_right = (
-                a1 < len(a)
-                and b1 < len(b)
-                and a[a1] == b[b1]
-                and a[a1] in nonempty
-                and (nxt is None or (a1 < nxt[0] and b1 < nxt[2]))
-            )
-            if can_right:
-                span[1] = a1 + 1
-                span[3] = b1 + 1
-                changed = True
-        merged: list[list[int]] = []
-        for span in spans:
-            if merged and merged[-1][1] == span[0] and merged[-1][3] == span[2]:
-                merged[-1][1] = span[1]
-                merged[-1][3] = span[3]
-                changed = True
-            else:
-                merged.append(span)
-        spans = merged
-    return spans
+    for k, span in enumerate(spans):
+        a0, a1, b0, b1 = span
+        lhs_empty = a0 == a1
+        rhs_empty = b0 == b1
+        if lhs_empty == rhs_empty:
+            continue
+        nonempty = a[a0:a1] if rhs_empty else b[b0:b1]
+        prev = spans[k - 1] if k > 0 else None
+        nxt = spans[k + 1] if k + 1 < len(spans) else None
+        if (
+            a0 > 0
+            and b0 > 0
+            and a[a0 - 1] == b[b0 - 1]
+            and a[a0 - 1] in nonempty
+            and (prev is None or (prev[1] < a0 and prev[3] < b0))
+        ):
+            span[0] = a0 - 1
+            span[2] = b0 - 1
+        elif (
+            a1 < len(a)
+            and b1 < len(b)
+            and a[a1] == b[b1]
+            and a[a1] in nonempty
+            and (nxt is None or (a1 < nxt[0] and b1 < nxt[2]))
+        ):
+            span[1] = a1 + 1
+            span[3] = b1 + 1
+    merged: list[list[int]] = []
+    for span in spans:
+        if merged and merged[-1][1] == span[0] and merged[-1][3] == span[2]:
+            merged[-1][1] = span[1]
+            merged[-1][3] = span[3]
+        else:
+            merged.append(span)
+    return merged
 
 
 def _spans(a: str, b: str) -> list[list[int]]:
@@ -409,11 +407,6 @@ class EditFormCache:
         store[key] = forms
         return forms
 
-    def fit(self, units: int) -> None:
-        """Raise the bound to ENTRIES_PER_UNIT per training unit, at most
-        MAX_ENTRIES; the bound never falls."""
-        self.maxsize = max(self.maxsize, min(ENTRIES_PER_UNIT * units, MAX_ENTRIES))
-
     def cache_info(self) -> CacheInfo:
         return CacheInfo(self._hits, self._misses, self.maxsize, len(self._store))
 
@@ -422,19 +415,16 @@ class EditFormCache:
         self._hits = self._misses = 0
 
 
-# The bound of edit_forms: MIN_ENTRIES, raised by trainer.train to
-# ENTRIES_PER_UNIT per training unit, up to MAX_ENTRIES. A 2-epoch joint run
-# on the benchmark corpus looks up about 9 distinct keys per unit (the split
-# search skips the lookups of combinations it rules out), and an entry takes
-# about 300 bytes, so the cache stays below about 300 MB. A world four times
-# that size still outgrows the base bound.
-MIN_ENTRIES = 1 << 17
-ENTRIES_PER_UNIT = 64
+# The bound of edit_forms. An entry takes about 300 bytes, so the cache
+# stays below about 300 MB. A 2-epoch seed-1 joint run on the benchmark
+# corpus stores 37,185 keys (about 9 per unit; the split search skips the
+# lookups of combinations it rules out), and a world four times that size
+# 139,510, so neither evicts.
 MAX_ENTRIES = 1 << 20
 
 # The one edit-form cache: training, the model's pair bookkeeping, the
 # recount and model loading all read it.
-edit_forms = EditFormCache(MIN_ENTRIES)
+edit_forms = EditFormCache(MAX_ENTRIES)
 
 
 def apply_edit_script(morph: str, script: EditScript) -> str:

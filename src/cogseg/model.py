@@ -391,16 +391,6 @@ class CognateModel:
         self._pair_tokens[pair.key] = tokens
         return tokens
 
-    def _attach_pair_tokens(self, pair: CognatePair) -> None:
-        lex = self.edit_lexicon
-        for form in self._record_pair_tokens(pair):
-            lex.add(form, 1)
-
-    def _detach_pair_tokens(self, pair: CognatePair) -> None:
-        add = self.edit_lexicon.add
-        for form in self._pair_tokens.pop(pair.key, ()):
-            add(form, -1)
-
     def add_analysis(self, analysis: Analysis, language: str) -> None:
         """Insert and count a word's analysis.
 
@@ -441,7 +431,9 @@ class CognateModel:
         analysis = self.analyses[language][word]
         pair = self.pair_for(language, word)
         if pair is not None:
-            self._detach_pair_tokens(pair)
+            add = self.edit_lexicon.add
+            for form in self._pair_tokens.pop(pair.key, ()):
+                add(form, -1)
         lex = self.lexicons[language]
         for morph in analysis.morphs:
             lex.add(morph, -analysis.count)
@@ -454,7 +446,9 @@ class CognateModel:
         """
         pair = self.pair_for(language, word)
         if pair is not None:
-            self._attach_pair_tokens(pair)
+            add = self.edit_lexicon.add
+            for form in self._record_pair_tokens(pair):
+                add(form, 1)
         analysis = self.analyses[language][word]
         lex = self.lexicons[language]
         for morph in analysis.morphs:
@@ -507,7 +501,8 @@ class CognateModel:
         return fresh["a"], fresh["b"], fresh_edits
 
     def recompute_from_scratch(self) -> float:
-        """Rebuild all statistics from the analyses and return the total cost.
+        """Rebuild all statistics from the analyses and return the total cost
+        they give; the model's own lexicons are only read.
 
         Raises ModelIntegrityError if the rebuilt state disagrees with the
         cached one (exact count mismatch, or cached float sums off by more
@@ -532,10 +527,4 @@ class CognateModel:
                     raise ModelIntegrityError(
                         "%s %s drifted: cached %.17g vs fresh %.17g" % (name, attr, c, f)
                     )
-        saved = self.lexicons, self.edit_lexicon
-        try:
-            self.lexicons = {"a": fresh_a, "b": fresh_b}
-            self.edit_lexicon = fresh_e
-            return self.total_cost()
-        finally:
-            self.lexicons, self.edit_lexicon = saved
+        return self.weigh(fresh_a.costs(), fresh_b.costs(), fresh_e.costs())

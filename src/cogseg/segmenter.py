@@ -126,8 +126,28 @@ def join_morphs(morphs, joiner: str) -> str:
     return " ".join(m + joiner for m in morphs[:-1]) + " " + morphs[-1]
 
 
+def map_lines(lines, transform):
+    """The line loop of every stdin command; yields transform(text) plus
+    the line's own terminator for each line, so an unterminated last line
+    stays unterminated. An error at line N stops the stream after lines
+    1..N-1; I/O and decoding failures are reported with the offending line
+    number. A text stream decodes a chunk ahead, so a line that is not
+    UTF-8 stops the stream before the earlier lines of its chunk too.
+    """
+    lineno = 0
+    try:
+        for lineno, line in enumerate(lines, 1):
+            text = line.rstrip("\r\n")
+            yield transform(text) + line[len(text):]
+    except (OSError, UnicodeError) as exc:
+        if isinstance(exc, UnicodeDecodeError):  # text streams decode a chunk ahead
+            lineno += exc.object.count(b"\n", 0, exc.start)
+        raise CogsegError("line %d: %s" % (lineno + 1, exc)) from exc
+
+
 def segment_lines(lines, token_morphs, config: SegmenterConfig):
-    """The token loop of every apply command; yields output lines.
+    """The token loop of every apply command, run by map_lines; yields
+    output lines.
 
     Lines are split on single spaces. Empty tokens, target tags and tokens
     holding other whitespace pass through unsplit; any other token becomes
@@ -135,11 +155,7 @@ def segment_lines(lines, token_morphs, config: SegmenterConfig):
     depends on the token alone, so each call keeps one memo and a repeated
     token is rendered once; token_morphs runs once per distinct token
     (while it stays among the memo's 2^16 most recent). Each line keeps its
-    terminator, so unjoin restores the input byte for byte. An error at line
-    N stops the stream after lines 1..N-1; I/O and decoding failures are
-    reported with the offending line number. A text stream decodes a chunk
-    ahead, so a line that is not UTF-8 stops the stream before the earlier
-    lines of its chunk too.
+    terminator, so unjoin restores the input byte for byte.
     """
     joiner = config.joiner
 
@@ -153,15 +169,7 @@ def segment_lines(lines, token_morphs, config: SegmenterConfig):
             return token
         return join_morphs(token_morphs(token), joiner)
 
-    lineno = 0
-    try:
-        for lineno, line in enumerate(lines, 1):
-            text = line.rstrip("\r\n")
-            yield " ".join(map(render, text.split(" "))) + line[len(text):]
-    except (OSError, UnicodeError) as exc:
-        if isinstance(exc, UnicodeDecodeError):  # text streams decode a chunk ahead
-            lineno += exc.object.count(b"\n", 0, exc.start)
-        raise CogsegError("line %d: %s" % (lineno + 1, exc)) from exc
+    return map_lines(lines, lambda text: " ".join(map(render, text.split(" "))))
 
 
 def segment_corpus(

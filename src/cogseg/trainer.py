@@ -54,7 +54,9 @@ class TrainingParams:
     """Settings of initialize and train. initialize builds the model from
     alpha, edit_weight, edit_mode, dampening and rng_seed; train reads only
     max_epochs, convergence_threshold and record_steps, so a loaded model
-    keeps its own alpha, edit weight, edit mode, dampening and seed."""
+    keeps its own alpha, edit weight, edit mode, dampening and seed. Every
+    setting is checked on construction, the five model settings by the
+    CognateModel constructor."""
 
     alpha: float = 0.01
     edit_weight: float = 10.0
@@ -66,6 +68,7 @@ class TrainingParams:
     record_steps: bool = False
 
     def __post_init__(self):
+        _empty_model(self)
         if self.max_epochs < 1:
             raise ContractError("max_epochs must be at least 1, got %r" % self.max_epochs)
         threshold = self.convergence_threshold
@@ -108,6 +111,18 @@ class TrainingReport:
         return self.epochs[-1].total_cost if self.epochs else self.initial_cost
 
 
+def _empty_model(params: TrainingParams) -> CognateModel:
+    """A model of the five model settings of params; the constructor checks
+    them."""
+    return CognateModel(
+        alpha=params.alpha,
+        edit_weight=params.edit_weight,
+        edit_mode=params.edit_mode,
+        seed=params.rng_seed,
+        dampening=params.dampening,
+    )
+
+
 def initialize(corpus_a, corpus_b, pairs, params: TrainingParams) -> CognateModel:
     """Build a whole-word-analyzed model from word-count tables.
 
@@ -116,13 +131,7 @@ def initialize(corpus_a, corpus_b, pairs, params: TrainingParams) -> CognateMode
     words of a pair must occur in their corpora and no word may belong to
     two pairs.
     """
-    model = CognateModel(
-        alpha=params.alpha,
-        edit_weight=params.edit_weight,
-        edit_mode=params.edit_mode,
-        seed=params.rng_seed,
-        dampening=params.dampening,
-    )
+    model = _empty_model(params)
 
     def effective(count):
         if count < 1:
@@ -330,7 +339,6 @@ def train(model: CognateModel, params: TrainingParams, epoch_callback=None) -> T
                 units.append(((lang, word),))
     for pair in model.pairs:
         units.append((("a", pair.word_a), ("b", pair.word_b)))
-    _edit_forms.fit(len(units))
 
     prev = model.total_cost()
     report = TrainingReport(initial_cost=prev)

@@ -8,7 +8,8 @@ must reproduce bit for bit, and the search oracle enumerates every
 admissible configuration; the unbounded search scores every split
 combination of a cognate pair. The token-loop oracle renders every token on
 its own, with no memo, and the Viterbi oracle pulls every slice of the word
-from the lexicon's counts. The rebuilt lexicon is the package's own CountLexicon
+from the lexicon's counts. The fixpoint span extension repeats its growing
+and merging until nothing changes. The rebuilt lexicon is the package's own CountLexicon
 fed each form once, the reference for a history of adds and removes.
 """
 
@@ -624,3 +625,55 @@ def score_every_pair_search(model, unit):
 
     rec(unit[0][1], unit[1][1] if len(unit) > 1 else None)
     return [Analysis(r.word, tuple(m), r.count) for r, m in zip(records, (morphs_a, morphs_b))]
+
+
+def fixpoint_extend_and_remerge(a, b, spans):
+    """edits._extend_and_remerge as it was before it ran one pass: the
+    growing of one-sided spans and the merging of adjacent ones repeat
+    until a whole round changes nothing. Spans are [a0, a1, b0, b1) lists
+    and are updated in place."""
+    changed = True
+    while changed:
+        changed = False
+        for k, span in enumerate(spans):
+            a0, a1, b0, b1 = span
+            lhs_empty = a0 == a1
+            rhs_empty = b0 == b1
+            if lhs_empty == rhs_empty:
+                continue
+            nonempty = a[a0:a1] if rhs_empty else b[b0:b1]
+            prev = spans[k - 1] if k > 0 else None
+            nxt = spans[k + 1] if k + 1 < len(spans) else None
+            can_left = (
+                a0 > 0
+                and b0 > 0
+                and a[a0 - 1] == b[b0 - 1]
+                and a[a0 - 1] in nonempty
+                and (prev is None or (prev[1] < a0 and prev[3] < b0))
+            )
+            if can_left:
+                span[0] = a0 - 1
+                span[2] = b0 - 1
+                changed = True
+                continue
+            can_right = (
+                a1 < len(a)
+                and b1 < len(b)
+                and a[a1] == b[b1]
+                and a[a1] in nonempty
+                and (nxt is None or (a1 < nxt[0] and b1 < nxt[2]))
+            )
+            if can_right:
+                span[1] = a1 + 1
+                span[3] = b1 + 1
+                changed = True
+        merged = []
+        for span in spans:
+            if merged and merged[-1][1] == span[0] and merged[-1][3] == span[2]:
+                merged[-1][1] = span[1]
+                merged[-1][3] = span[3]
+                changed = True
+            else:
+                merged.append(span)
+        spans = merged
+    return spans

@@ -218,6 +218,13 @@ class TestSegmentCommands:
         assert code == 0
         assert out == "<to_et> tere\n<to_et> \n"
 
+    def test_prep_tag_keeps_each_line_terminator(self, workspace, monkeypatch):
+        code, out, _ = run_cli(
+            ["prep-tag", "--lang", "et"], stdin_text="tere\r\nmaa", monkeypatch=monkeypatch
+        )
+        assert code == 0
+        assert out == "<to_et> tere\r\n<to_et> maa"
+
     def test_prep_tag_unknown_language(self, workspace, monkeypatch):
         code, _, err = run_cli(
             ["prep-tag", "--lang", "xx"], stdin_text="tere\n", monkeypatch=monkeypatch
@@ -491,6 +498,24 @@ class TestErrors:
 
     @pytest.mark.parametrize(
         "argv",
+        [["train-mono", "--corpus", "missing.txt"],
+         ["train", "--corpus-a", "missing.txt", "--corpus-b", "missing.txt"]],
+        ids=["train-mono", "train"],
+    )
+    def test_bad_config_value_rejected_before_corpus_read(self, workspace, monkeypatch,
+                                                          argv):
+        config = workspace / "config.json"
+        config.write_text('{"edit_mode": "bogus"}', encoding="utf-8")
+        argv = [str(workspace / a) if a.endswith(".txt") else a for a in argv]
+        code, _, err = run_cli(
+            argv + ["--config", str(config), "--out", str(workspace / "model")],
+            monkeypatch=monkeypatch,
+        )
+        payload = error_payload(code, err)
+        assert payload == {"error": "ContractError", "message": "unknown edit mode 'bogus'"}
+
+    @pytest.mark.parametrize(
+        "argv",
         [["train-mono", "--corpus", "a.txt", "--alpha", "nan"],
          ["train", "--corpus-a", "a.txt", "--corpus-b", "b.txt", "--edit-weight", "inf"],
          # The training settings are checked before any corpus is read.
@@ -498,9 +523,15 @@ class TestErrors:
          ["train-mono", "--corpus", "missing.txt", "--max-epochs", "0"],
          ["train", "--corpus-a", "missing.txt", "--corpus-b", "missing.txt",
           "--convergence", "nan"],
-         ["train-mono", "--corpus", "missing.txt", "--convergence", "-1"]],
+         ["train-mono", "--corpus", "missing.txt", "--convergence", "-1"],
+         ["train", "--corpus-a", "missing.txt", "--corpus-b", "missing.txt", "--alpha", "-1"],
+         ["train", "--corpus-a", "missing.txt", "--corpus-b", "missing.txt",
+          "--alpha", "nan"],
+         ["train", "--corpus-a", "missing.txt", "--corpus-b", "missing.txt",
+          "--edit-weight", "0"]],
         ids=["alpha-nan", "edit-weight-inf", "max-epochs-negative", "max-epochs-zero",
-             "convergence-nan", "convergence-negative"],
+             "convergence-nan", "convergence-negative", "missing-corpus-alpha-negative",
+             "missing-corpus-alpha-nan", "missing-corpus-edit-weight-zero"],
     )
     def test_non_finite_weight_rejected(self, workspace, monkeypatch, argv):
         argv = [str(workspace / a) if a.endswith(".txt") else a for a in argv]
@@ -578,5 +609,4 @@ class TestErrors:
         code, _, err = run_cli(argv, stdin_text=b"kala\nkala k\xe4si\nkala\n",
                                monkeypatch=monkeypatch)
         payload = error_payload(code, err)
-        if command != "prep-tag":
-            assert payload["message"].startswith("line 2: ")
+        assert payload["message"].startswith("line 2: ")

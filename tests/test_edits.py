@@ -1,3 +1,4 @@
+import copy
 import itertools
 import random
 from dataclasses import astuple
@@ -11,6 +12,9 @@ from cogseg.edits import (
     MATCH,
     Edit,
     EditFormCache,
+    _edit_spans,
+    _suffix_table,
+    _traceback,
     apply_edit_script,
     edit_forms,
     extract_edits,
@@ -19,7 +23,7 @@ from cogseg.edits import (
 )
 from cogseg.errors import ContractError
 
-from oracles import brute_alignment, brute_levenshtein
+from oracles import brute_alignment, brute_levenshtein, fixpoint_extend_and_remerge
 
 WORDS = st.text(alphabet="abcdeöüõy", max_size=10)
 
@@ -221,6 +225,54 @@ class TestEditFormCache:
         assert cache.cache_info() == (2, 2, 16, 2)
         cache.cache_clear()
         assert cache.cache_info() == (0, 0, 16, 0)
+
+
+def non_match_runs(ops):
+    """Spans [a0, a1, b0, b1) of the maximal runs of non-match letters in
+    the alignment letters ops."""
+    runs, i, j, inside = [], 0, 0, False
+    for letter in ops:
+        if letter == "m":
+            inside = False
+        elif not inside:
+            runs.append([i, i, j, j])
+            inside = True
+        i += letter != "i"
+        j += letter != "d"
+        if inside:
+            runs[-1][1], runs[-1][3] = i, j
+    return runs
+
+
+def span_pairs():
+    """Every pair over {a,b} up to length 6 and over {a,b,c} up to length
+    4, then 5,000 seeded random pairs up to length 12."""
+    for alphabet, longest in (("ab", 6), ("abc", 4)):
+        words = [
+            "".join(w) for n in range(longest + 1) for w in itertools.product(alphabet, repeat=n)
+        ]
+        yield from itertools.product(words, repeat=2)
+    rng = random.Random(15)
+    for _ in range(5000):
+        alphabet = "abcd"[: rng.randint(2, 4)]
+        yield tuple(
+            "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 12))) for _ in range(2)
+        )
+
+
+class TestExtendAndRemerge:
+    def test_one_pass_equals_fixpoint(self):
+        grown = merged = 0
+        for a, b in span_pairs():
+            ops = _traceback(a, b, _suffix_table(a, b))
+            runs = non_match_runs(ops)
+            expected = fixpoint_extend_and_remerge(a, b, copy.deepcopy(runs))
+            assert _edit_spans(a, b, ops) == expected, (a, b)
+            grown += expected != runs
+            merged += len(expected) < len(runs)
+        # Of the 35,770 pairs, growing changes the spans of 6,838 and
+        # merging joins two spans in 817.
+        assert grown > 5000 and merged > 500
 
 
 class TestApplyScript:

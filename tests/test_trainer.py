@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from cogseg.edits import edit_forms, extract_edits
+from cogseg.edits import MAX_ENTRIES, edit_forms, extract_edits
 from cogseg.errors import ContractError
 from cogseg.model import Analysis, CognatePair, aligned_edit_tokens
 from cogseg.serialization import load_model, save_model
@@ -22,6 +22,19 @@ from oracles import exhaustive_minimum, segmentations
 
 def default_params(**kwargs):
     return TrainingParams(**kwargs)
+
+
+class TestTrainingParams:
+    @pytest.mark.parametrize(
+        "settings",
+        [{"alpha": 0}, {"alpha": math.nan}, {"edit_weight": -1.0}, {"edit_mode": "bogus"},
+         {"dampening": "sqrt"}, {"rng_seed": 1.5}],
+        ids=["alpha-zero", "alpha-nan", "edit-weight-negative", "edit-mode", "dampening",
+             "seed"],
+    )
+    def test_bad_model_setting_rejected_on_construction(self, settings):
+        with pytest.raises(ContractError):
+            TrainingParams(**settings)
 
 
 class TestInitialize:
@@ -271,6 +284,12 @@ class TestTrain:
         assert logged[0].endswith(
             "s, edit cache %d hits %d misses" % (first.edit_cache_hits, first.edit_cache_misses)
         )
+
+    def test_train_leaves_the_edit_cache_bound_alone(self):
+        params = default_params(alpha=0.5, rng_seed=1, max_epochs=1)
+        corpora = TestPinnedTraining
+        train(initialize(corpora.CORPUS_A, corpora.CORPUS_B, corpora.PAIRS, params), params)
+        assert edit_forms.cache_info().maxsize == MAX_ENTRIES
 
     def test_monolingual_epochs_look_up_no_edits(self):
         params = default_params(alpha=0.5, rng_seed=1, max_epochs=2, convergence_threshold=0.0)
