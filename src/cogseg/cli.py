@@ -69,9 +69,12 @@ def _load_config(path) -> dict:
 
 def _training_params(args) -> trainer.TrainingParams:
     """flags > config file > defaults, for the seven training settings; a
-    config key that names none of them is rejected. Reads only the config
-    file, so a caller checks its settings before reading any corpus."""
+    config key that names none of them, or whose value does not have the
+    setting's JSON type, is rejected. Reads only the config file, so a
+    caller checks its settings before reading any corpus."""
     # Each config key (the flag's dest) with its TrainingParams field and type.
+    # A float setting takes any JSON number, an int setting a JSON integer, a
+    # str setting a JSON string; a bool (an int to Python) is none of them.
     fields = {
         "alpha": ("alpha", float),
         "edit_weight": ("edit_weight", float),
@@ -92,9 +95,12 @@ def _training_params(args) -> trainer.TrainingParams:
         value = getattr(args, key, None)
         if value is None:
             value = config.get(key, getattr(default, name))
+        json_types = (int, float) if kind is float else kind
         try:
+            if isinstance(value, bool) or not isinstance(value, json_types):
+                raise TypeError
             settings[name] = kind(value)
-        except (TypeError, ValueError):
+        except (TypeError, OverflowError):  # float() of a JSON integer can overflow
             raise CogsegError("bad value %r for %r" % (value, key)) from None
     return trainer.TrainingParams(**settings)
 
@@ -180,10 +186,8 @@ def cmd_segment_source(args):
 
 
 def cmd_prep_tag(args):
-    targets = tuple(args.targets.split(","))
-    sys.stdout.writelines(segmenter.map_lines(
-        sys.stdin, lambda text: segmenter.prefix_target_tag(text, args.lang, targets)
-    ))
+    prefix = segmenter.target_tag(args.lang, tuple(args.targets.split(","))) + " "
+    sys.stdout.writelines(segmenter.map_lines(sys.stdin, lambda text: prefix + text))
 
 
 def cmd_bpe_train(args):

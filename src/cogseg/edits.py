@@ -2,17 +2,17 @@
 
 Edits describe how a morph in language 1 is rewritten into its counterpart
 in language 2 as a pair of substrings (lhs -> rhs), with positions dropped.
-They are produced in three steps: minimal alignment, merging of adjacent
-non-match operations, and extension of one-sided edits over a neighboring
-unchanged character (so a lengthened sound becomes 'a -> aa' rather than
-the harder-to-reuse ' -> a').
+They are produced in two steps: minimal alignment, then one pass over its
+runs of non-match operations that extends each one-sided run over a
+neighboring unchanged character (so a lengthened sound becomes 'a -> aa'
+rather than the harder-to-reuse ' -> a') and merges runs that come to touch.
 
 One alignment table serves distance, alignment and edits:
 levenshtein_distance reads the cost from its first cell. One traceback
 walks the table and writes the operations as a string of letters; it can
 start from any cell, since cell (i, j) of the table of (a, b) holds the
 alignment of a[i:] with b[j:]. levenshtein_align
-turns those letters into AlignmentOps; _edit_spans merges their non-match
+turns those letters into AlignmentOps; _edit_spans turns their non-match
 runs into spans. edit_forms, an EditFormCache with one fixed bound of
 MAX_ENTRIES (2^20) entries, builds the serialized forms from the spans: the
 one edit path that training, the model's pair bookkeeping, the recount and
@@ -248,74 +248,51 @@ _NON_MATCH_RUN = re.compile("[^m]+")
 
 def _edit_spans(a: str, b: str, ops: str) -> list[list[int]]:
     """Spans [a0, a1, b0, b1) of the edits rewriting a into b, given the
-    alignment letters ops of a with b: its runs of non-match operations,
-    extended and re-merged."""
+    alignment letters ops of a with b, in one pass over its non-match runs.
+
+    Each run becomes a span. A one-sided span (a pure delete or insert run)
+    grows over the matched character on its left, or else on its right,
+    when its non-empty side contains that character; a run is flanked by
+    matches except at the ends of the alignment. A span that touches the
+    previous one is joined to it.
+
+    No span looks at a neighbour that is not finished: a check that the
+    neighbour has not claimed the character first would never fail.
+    - Right (a1 < next a0 and b1 < next b0): the next run is not yet
+      processed, and at least one match separates two runs on both sides.
+    - Left (previous a1 < a0 and previous b1 < b0): the previous span
+      takes the single match c between the two spans only by growing right
+      over it. That needs both spans to be one-sided, with c on each
+      span's non-empty side. On the same side, matching at the first c of
+      the previous run costs the same with no more runs, and the
+      left-to-right match preference picks it. On opposite sides,
+      aligning through the c's is strictly cheaper.
+    """
     spans: list[list[int]] = []
     i = j = end = 0
     for run in _NON_MATCH_RUN.finditer(ops):
         # Everything between the previous run and this one is matches.
         start = run.start()
-        i += start - end
-        j += start - end
+        a0 = i = i + start - end
+        b0 = j = j + start - end
         end = run.end()
         letters = run.group()
-        a1 = i + end - start - letters.count("i")
-        b1 = j + end - start - letters.count("d")
-        spans.append([i, a1, j, b1])
-        i, j = a1, b1
-    return _extend_and_remerge(a, b, spans)
-
-
-def _extend_and_remerge(a: str, b: str, spans: list[list[int]]) -> list[list[int]]:
-    """Grow one-sided spans over a neighboring equal character, then merge
-    spans that became adjacent.
-
-    A neighbor is eligible when it is an unchanged (matched) character, the
-    non-empty side of the edit contains it, and it is not already claimed by
-    the adjacent span. The left neighbor is preferred over the right.
-
-    One pass of each reaches the fixed point. A span that grows gains its
-    second side, so it never grows again. A one-sided span that cannot grow
-    never can: its neighbors' characters and the left span it was checked
-    against stay as they are, and the right span can only grow towards it.
-    The input spans are maximal non-match runs, so only grown spans can
-    become adjacent, and one merge pass joins every such chain.
-    """
-    for k, span in enumerate(spans):
-        a0, a1, b0, b1 = span
-        lhs_empty = a0 == a1
-        rhs_empty = b0 == b1
-        if lhs_empty == rhs_empty:
-            continue
-        nonempty = a[a0:a1] if rhs_empty else b[b0:b1]
-        prev = spans[k - 1] if k > 0 else None
-        nxt = spans[k + 1] if k + 1 < len(spans) else None
-        if (
-            a0 > 0
-            and b0 > 0
-            and a[a0 - 1] == b[b0 - 1]
-            and a[a0 - 1] in nonempty
-            and (prev is None or (prev[1] < a0 and prev[3] < b0))
-        ):
-            span[0] = a0 - 1
-            span[2] = b0 - 1
-        elif (
-            a1 < len(a)
-            and b1 < len(b)
-            and a[a1] == b[b1]
-            and a[a1] in nonempty
-            and (nxt is None or (a1 < nxt[0] and b1 < nxt[2]))
-        ):
-            span[1] = a1 + 1
-            span[3] = b1 + 1
-    merged: list[list[int]] = []
-    for span in spans:
-        if merged and merged[-1][1] == span[0] and merged[-1][3] == span[2]:
-            merged[-1][1] = span[1]
-            merged[-1][3] = span[3]
+        a1 = i = a0 + end - start - letters.count("i")
+        b1 = j = b0 + end - start - letters.count("d")
+        if (a0 == a1) != (b0 == b1):
+            nonempty = a[a0:a1] or b[b0:b1]
+            if start and a[a0 - 1] in nonempty:
+                a0 -= 1
+                b0 -= 1
+            elif end < len(ops) and a[a1] in nonempty:
+                a1 += 1
+                b1 += 1
+        if spans and spans[-1][1] == a0 and spans[-1][3] == b0:
+            spans[-1][1] = a1
+            spans[-1][3] = b1
         else:
-            merged.append(span)
-    return merged
+            spans.append([a0, a1, b0, b1])
+    return spans
 
 
 def _spans(a: str, b: str) -> list[list[int]]:

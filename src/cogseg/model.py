@@ -337,7 +337,9 @@ class CognateModel:
         """The total cost from the (lexicon cost, corpus cost) of lexicon a,
         lexicon b and the edit lexicon. costs_edits is not read in the
         count-only mode. Increasing in every cost term it reads, since
-        alpha and edit_weight are positive."""
+        alpha and edit_weight are positive. Bitwise symmetric in costs_a and
+        costs_b, since IEEE addition is commutative: swapping them swaps the
+        operands of two additions only."""
         lexicon_a, corpus_a = costs_a
         lexicon_b, corpus_b = costs_b
         cost = lexicon_a + lexicon_b + self.alpha * (corpus_a + corpus_b)

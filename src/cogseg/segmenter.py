@@ -216,10 +216,15 @@ def override_source_segmentation(
     return viterbi_segment(source_model.lexicons["a"], word)
 
 
-def prefix_target_tag(sentence: str, language_id: str, targets=("et", "fi")) -> str:
-    """Prefix the target-language pseudo-token: "<to_XX> " + sentence."""
+def target_tag(language_id: str, targets=("et", "fi")) -> str:
+    """The target-language pseudo-token "<to_XX>" of a configured language."""
     if language_id not in targets:
         raise ContractError(
             "unknown target language %r (configured: %s)" % (language_id, ", ".join(targets))
         )
-    return "<to_%s> %s" % (language_id, sentence)
+    return "<to_%s>" % language_id
+
+
+def prefix_target_tag(sentence: str, language_id: str, targets=("et", "fi")) -> str:
+    """Prefix the target-language pseudo-token: "<to_XX> " + sentence."""
+    return target_tag(language_id, targets) + " " + sentence

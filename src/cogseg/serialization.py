@@ -188,6 +188,7 @@ def load_model(path) -> CognateModel:
 
     model = CognateModel(**settings)
 
+    pair_rows = []
     for line_no, line in sections["PAIRS"]:
         fields = line.split("\t")
         if len(fields) != 4:
@@ -196,10 +197,12 @@ def load_model(path) -> CognateModel:
         word_b = unescape_field(fields[1], path, line_no)
         count_a = parse_positive(fields[2], path, line_no)
         count_b = parse_positive(fields[3], path, line_no)
+        pair = CognatePair(word_a, word_b, count_a, count_b)
         try:
-            model.register_pair(CognatePair(word_a, word_b, count_a, count_b))
+            model.register_pair(pair)
         except CogsegError as exc:
             raise FormatError(str(exc), path, line_no) from exc
+        pair_rows.append((line_no, pair))
 
     for lang, name in (("a", "ANALYSES-A"), ("b", "ANALYSES-B")):
         for line_no, line in sections[name]:
@@ -216,7 +219,7 @@ def load_model(path) -> CognateModel:
             except CogsegError as exc:
                 raise FormatError(str(exc), path, line_no) from exc
 
-    for pair in model.pairs:
+    for line_no, pair in pair_rows:
         for lang, word, count in (
             ("a", pair.word_a, pair.count_a),
             ("b", pair.word_b, pair.count_b),
@@ -224,14 +227,14 @@ def load_model(path) -> CognateModel:
             analysis = model.analyses[lang].get(word)
             if analysis is None:
                 raise FormatError(
-                    "pair word %r has no analysis in %s" % (word, lang), path, None
+                    "pair word %r has no analysis in %s" % (word, lang), path, line_no
                 )
             if analysis.count != count:
                 raise FormatError(
                     "pair count %d disagrees with analysis count %d for %r"
                     % (count, analysis.count, word),
                     path,
-                    None,
+                    line_no,
                 )
 
     for name, lexicon in (

@@ -194,12 +194,10 @@ def _search(model: CognateModel, unit) -> list[Analysis]:
         full = model.edit_mode == EDIT_MODE_FULL
     else:
         # A word changes one lexicon; the other two cost what they cost.
-        others = {lang: lex.costs() for lang, lex in model.lexicons.items()}
-        others["edits"] = model.edit_lexicon.costs()
-
-        def weigh_word(costs_a):
-            others[language] = costs_a
-            return weigh(others["a"], others["b"], others["edits"])
+        # weigh is symmetric in its a and b costs, so the word's lexicon
+        # goes first whichever language it is.
+        costs_other = model.lexicons["b" if language == "a" else "a"].costs()
+        costs_edits = model.edit_lexicon.costs()
 
     morphs_a, morphs_b = [], []
 
@@ -214,9 +212,9 @@ def _search(model: CognateModel, unit) -> list[Analysis]:
         split = None
         if b is None:
             if len(a) > 1:
-                best = weigh_word(score_a((a,), count_a))
+                best = weigh(score_a((a,), count_a), costs_other, costs_edits)
                 for i in range(1, len(a)):
-                    cost = weigh_word(score_a((a[:i], a[i:]), count_a))
+                    cost = weigh(score_a((a[:i], a[i:]), count_a), costs_other, costs_edits)
                     if cost <= best:
                         best, split = cost, (i, None)
         else:

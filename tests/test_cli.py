@@ -226,11 +226,14 @@ class TestSegmentCommands:
         assert out == "<to_et> tere\r\n<to_et> maa"
 
     def test_prep_tag_unknown_language(self, workspace, monkeypatch):
-        code, _, err = run_cli(
-            ["prep-tag", "--lang", "xx"], stdin_text="tere\n", monkeypatch=monkeypatch
-        )
-        assert code == 1
-        assert json.loads(err)["error"] == "ContractError"
+        # The language is checked before the first line is read, so empty
+        # input is rejected too.
+        for stdin_text in ("tere\n", ""):
+            code, out, err = run_cli(
+                ["prep-tag", "--lang", "xx"], stdin_text=stdin_text, monkeypatch=monkeypatch
+            )
+            assert error_payload(code, err)["error"] == "ContractError"
+            assert out == ""
 
 
 def train_merges(workspace, monkeypatch):
@@ -463,9 +466,12 @@ class TestErrors:
 
     @pytest.mark.parametrize(
         "text", ["{alpha", '"alpha"', '{"alpha": "x"}', '{"seed": null}', '{"alpha": NaN}',
-                 '{"max_epochs": -3}', '{"alhpa": 0.5}', '{"max-epochs": 0}'],
+                 '{"max_epochs": -3}', '{"alhpa": 0.5}', '{"max-epochs": 0}',
+                 '{"max_epochs": 2.7}', '{"seed": true}', '{"alpha": "0.5"}',
+                 '{"alpha": 1%s}' % ("0" * 400)],
         ids=["malformed", "not-an-object", "non-numeric", "null", "nan", "negative-epochs",
-             "misspelled-key", "flag-spelled-key"],
+             "misspelled-key", "flag-spelled-key", "fractional-int", "bool-int",
+             "numeric-string", "float-overflow"],
     )
     def test_bad_config_rejected(self, workspace, monkeypatch, text):
         config = workspace / "config.json"

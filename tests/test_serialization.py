@@ -179,6 +179,21 @@ class TestValidation:
             load_model(path)
         assert str(err.value).startswith("%s:%d: repeated row" % (path, index + 1))
 
+    @pytest.mark.parametrize(
+        "row, reason",
+        [("talo\ttaluu\t5\t3", "pair word 'taluu' has no analysis in b"),
+         ("talo\ttalu\t4\t3", "pair count 4 disagrees with analysis count 5 for 'talo'")],
+        ids=["no-analysis", "count"],
+    )
+    def test_pair_disagreeing_with_analyses_rejected_at_its_row(self, tmp_path, row, reason):
+        path = self.make_file(tmp_path)
+        text = path.read_text(encoding="utf-8")
+        assert text.splitlines()[15] == "talo\ttalu\t5\t3"
+        path.write_text(text.replace("talo\ttalu\t5\t3", row), encoding="utf-8")
+        with pytest.raises(FormatError) as err:
+            load_model(path)
+        assert str(err.value) == "%s:16: %s" % (path, reason)
+
     def test_lexicon_disagreeing_with_analyses_rejected(self, tmp_path):
         path = self.make_file(tmp_path)
         text = path.read_text(encoding="utf-8")
