@@ -37,8 +37,13 @@ def load_word_counts(path) -> dict[str, int]:
     counts: collections.Counter = collections.Counter()
     with open_text(path) as stream:
         for line in stream:
-            for token in line.split():
-                counts[validate_token(token)] += 1
+            tokens = line.split()
+            # No reserved substring holds whitespace, so a line without one
+            # holds no offending token; a line with one raises at its first.
+            if any(bad in line for bad in RESERVED_SUBSTRINGS):
+                for token in tokens:
+                    validate_token(token)
+            counts.update(tokens)
     if not counts:
         raise CogsegError("corpus %s contains no tokens" % path)
     return dict(counts)

@@ -51,14 +51,17 @@ def levenshtein_threshold(len_a: int, len_b: int, short_len: int = 4) -> int:
 
 def filter_pairs(pairs, min_count: int = 2, short_len: int = 4) -> list[AlignedPair]:
     """Apply the count, character (excluded_char) and distance filters."""
+    pairs = [pair for pair in pairs if pair.count >= min_count]
+    alphabet = set("".join(pair.word_a + pair.word_b for pair in pairs))
+    excluded = {ch for ch in alphabet if excluded_char(ch)}
     kept = []
     for pair in pairs:
-        if pair.count < min_count:
+        word_a, word_b = pair.word_a, pair.word_b
+        if not (excluded.isdisjoint(word_a) and excluded.isdisjoint(word_b)):
             continue
-        if any(excluded_char(ch) for ch in pair.word_a + pair.word_b):
-            continue
-        limit = levenshtein_threshold(len(pair.word_a), len(pair.word_b), short_len)
-        if levenshtein_distance(pair.word_a, pair.word_b) > limit:
+        limit = levenshtein_threshold(len(word_a), len(word_b), short_len)
+        # The distance is at least the length difference.
+        if abs(len(word_a) - len(word_b)) > limit or levenshtein_distance(word_a, word_b) > limit:
             continue
         kept.append(pair)
     return kept

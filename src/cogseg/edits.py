@@ -8,7 +8,8 @@ neighboring unchanged character (so a lengthened sound becomes 'a -> aa'
 rather than the harder-to-reuse ' -> a') and merges runs that come to touch.
 
 One alignment table serves distance, alignment and edits:
-levenshtein_distance reads the cost from its first cell. One traceback
+levenshtein_distance reads the cost from its first cell (after stripping
+the common prefix and suffix, which only the distance may do). One traceback
 walks the table and writes the operations as a string of letters; it can
 start from any cell, since cell (i, j) of the table of (a, b) holds the
 alignment of a[i:] with b[j:]. levenshtein_align
@@ -128,9 +129,24 @@ class EditScript:
 
 def levenshtein_distance(a: str, b: str) -> int:
     """Plain unit-cost edit distance: the cost packed above the run count
-    in cell (0, 0) of the alignment table of a with b."""
+    in cell (0, 0) of the alignment table of the parts of a and b that
+    differ.
+
+    Stripping a common prefix and suffix never changes the plain distance.
+    It can change which alignment the tie-break picks, so the alignment and
+    the edits are always taken from the whole strings.
+    """
     if a == b:
         return 0
+    shorter = min(len(a), len(b))
+    start = 0
+    while start < shorter and a[start] == b[start]:
+        start += 1
+    end = 0
+    while end < shorter - start and a[-1 - end] == b[-1 - end]:
+        end += 1
+    a = a[start : len(a) - end]
+    b = b[start : len(b) - end]
     table0, _, one = _suffix_table(a, b)
     return table0[0][0] // one
 

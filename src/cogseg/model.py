@@ -16,12 +16,14 @@ In the "count-only" mode the edit terms are dropped from the cost but edit
 bookkeeping is still maintained, so reports and the equal-morph-count
 constraint behave identically.
 
-All bookkeeping is incremental; ``recompute_from_scratch`` is the oracle
-guarding it.
+Training's bookkeeping is incremental; ``recompute_from_scratch`` is the
+oracle guarding it. A loaded model is counted by the same bulk recount
+(``recount``).
 """
 
 from __future__ import annotations
 
+import collections
 import math
 from dataclasses import dataclass
 
@@ -51,6 +53,11 @@ _lgamma = math.lgamma
 # it.
 _XLOGX_SIZE = 1 << 14
 XLOGX = [0.0] + [n * _log(n) for n in range(1, _XLOGX_SIZE)]
+
+
+def _xlogx(n: int) -> float:
+    """n * ln(n) for a count n >= 1."""
+    return XLOGX[n] if n < _XLOGX_SIZE else n * _log(n)
 
 
 def dampen_count(count: int) -> int:
@@ -126,6 +133,28 @@ class CountLexicon:
         self.char_tokens = 0
         self.log_char_sum = 0.0
         self._trie = None
+
+    @classmethod
+    def from_counts(cls, counts: dict[str, int]) -> "CountLexicon":
+        """A lexicon holding counts, a dict of form to positive count, which
+        it keeps as its own.
+
+        Each statistic is summed in one pass over the forms or over the
+        characters. The float sums are math.fsum's correctly rounded ones,
+        so they depend only on the counts, never on their order; they can
+        differ in the last bits from the sums add() builds up.
+        """
+        lex = cls()
+        lex.counts = counts
+        lex.tokens = sum(counts.values())
+        lex.log_token_sum = math.fsum(map(_xlogx, counts.values()))
+        chars = collections.Counter("".join(counts))
+        if counts:
+            chars[FORM_END] = len(counts)
+        lex.char_counts = dict(chars)
+        lex.char_tokens = sum(chars.values())
+        lex.log_char_sum = math.fsum(map(_xlogx, chars.values()))
+        return lex
 
     @property
     def types(self) -> int:
@@ -260,16 +289,21 @@ def _costs(types, tokens, token_sum, char_tokens, char_sum) -> tuple[float, floa
     return freq + forms, tokens * _log(tokens) - token_sum
 
 
-def aligned_edit_tokens(analysis_a: Analysis, analysis_b: Analysis) -> tuple[str, ...]:
-    """The edit forms of a pair: morphs are paired up in sequence.
-
-    Both analyses must have the same number of morphs.
-    """
+def check_equal_morph_counts(analysis_a: Analysis, analysis_b: Analysis) -> None:
+    """Raise ContractError unless a pair's analyses have equal morph counts."""
     if len(analysis_a.morphs) != len(analysis_b.morphs):
         raise ContractError(
             "cognate analyses must have equal morph counts: %r / %r"
             % (analysis_a.morphs, analysis_b.morphs)
         )
+
+
+def aligned_edit_tokens(analysis_a: Analysis, analysis_b: Analysis) -> tuple[str, ...]:
+    """The edit forms of a pair: morphs are paired up in sequence.
+
+    Both analyses must have the same number of morphs.
+    """
+    check_equal_morph_counts(analysis_a, analysis_b)
     morph_pairs = zip(analysis_a.morphs, analysis_b.morphs)
     return tuple(form for ma, mb in morph_pairs for form in edit_forms(ma, mb))
 
@@ -393,6 +427,15 @@ class CognateModel:
         self._pair_tokens[pair.key] = tokens
         return tokens
 
+    def insert_analysis(self, analysis: Analysis, language: str) -> None:
+        """Record a word's analysis without counting it; recount() counts
+        the recorded analyses in."""
+        self._check_language(language)
+        table = self.analyses[language]
+        if analysis.word in table:
+            raise ContractError("word %r already analyzed in %s" % (analysis.word, language))
+        table[analysis.word] = analysis
+
     def add_analysis(self, analysis: Analysis, language: str) -> None:
         """Insert and count a word's analysis.
 
@@ -400,18 +443,13 @@ class CognateModel:
         are added atomically (both analyses must have equal morph counts).
         Read the cost with total_cost().
         """
-        self._check_language(language)
-        word = analysis.word
-        table = self.analyses[language]
-        if word in table:
-            raise ContractError("word %r already analyzed in %s" % (word, language))
-        table[word] = analysis
+        self.insert_analysis(analysis, language)
         try:
-            self.attach_word(word, language)
+            self.attach_word(analysis.word, language)
         except ContractError:
             # attach_word raises before any count changes; a rejected call
             # leaves no trace.
-            del table[word]
+            del self.analyses[language][analysis.word]
             raise
 
     def remove_analysis(self, word: str, language: str) -> None:
@@ -485,22 +523,41 @@ class CognateModel:
 
     # -- integrity -------------------------------------------------------
 
-    def _rebuild(self) -> tuple[CountLexicon, CountLexicon, CountLexicon]:
-        fresh = {"a": CountLexicon(), "b": CountLexicon()}
+    def _rebuild(self):
+        """The lexicons a, b and edits recounted from the recorded analyses
+        with CountLexicon.from_counts, and the edit tokens of each pair whose
+        words are both analyzed, keyed by pair.key."""
+        tallies = {}
         for lang in LANGUAGES:
-            lex = fresh[lang]
+            tally = tallies[lang] = {}
             for analysis in self.analyses[lang].values():
+                count = analysis.count
                 for morph in analysis.morphs:
-                    lex.add(morph, analysis.count)
-        fresh_edits = CountLexicon()
+                    tally[morph] = tally.get(morph, 0) + count
+        edit_tally = {}
+        pair_tokens = {}
         for pair in self.pairs:
             ana_a = self.analyses["a"].get(pair.word_a)
             ana_b = self.analyses["b"].get(pair.word_b)
             if ana_a is None or ana_b is None:
                 continue
-            for form in aligned_edit_tokens(ana_a, ana_b):
-                fresh_edits.add(form, 1)
-        return fresh["a"], fresh["b"], fresh_edits
+            tokens = pair_tokens[pair.key] = aligned_edit_tokens(ana_a, ana_b)
+            for form in tokens:
+                edit_tally[form] = edit_tally.get(form, 0) + 1
+        lexicons = [CountLexicon.from_counts(t) for t in (tallies["a"], tallies["b"], edit_tally)]
+        return lexicons, pair_tokens
+
+    def recount(self) -> None:
+        """Replace every count and cached sum, and each pair's edit tokens,
+        with the recount of the recorded analyses. Afterwards total_cost()
+        equals recompute_from_scratch() bit for bit.
+
+        Raises ContractError, with the model unchanged, if a pair's analyses
+        have unequal morph counts or give an edit Edit would reject.
+        """
+        (lex_a, lex_b, lex_e), self._pair_tokens = self._rebuild()
+        self.lexicons = {"a": lex_a, "b": lex_b}
+        self.edit_lexicon = lex_e
 
     def recompute_from_scratch(self) -> float:
         """Rebuild all statistics from the analyses and return the total cost
@@ -510,7 +567,7 @@ class CognateModel:
         cached one (exact count mismatch, or cached float sums off by more
         than 1e-9 relative).
         """
-        fresh_a, fresh_b, fresh_e = self._rebuild()
+        (fresh_a, fresh_b, fresh_e), _ = self._rebuild()
         for name, cached, fresh in (
             ("lexicon a", self.lexicons["a"], fresh_a),
             ("lexicon b", self.lexicons["b"], fresh_b),

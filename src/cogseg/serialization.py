@@ -5,14 +5,15 @@ the sections. Sections are sorted, so saving is byte-deterministic and
 save -> load -> save is the identity on bytes. Loading revalidates all model
 invariants: analyses must concatenate to their words, cognate analyses must
 have equal morph counts, and the stored lexicon and edit sections must match
-an exact recount from the analyses.
+an exact recount from the analyses (CognateModel.recount, the bulk recount
+that recompute_from_scratch also runs).
 """
 
 from __future__ import annotations
 
 from .edits import Edit
 from .errors import CogsegError, FormatError, open_text, parse_positive
-from .model import Analysis, CognateModel, CognatePair
+from .model import Analysis, CognateModel, CognatePair, check_equal_morph_counts
 
 FORMAT_NAME = "cogseg-model"
 FORMAT_VERSION = 1
@@ -215,11 +216,12 @@ def load_model(path) -> CognateModel:
                 unescape_field(m, path, line_no) for m in fields[2].split(" ")
             )
             try:
-                model.add_analysis(Analysis(word, morphs, count), lang)
+                model.insert_analysis(Analysis(word, morphs, count), lang)
             except CogsegError as exc:
                 raise FormatError(str(exc), path, line_no) from exc
 
     for line_no, pair in pair_rows:
+        analyses = []
         for lang, word, count in (
             ("a", pair.word_a, pair.count_a),
             ("b", pair.word_b, pair.count_b),
@@ -236,6 +238,16 @@ def load_model(path) -> CognateModel:
                     path,
                     line_no,
                 )
+            analyses.append(analysis)
+        try:
+            check_equal_morph_counts(*analyses)
+        except CogsegError as exc:
+            raise FormatError(str(exc), path, line_no) from exc
+
+    try:
+        model.recount()
+    except CogsegError as exc:
+        raise FormatError(str(exc), path) from exc
 
     for name, lexicon in (
         ("LEXICON-A", model.lexicons["a"]),

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from cogseg import cli
+from cogseg.errors import CogsegError, FormatError
 from cogseg.serialization import load_model
 
 
@@ -120,6 +121,29 @@ class TestTrainCommand:
         assert code == 1
         payload = json.loads(err)
         assert "reserved" in payload["message"]
+
+
+class TestLoadWordCounts:
+    def test_first_offending_token_in_file_order_wins(self, tmp_path):
+        path = tmp_path / "c.txt"
+        path.write_text("kala\nkala x@@ a|b\nc|d\n", encoding="utf-8")
+        with pytest.raises(CogsegError) as err:
+            cli.load_word_counts(path)
+        assert str(err.value) == "token 'x@@' contains reserved '@@'"
+
+    def test_offending_token_wins_over_a_later_line_that_fails_to_decode(self, tmp_path):
+        # The bad bytes lie far past the first lines, beyond what the
+        # reader decodes before it meets the offending token.
+        path = tmp_path / "c.txt"
+        path.write_bytes(b"kala a|b\n" + b"kala on\n" * 20000 + b"\xff\n")
+        with pytest.raises(CogsegError) as err:
+            cli.load_word_counts(path)
+        assert not isinstance(err.value, FormatError)
+        assert str(err.value) == "token 'a|b' contains reserved '|'"
+        path.write_bytes(b"kala\n" * 20000 + b"\xff\n" + b"a|b\n")
+        with pytest.raises(FormatError) as err:
+            cli.load_word_counts(path)
+        assert "not UTF-8" in str(err.value)
 
 
 class TestTrainMono:

@@ -69,6 +69,12 @@ class TestAlign:
         assert levenshtein_distance(a, b) == d
         assert alignment_cost(levenshtein_align(a, b)) == d
 
+    @given(WORDS, WORDS, WORDS, WORDS)
+    def test_distance_with_long_shared_ends_equals_brute_force(self, head, mid_a, mid_b, tail):
+        # Random pairs rarely share long ends, which the distance strips.
+        a, b = head + mid_a + tail, head + mid_b + tail
+        assert levenshtein_distance(a, b) == brute_levenshtein(a, b)
+
     def test_deterministic(self):
         pairs = [("kitten", "sitting"), ("abcabc", "cbacba"), ("aaa", "aaaa")]
         for a, b in pairs:

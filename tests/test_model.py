@@ -152,6 +152,30 @@ class TestCountLexiconBookkeeping:
         assert len(XLOGX) == size
         assert all(XLOGX[n] == n * math.log(n) for n in range(1, size))
 
+    @given(
+        st.dictionaries(
+            st.text(alphabet="abö|", min_size=1, max_size=5),
+            st.integers(min_value=1, max_value=30000),
+            max_size=30,
+        ),
+        st.randoms(use_true_random=False),
+    )
+    def test_from_counts_agrees_with_add_in_any_order(self, counts, rng):
+        forms = list(counts)
+        rng.shuffle(forms)
+        added = lexicon_from({form: counts[form] for form in forms})
+        bulk = CountLexicon.from_counts(counts)
+        assert bulk.counts == added.counts == counts
+        assert bulk.char_counts == added.char_counts
+        assert (bulk.tokens, bulk.char_tokens) == (added.tokens, added.char_tokens)
+        for attr in ("log_token_sum", "log_char_sum"):
+            assert getattr(bulk, attr) == pytest.approx(getattr(added, attr), rel=1e-12)
+        # The float sums depend only on the counts, never on their order.
+        reordered = CountLexicon.from_counts({form: counts[form] for form in forms})
+        assert (reordered.log_token_sum, reordered.log_char_sum) == (
+            bulk.log_token_sum, bulk.log_char_sum
+        )
+
     def test_zero_count_eviction(self):
         lex = lexicon_from({"ab": 2})
         lex.add("ab", -2)
@@ -321,6 +345,17 @@ class TestIntegrity:
         model.attach_word("talo", "a")
         assert model.total_cost() == pytest.approx(before, abs=1e-9)
         model.recompute_from_scratch()
+
+
+    def test_recount_installs_the_recompute(self):
+        model = toy_model()
+        model.add_analysis(Analysis("vesi", ("ve", "si"), 2), "a")
+        counts = [dict(lex.counts) for lex in (*model.lexicons.values(), model.edit_lexicon)]
+        tokens = {pair.key: model.pair_tokens(pair) for pair in model.pairs}
+        model.recount()
+        assert [lex.counts for lex in (*model.lexicons.values(), model.edit_lexicon)] == counts
+        assert {pair.key: model.pair_tokens(pair) for pair in model.pairs} == tokens
+        assert model.total_cost() == model.recompute_from_scratch()
 
 
 class TestTypes:

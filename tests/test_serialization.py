@@ -194,6 +194,28 @@ class TestValidation:
             load_model(path)
         assert str(err.value) == "%s:16: %s" % (path, reason)
 
+    def test_pair_with_unequal_morph_counts_rejected_at_its_row(self, tmp_path):
+        path = self.make_file(tmp_path)
+        text = path.read_text(encoding="utf-8")
+        assert text.splitlines()[15] == "talo\ttalu\t5\t3"
+        path.write_text(text.replace("talu\t3\tta lu", "talu\t3\ttalu"), encoding="utf-8")
+        with pytest.raises(FormatError) as err:
+            load_model(path)
+        assert str(err.value) == (
+            "%s:16: cognate analyses must have equal morph counts: ('ta', 'lo') / ('talu',)"
+            % path
+        )
+
+    def test_pair_edit_holding_the_edit_boundary_rejected(self, tmp_path):
+        path = self.make_file(tmp_path)
+        text = path.read_text(encoding="utf-8")
+        text = text.replace("talo\ttalu\t5\t3", "talo\tta\\|u\t5\t3")
+        path.write_text(text.replace("talu\t3\tta lu", "ta\\|u\t3\tta \\|u"),
+                        encoding="utf-8")
+        with pytest.raises(FormatError) as err:
+            load_model(path)
+        assert str(err.value) == "%s: edit sides may not contain '|'" % path
+
     def test_lexicon_disagreeing_with_analyses_rejected(self, tmp_path):
         path = self.make_file(tmp_path)
         text = path.read_text(encoding="utf-8")
@@ -304,3 +326,28 @@ def test_edits_are_counted_through_edit_forms_alone(tmp_path, monkeypatch):
     loaded = load_model(path)
     assert loaded.edit_lexicon.counts == model.edit_lexicon.counts
     assert loaded.recompute_from_scratch() == model.recompute_from_scratch()
+
+
+def test_load_counts_with_one_recount(tmp_path, monkeypatch):
+    # Loading counts each analysis in through the bulk recount, never
+    # through CountLexicon.add, and aligns each distinct morph pair once.
+    model = trained_model()
+    path = tmp_path / "model"
+    save_model(model, path)
+    adds = []
+    real_add = model_module.CountLexicon.add
+    monkeypatch.setattr(model_module.CountLexicon, "add",
+                        lambda self, form, delta: adds.append(form) or real_add(self, form, delta))
+    edits.edit_forms.cache_clear()
+    loaded = load_model(path)
+    assert adds == []
+    morph_pairs = {
+        morphs
+        for pair in model.pairs
+        for morphs in zip(model.analyses["a"][pair.word_a].morphs,
+                          model.analyses["b"][pair.word_b].morphs)
+    }
+    assert len(morph_pairs) > 1
+    assert edits.edit_forms.cache_info().misses == len(morph_pairs)
+    assert loaded.total_cost() == loaded.recompute_from_scratch()
+    assert loaded.total_cost() == pytest.approx(model.total_cost(), rel=1e-12)
