@@ -47,6 +47,7 @@ from .segmenter import (
 )
 from .serialization import load_model, report_edits, save_model
 from .trainer import (
+    SearchTally,
     TrainingParams,
     TrainingReport,
     initialize,

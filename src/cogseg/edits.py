@@ -410,9 +410,9 @@ class EditFormCache:
 
 # The bound of edit_forms. An entry takes about 300 bytes, so the cache
 # stays below about 300 MB. A 2-epoch seed-1 joint run on the benchmark
-# corpus stores 37,185 keys (about 9 per unit; the split search skips the
+# corpus stores 8,915 keys (about 2 per unit; the split search skips the
 # lookups of combinations it rules out), and a world four times that size
-# 139,510, so neither evicts.
+# 34,034, so neither evicts.
 MAX_ENTRIES = 1 << 20
 
 # The one edit-form cache: training, the model's pair bookkeeping, the

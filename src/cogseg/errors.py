@@ -60,12 +60,13 @@ def read_rows(path, width: int, sep: str = "\t"):
                 yield lineno, fields
 
 
-def parse_int(text: str, path, line) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise FormatError("bad integer %r" % text, path, line) from None
-    return value
+def parse_int(text: str, path=None, line=None) -> int:
+    """The integer of an optional "-" and ASCII digits. Other text raises
+    FormatError, also where int() would take it: with "_", "+", whitespace
+    or non-ASCII digits."""
+    if text.isascii() and (text.isdigit() or text[:1] == "-" and text[1:].isdigit()):
+        return int(text)
+    raise FormatError("bad integer %r" % text, path, line)
 
 
 def parse_positive(text: str, path, line) -> int:

@@ -12,7 +12,7 @@ that recompute_from_scratch also runs).
 from __future__ import annotations
 
 from .edits import Edit
-from .errors import CogsegError, FormatError, open_text, parse_positive
+from .errors import CogsegError, FormatError, open_text, parse_int, parse_positive
 from .model import Analysis, CognateModel, CognatePair, check_equal_morph_counts
 
 FORMAT_NAME = "cogseg-model"
@@ -33,7 +33,7 @@ _HEADER_FIELDS = {
     "alpha": float,
     "edit-weight": float,
     "edit-mode": str,
-    "seed": int,
+    "seed": parse_int,
     "dampening": str,
 }
 

@@ -10,14 +10,15 @@ analyses always keep equal morph counts.
 
 The search scores candidate splits from the counts without writing
 them (CountLexicon.costs_with, combined by CognateModel.weigh) and writes
-only the morphs and edit forms it chooses. For a pair it skips the split
-combinations that the a and b costs already rule out: counting more tokens
-or types into a lexicon never lowers either of its costs, and weigh
-increases with each of them, so a combination costs at least its a and b
-costs weighed with the edit lexicon as it stands. A combination whose
-bound exceeds the best cost so far by more than the recount tolerance
-cannot win, so its edit forms are neither aligned nor scored, and the
-search chooses exactly what scoring every combination would.
+only the morphs and edit forms it chooses. For a pair it visits the split
+combinations cheapest first and stops where the a and b costs already rule
+the rest out: counting more tokens or types into a lexicon never lowers
+either of its costs, and weigh increases with each of them, so a
+combination costs at least its a and b costs weighed with the edit lexicon
+as it stands. A combination whose bound exceeds the best cost so far by
+more than the recount tolerance cannot win, so its edit forms are neither
+aligned nor scored. Ties are broken by an explicit key, not by the visiting
+order, so the search chooses exactly what scoring every combination would.
 
 Every step then detaches the search result, scores it and the unit's
 previous analyses the same way from the same counts, and counts one of them
@@ -88,12 +89,24 @@ class EpochStats:
     # analyses back because the search found only costlier ones.
     units_changed: int
     restores: int
+    # Candidates whose total cost the search computed: for a word, staying
+    # whole and every split point; for a pair, staying whole and every
+    # split combination within the bound.
+    candidates_scored: int
     # Wall time, and the epoch's lookups in the edit-form cache. They
     # describe the run, not its result, so reports compare without them:
     # identical runs differ in time and in what the shared cache held.
     seconds: float = field(compare=False)
     edit_cache_hits: int = field(compare=False)
     edit_cache_misses: int = field(compare=False)
+
+
+@dataclass
+class SearchTally:
+    """What a caller's searches did: the candidates whose total cost the
+    search computed (see EpochStats.candidates_scored)."""
+
+    candidates: int = 0
 
 
 @dataclass
@@ -152,7 +165,7 @@ def initialize(corpus_a, corpus_b, pairs, params: TrainingParams) -> CognateMode
     return model
 
 
-def _search(model: CognateModel, unit) -> list[Analysis]:
+def _search(model: CognateModel, unit, tally: SearchTally | None = None) -> list[Analysis]:
     """Recursive splitting of a detached unit of (language, word) entries.
 
     Each morph takes the cheapest of staying whole and every split point,
@@ -162,30 +175,43 @@ def _search(model: CognateModel, unit) -> list[Analysis]:
 
     A candidate is scored with CountLexicon.costs_with from the counts as
     they stand plus the candidate's own morphs and edit forms, so its score
-    does not depend on the candidates scored before it. Within one morph
-    (pair) the a lexicon is scored once per split point i and the b lexicon
-    once per split point j. In the full edit mode the edit lexicon is
-    scored per (i, j) only when the lower bound weigh(a costs, b costs,
-    edit lexicon costs as they stand) is within 1e-9 * |best| of the best
-    cost so far; a skipped candidate's edit forms are never looked up.
-    Ties and near-ties are always scored, so the choice is that of scoring
-    every (i, j). In the count-only mode the edit lexicon is not scored.
-    Staying whole is scored first, and a split replaces the best on a tie,
-    so among equal costs the last i, then the last j, wins. The tail edit
+    does not depend on the candidates scored before it. A word's split
+    points are scored in order, and a split replaces the best on a tie.
+
+    Within one morph pair the a lexicon is scored once per split point i
+    and the b lexicon once per split point j. The rows i are then visited
+    in ascending order of their own weighed part, lexicon + alpha * corpus,
+    and the columns j of each row likewise. The bound of (i, j) is
+    weigh(a costs, b costs, edit lexicon costs as they stand); in the
+    count-only mode, which does not score the edit lexicon, it is the cost
+    itself. A row stops at its first column whose bound exceeds
+    best + 1e-9 * |best|, and the scan stops at a row whose cheapest column
+    does: the bound grows with each side's part, so every column after it
+    and every costlier row is bound to cost more. In the full mode the edit
+    forms of a combination within the bound are then looked up and scored.
+    The bound is monotone in each part in exact arithmetic; weigh only
+    adds non-negative terms, so its rounding is about 1e-15 relative, far
+    inside the 1e-9 slack, and every skipped combination costs more than
+    the best.
+
+    The tie key is explicit, so the visiting order never decides: a split
+    replaces the best when it is strictly cheaper, or equally cheap with a
+    larger (i, j), and staying whole has the lowest key. Among equal costs
+    the largest i, then the largest j, wins, as in a word. The tail edit
     forms (a[i:], b[j:]) come from one alignment table of the morph pair
     (EditFormCache.tails).
 
     Only chosen morphs and edit forms are written: the tail of a split
     while its head is searched, and each final morph (pair). Leaves the
     final ones counted and returns the new analyses, one per entry, without
-    recording them.
+    recording them. Adds the candidates it scored to tally, if given.
     """
     records = [model.analyses[language][word] for language, word in unit]
     language = unit[0][0]
     lex_a = model.lexicons[language]
     add_a, score_a = lex_a.add, lex_a.costs_with
     count_a = records[0].count
-    weigh = model.weigh
+    weigh, alpha = model.weigh, model.alpha
     if len(unit) > 1:
         lex_b, lex_e = model.lexicons[unit[1][0]], model.edit_lexicon
         add_b, score_b = lex_b.add, lex_b.costs_with
@@ -208,10 +234,19 @@ def _search(model: CognateModel, unit) -> list[Analysis]:
             for form in forms:
                 add_edit(form, sign)
 
+    def by_part(costs):
+        """(split point, costs) of each split of one side, cheapest
+        lexicon + alpha * corpus first."""
+        return sorted(enumerate(costs, 1), key=lambda item: item[1][0] + alpha * item[1][1])
+
+    scored = 0
+
     def rec(a, b):
+        nonlocal scored
         split = None
         if b is None:
             if len(a) > 1:
+                scored += len(a)
                 best = weigh(score_a((a,), count_a), costs_other, costs_edits)
                 for i in range(1, len(a)):
                     cost = weigh(score_a((a[:i], a[i:]), count_a), costs_other, costs_edits)
@@ -225,20 +260,30 @@ def _search(model: CognateModel, unit) -> list[Analysis]:
                     score_b((b,), count_b),
                     score_e(tail(0, 0), 1) if full else None,
                 )
-                costs_b = [score_b((b[:j], b[j:]), count_b) for j in range(1, len(b))]
+                scored += 1
+                rows = by_part([score_a((a[:i], a[i:]), count_a) for i in range(1, len(a))])
+                columns = by_part([score_b((b[:j], b[j:]), count_b) for j in range(1, len(b))])
                 floor_e = lex_e.costs()
-                for i in range(1, len(a)):
-                    a1 = a[:i]
-                    costs_a = score_a((a1, a[i:]), count_a)
-                    for j, cost_b in enumerate(costs_b, 1):
-                        costs_e = None
+                for i, costs_a in rows:
+                    passed = 0
+                    for j, cost_b in columns:
+                        # The bound, and in the count-only mode the cost.
+                        cost = weigh(costs_a, cost_b, floor_e)
+                        if cost > best + 1e-9 * abs(best):
+                            break
+                        passed += 1
                         if full:
-                            if weigh(costs_a, cost_b, floor_e) > best + 1e-9 * abs(best):
-                                continue
-                            costs_e = score_e(_edit_forms(a1, b[:j]) + tail(i, j), 1)
-                        cost = weigh(costs_a, cost_b, costs_e)
-                        if cost <= best:
+                            forms = _edit_forms(a[:i], b[:j]) + tail(i, j)
+                            cost = weigh(costs_a, cost_b, score_e(forms, 1))
+                        # Staying whole loses every tie, and of tied
+                        # splits the largest (i, j) wins.
+                        if cost < best or cost == best and (split is None or (i, j) > split):
                             best, split = cost, (i, j)
+                    if not passed:
+                        # The row's cheapest column is ruled out, and so
+                        # is every column of the costlier rows after it.
+                        break
+                    scored += passed
         if split is None:
             put(a, b, () if b is None else tail(0, 0), 1)
             morphs_a.append(a)
@@ -254,14 +299,18 @@ def _search(model: CognateModel, unit) -> list[Analysis]:
         rec(a2, b2)
 
     rec(unit[0][1], unit[1][1] if len(unit) > 1 else None)
+    if tally is not None:
+        tally.candidates += scored
     return [Analysis(r.word, tuple(m), r.count) for r, m in zip(records, (morphs_a, morphs_b))]
 
 
-def resegment_word(model: CognateModel, word: str, language: str) -> Analysis:
+def resegment_word(model: CognateModel, word: str, language: str,
+                   tally: SearchTally | None = None) -> Analysis:
     """Resegment a detached word and record the new analysis.
 
     The word's morph counts must have been removed (detach_word); its
-    analysis record supplies the token count.
+    analysis record supplies the token count. The search's candidates are
+    added to tally, if given.
     """
     if not word:
         raise ContractError("cannot resegment an empty word")
@@ -269,21 +318,22 @@ def resegment_word(model: CognateModel, word: str, language: str) -> Analysis:
         raise ContractError("word %r unknown in language %s" % (word, language))
     if model.pair_for(language, word) is not None:
         raise ContractError("cognate word %r must be resegmented as a pair" % word)
-    (analysis,) = _search(model, ((language, word),))
+    (analysis,) = _search(model, ((language, word),), tally)
     model.record_analyses([(language, analysis)])
     return analysis
 
 
-def resegment_pair(model: CognateModel, pair: CognatePair):
-    """Jointly resegment a detached cognate pair and record both analyses."""
+def resegment_pair(model: CognateModel, pair: CognatePair, tally: SearchTally | None = None):
+    """Jointly resegment a detached cognate pair and record both analyses;
+    the search's candidates are added to tally, if given."""
     if model.pair_for("a", pair.word_a) is not pair:
         raise ContractError("pair %r not registered" % (pair.key,))
-    new_a, new_b = _search(model, (("a", pair.word_a), ("b", pair.word_b)))
+    new_a, new_b = _search(model, (("a", pair.word_a), ("b", pair.word_b)), tally)
     model.record_analyses([("a", new_a), ("b", new_b)])
     return new_a, new_b
 
 
-def _optimize(model: CognateModel, unit) -> tuple[bool, bool]:
+def _optimize(model: CognateModel, unit, tally: SearchTally | None = None) -> tuple[bool, bool]:
     """One local-search step on a unit of (language, word) entries: one
     word, or the two words of a cognate pair. The unit is detached and
     resegmented. When the search found other analyses than the old ones,
@@ -291,15 +341,16 @@ def _optimize(model: CognateModel, unit) -> tuple[bool, bool]:
     CognateModel.cost_with from the detached counts; one attach_analyses
     call then commits the new ones, or the old ones when they are strictly
     cheaper. A search that finds the unit's own analyses again keeps them.
-    Returns (changed, restored)."""
+    The search's candidates are added to tally, if given. Returns (changed,
+    restored)."""
     old = [(language, model.analyses[language][word]) for language, word in unit]
     for language, word in unit:
         model.detach_word(word, language)
     if len(unit) == 1:
         ((language, word),) = unit
-        resegment_word(model, word, language)
+        resegment_word(model, word, language, tally)
     else:
-        resegment_pair(model, model.pair_for(*unit[0]))
+        resegment_pair(model, model.pair_for(*unit[0]), tally)
     new = [(language, model.analyses[language][word]) for language, word in unit]
     if new == old:
         # Equal analyses score equally: keep them without scoring.
@@ -347,9 +398,10 @@ def train(model: CognateModel, params: TrainingParams, epoch_callback=None) -> T
     for epoch in range(1, params.max_epochs + 1):
         units.sort(key=lambda u: _unit_sort_key(model.seed, epoch, u))
         changed = restores = 0
+        tally = SearchTally()
         start, cache_start = time.perf_counter(), _edit_forms.cache_info()
         for unit in units:
-            unit_changed, restored = _optimize(model, unit)
+            unit_changed, restored = _optimize(model, unit, tally)
             changed += unit_changed
             restores += restored
             if params.record_steps:
@@ -368,6 +420,7 @@ def train(model: CognateModel, params: TrainingParams, epoch_callback=None) -> T
                 edit_types=model.edit_lexicon.types,
                 units_changed=changed,
                 restores=restores,
+                candidates_scored=tally.candidates,
                 seconds=seconds,
                 edit_cache_hits=hits,
                 edit_cache_misses=misses,
@@ -377,8 +430,9 @@ def train(model: CognateModel, params: TrainingParams, epoch_callback=None) -> T
             epoch_callback(model, epoch)
         improvement = prev - cost
         _logger.info(
-            "epoch %d: cost %.4f (improvement %.6f), %.2f s, edit cache %d hits %d misses",
-            epoch, cost, improvement, seconds, hits, misses,
+            "epoch %d: cost %.4f (improvement %.6f), %.2f s, %d scored candidates, "
+            "edit cache %d hits %d misses",
+            epoch, cost, improvement, seconds, tally.candidates, hits, misses,
         )
         if improvement < params.convergence_threshold * abs(prev):
             break

@@ -4,7 +4,7 @@ import json
 import pytest
 
 from cogseg import cli
-from cogseg.errors import CogsegError, FormatError
+from cogseg.errors import CogsegError, FormatError, parse_int, parse_positive
 from cogseg.serialization import load_model
 
 
@@ -21,6 +21,40 @@ def run_cli(argv, stdin_text="", monkeypatch=None):
     monkeypatch.setattr(cli.sys, "stderr", stderr)
     code = cli.main(argv)
     return code, stdout.getvalue(), stderr.getvalue()
+
+
+# Text that int() takes but a count file must not hold: only an optional
+# "-" and ASCII digits make an integer.
+NOT_INTEGERS = pytest.mark.parametrize(
+    "text", ["1_000", " 7", "+3", "\u0663", "\uff17"],
+    ids=["underscore", "space", "plus", "arabic-indic", "fullwidth"],
+)
+
+
+@NOT_INTEGERS
+def test_parse_int_rejects_what_only_int_takes(text):
+    with pytest.raises(FormatError) as err:
+        parse_int(text, "t.tsv", 4)
+    assert str(err.value) == "t.tsv:4: bad integer %r" % text
+
+
+@pytest.mark.parametrize("text, value", [("0", 0), ("-4", -4), ("0012", 12), ("-0", 0)])
+def test_parse_int_reads_plain_integers(text, value):
+    assert parse_int(text, "t.tsv", 1) == value
+
+
+def test_crlf_count_table_loads(tmp_path):
+    # Text files are read with universal newlines, so no count keeps a "\r".
+    path = tmp_path / "c.tsv"
+    path.write_bytes(b"kala\t10\r\nvesi\t3\r\n")
+    assert cli.load_count_table(path) == {"kala": 10, "vesi": 3}
+
+
+@pytest.mark.parametrize("text", ["0", "-4"])
+def test_non_positive_count_keeps_its_error(text):
+    with pytest.raises(FormatError) as err:
+        parse_positive(text, "t.tsv", 2)
+    assert str(err.value) == "t.tsv:2: count must be positive, got %s" % text
 
 
 def error_payload(code, err):
@@ -453,6 +487,19 @@ class TestErrors:
         payload = error_payload(code, err)
         assert payload["error"] == "FormatError"
         assert payload["message"].startswith("%s:2: " % table)
+
+    @NOT_INTEGERS
+    def test_loose_integer_count_rejected_in_table(self, workspace, monkeypatch, text):
+        table = workspace / "c1.tsv"
+        table.write_text("kala\t10\nkalassa\t%s\n" % text, encoding="utf-8")
+        code, _, err = run_cli(
+            ["bpe-train", "--counts", str(table), "--vocab", "12",
+             "--out", str(workspace / "merges.txt")],
+            monkeypatch=monkeypatch,
+        )
+        payload = error_payload(code, err)
+        assert payload["error"] == "FormatError"
+        assert payload["message"] == "%s:2: bad integer %r" % (table, text)
 
     def test_repeated_word_in_table(self, workspace, monkeypatch):
         table = workspace / "c1.tsv"

@@ -14,6 +14,7 @@ from cogseg.cognates import (
 from cogseg.errors import ContractError, FormatError
 
 from oracles import brute_levenshtein
+from test_cli import NOT_INTEGERS
 
 
 class TestThreshold:
@@ -247,6 +248,14 @@ class TestTsvIo:
         with pytest.raises(FormatError) as err:
             read_pairs_tsv(path)
         assert ":2" in str(err.value)
+
+    @NOT_INTEGERS
+    def test_loose_integer_count_rejected(self, tmp_path, text):
+        path = tmp_path / "pairs.tsv"
+        path.write_text("a\tb\t3\nc\td\t%s\n" % text, encoding="utf-8")
+        with pytest.raises(FormatError) as err:
+            read_pairs_tsv(path)
+        assert str(err.value) == "%s:2: bad integer %r" % (path, text)
 
     def test_wrong_field_count_rejected(self, tmp_path):
         path = tmp_path / "pairs.tsv"

@@ -10,13 +10,16 @@ The pair search skips split combinations whose a and b costs, weighed with
 the edit lexicon as it stands, already exceed the best cost. That rests on
 costs_with never being below costs() and on weigh increasing in the edit
 costs; oracles.score_every_pair_search scores every combination, and
-_search must choose exactly what it chooses.
+_search must choose exactly what it chooses. _search visits the
+combinations cheapest first, so it breaks exact ties by an explicit key,
+the largest (i, j), which is what the oracle's in-order scan picks.
 """
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cogseg.edits import edit_forms
 from cogseg.model import Analysis, CognateModel, CountLexicon
 from cogseg.trainer import TrainingParams, _search, initialize
 
@@ -197,6 +200,61 @@ def test_bounded_search_chooses_what_scoring_every_pair_chooses(world):
     assert lexicon_state(searched) == lexicon_state(reference)
 
 
+@pytest.mark.parametrize(
+    "corpus_a, corpus_b, pair, settings_, ties",
+    [
+        # The a splits 1 and 2 tie with the one b split. Split 2's own
+        # part is one ulp below split 1's, so its row is visited first.
+        ({"aba": 1, "baa": 1}, {"a": 1, "b": 1, "aa": 1}, ("aba", "aa"),
+         {"alpha": 0.1, "edit_weight": 0.5, "edit_mode": "full"}, [(1, 1), (2, 1)]),
+        # Identical words with a repeated part: "b" + "abab" and "baba" + "b"
+        # cost alike on each side. In the head pair ("baba", "baba") the b
+        # splits 1 and 2 tie in row 2, and split 2 is visited first.
+        ({"b": 2, "babab": 1}, {"b": 4, "babab": 1}, ("babab", "babab"),
+         {"alpha": 1.0, "edit_mode": "count-only"}, [(1, 1), (1, 4), (4, 1), (4, 4)]),
+    ],
+    ids=["full", "count-only"],
+)
+def test_exact_ties_go_to_the_largest_split(monkeypatch, corpus_a, corpus_b, pair, settings_,
+                                            ties):
+    word_a, word_b = pair
+    unit = (("a", word_a), ("b", word_b))
+
+    def detached():
+        model = initialize(corpus_a, corpus_b, [pair], TrainingParams(**settings_))
+        for language, word in unit:
+            model.detach_word(word, language)
+        return model
+
+    reference = detached()
+    costs = {(0, 0): scorer_cost(reference, unit, [pair], edit_forms(*pair))}
+    for i in range(1, len(word_a)):
+        for j in range(1, len(word_b)):
+            heads, tails = (word_a[:i], word_b[:j]), (word_a[i:], word_b[j:])
+            forms = edit_forms(*heads) + edit_forms(*tails)
+            costs[i, j] = scorer_cost(reference, unit, [heads, tails], forms)
+    best = min(costs.values())
+    assert sorted(split for split, cost in costs.items() if cost == best) == ties
+    expected = score_every_pair_search(reference, unit)
+
+    added = []
+    add = CountLexicon.add
+
+    def spy(lex, form, delta):
+        added.append((lex, form))
+        return add(lex, form, delta)
+
+    searched = detached()
+    monkeypatch.setattr(CountLexicon, "add", spy)
+    assert _search(searched, unit) == expected
+    assert lexicon_state(searched) == lexicon_state(reference)
+    # A split first counts in its tail pair (a[i:], b[j:]).
+    first = {lex: form for lex, form in reversed(added)}
+    split = (len(word_a) - len(first[searched.lexicons["a"]]),
+             len(word_b) - len(first[searched.lexicons["b"]]))
+    assert split == max(ties)
+
+
 def test_the_bound_skips_edit_scoring(monkeypatch):
     scored = []
     costs_with = CountLexicon.costs_with
@@ -220,7 +278,7 @@ def test_the_bound_skips_edit_scoring(monkeypatch):
         runs.append((search(model, unit), len(scored)))
     (expected, every), (analyses, bounded) = runs
     assert analyses == expected
-    assert bounded < every
+    assert (every, bounded) == (113, 66)
 
 
 @st.composite
@@ -261,3 +319,22 @@ def test_weigh_increases_with_the_edit_costs(lexicon, corpus, more_lexicon, more
     assert larger >= base
     if more_lexicon + more_corpus >= 1e-6 * (lexicon + corpus + 1):
         assert larger > base
+
+
+costs_pairs = st.tuples(st.floats(0, 1e5), st.floats(0, 1e5))
+
+
+@given(costs_pairs, costs_pairs, costs_pairs, costs_pairs,
+       st.sampled_from([0.01, 0.1, 1.0, 3.0]), st.sampled_from([0.5, 10.0]),
+       st.sampled_from(["full", "count-only"]))
+def test_weigh_follows_each_sides_weighed_part(lower, higher, other, edits, alpha, edit_weight,
+                                               edit_mode):
+    # The pair search visits a and b splits by lexicon + alpha * corpus and
+    # stops at the first beyond the bound, so weigh must not fall, beyond
+    # rounding, as either side's part grows.
+    model = CognateModel(alpha=alpha, edit_weight=edit_weight, edit_mode=edit_mode)
+    if lower[0] + alpha * lower[1] > higher[0] + alpha * higher[1]:
+        lower, higher = higher, lower
+    for low, high in ((model.weigh(lower, other, edits), model.weigh(higher, other, edits)),
+                      (model.weigh(other, lower, edits), model.weigh(other, higher, edits))):
+        assert low <= high + 1e-12 * abs(high)

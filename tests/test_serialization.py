@@ -13,6 +13,8 @@ from cogseg.serialization import (
 )
 from cogseg.trainer import TrainingParams, initialize, train
 
+from test_cli import NOT_INTEGERS
+
 
 def trained_model(**kwargs):
     params = TrainingParams(rng_seed=1, **kwargs)
@@ -131,6 +133,35 @@ class TestValidation:
         with pytest.raises(FormatError) as err:
             load_model(path)
         assert ":%d" % (index + 1) in str(err.value)
+
+    @NOT_INTEGERS
+    @pytest.mark.parametrize(
+        "row, field", [("ta\t5", 1), ("o|u\t1", 1), ("talo\ttalu\t5\t3", 3), ("talo\t5\t", 1)],
+        ids=["lexicon", "edits", "pairs", "analyses"],
+    )
+    def test_loose_integer_count_rejected_at_its_line(self, tmp_path, row, field, text):
+        path = self.make_file(tmp_path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        index = next(i for i, l in enumerate(lines) if l.startswith(row))
+        fields = lines[index].split("\t")
+        fields[field] = text
+        lines[index] = "\t".join(fields)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(FormatError) as err:
+            load_model(path)
+        assert str(err.value) == "%s:%d: bad integer %r" % (path, index + 1, text)
+
+    @NOT_INTEGERS
+    def test_loose_integer_seed_rejected_at_its_line(self, tmp_path, text):
+        path = self.make_file(tmp_path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        index = lines.index("seed 0")
+        lines[index] = "seed " + text
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(FormatError) as err:
+            load_model(path)
+        assert str(err.value) == "%s:%d: bad header field 'seed' (bad integer %r)" % (
+            path, index + 1, text)
 
     @pytest.mark.parametrize(
         "key, value",

@@ -6,7 +6,7 @@ import pytest
 
 from cogseg.edits import MAX_ENTRIES, edit_forms, extract_edits
 from cogseg.errors import ContractError
-from cogseg.model import Analysis, CognatePair, aligned_edit_tokens
+from cogseg.model import Analysis, CognatePair, CountLexicon, aligned_edit_tokens
 from cogseg.serialization import load_model, save_model
 from cogseg.trainer import (
     TrainingParams,
@@ -482,6 +482,28 @@ class TestPinnedTraining:
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert report.epochs_run == 2
         assert repr(report.final_cost) == "1190.9116639329977"
+        assert [e.candidates_scored for e in report.epochs] == [216, 162]
         assert digest == (
             "8afb6d3b187e47df31509d3d7e83155c2651e629586c21360d9a7b58a79b99c9"
         )
+
+    def test_two_epoch_joint_training_scores_few_edit_forms(self, monkeypatch):
+        # Visiting a pair's split combinations cheapest first lowers the
+        # best cost early, so the bound rules out more of them: training
+        # scores the edit lexicon 293 times, and 412 times when the
+        # combinations were visited in (i, j) order.
+        params = default_params(
+            alpha=0.5, rng_seed=3, max_epochs=2, convergence_threshold=0.0
+        )
+        model = initialize(self.CORPUS_A, self.CORPUS_B, self.PAIRS, params)
+        scored = []
+        costs_with = CountLexicon.costs_with
+
+        def spy(lex, forms, delta):
+            if lex is model.edit_lexicon:
+                scored.append(forms)
+            return costs_with(lex, forms, delta)
+
+        monkeypatch.setattr(CountLexicon, "costs_with", spy)
+        train(model, params)
+        assert len(scored) == 293
