@@ -17,8 +17,8 @@ turns those letters into AlignmentOps; _edit_spans turns their non-match
 runs into spans. edit_forms, an EditFormCache with one fixed bound of
 MAX_ENTRIES (2^20) entries, builds the serialized forms from the spans: the
 one edit path that training, the model's pair bookkeeping, the recount and
-model loading all read. Its tails(a, b)
-gives the forms of every tail pair (a[i:], b[j:]) from one table of (a, b).
+model loading all read. Its tails(a, b) gives the forms of every tail pair
+(a[i:], b[j:]) from one table of (a, b); a call is the tail (0, 0).
 extract_edits builds the positioned script (Edit objects and spans) from them.
 
 All functions operate on Unicode code points, never bytes.
@@ -311,11 +311,6 @@ def _edit_spans(a: str, b: str, ops: str) -> list[list[int]]:
     return spans
 
 
-def _spans(a: str, b: str) -> list[list[int]]:
-    """The edit spans of a with b, from their own alignment table."""
-    return [] if a == b else _edit_spans(a, b, _traceback(a, b, _suffix_table(a, b)))
-
-
 @functools.lru_cache(maxsize=1 << 17)
 def extract_edits(morph_a: str, morph_b: str) -> EditScript:
     """Canonical positioned edit script rewriting morph_a into morph_b.
@@ -324,10 +319,11 @@ def extract_edits(morph_a: str, morph_b: str) -> EditScript:
     be treated as immutable (it is). The package counts edits through
     edit_forms; this is the positioned API, for apply_edit_script.
     """
+    ops = _traceback(morph_a, morph_b, _suffix_table(morph_a, morph_b))
     return EditScript(
         tuple(
             PositionedEdit(Edit(morph_a[a0:a1], morph_b[b0:b1]), a0, a1)
-            for a0, a1, b0, b1 in _spans(morph_a, morph_b)
+            for a0, a1, b0, b1 in _edit_spans(morph_a, morph_b, ops)
         )
     )
 
@@ -361,10 +357,9 @@ class EditFormCache:
         self._hits = self._misses = 0
 
     def __call__(self, morph_a: str, morph_b: str) -> tuple[str, ...]:
-        key = (morph_a, morph_b)
-        forms = self._store.get(key)
+        forms = self._store.get((morph_a, morph_b))
         if forms is None:
-            return self._put(key, _forms(morph_a, morph_b, _spans(morph_a, morph_b)))
+            return self.tails(morph_a, morph_b)(0, 0)
         self._hits += 1
         return forms
 

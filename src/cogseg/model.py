@@ -17,8 +17,8 @@ bookkeeping is still maintained, so reports and the equal-morph-count
 constraint behave identically.
 
 Training's bookkeeping is incremental; ``recompute_from_scratch`` is the
-oracle guarding it. A loaded model is counted by the same bulk recount
-(``recount``).
+oracle guarding it. A fresh model (trainer.initialize) and a loaded one
+are counted by the same bulk recount (``recount``).
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ save -> load -> save is the identity on bytes. Loading revalidates all model
 invariants: analyses must concatenate to their words, cognate analyses must
 have equal morph counts, and the stored lexicon and edit sections must match
 an exact recount from the analyses (CognateModel.recount, the bulk recount
-that recompute_from_scratch also runs).
+that trainer.initialize and recompute_from_scratch also run).
 """
 
 from __future__ import annotations
@@ -187,60 +187,50 @@ def load_model(path) -> CognateModel:
         if name not in sections:
             raise FormatError("missing section [%s]" % name, path, len(raw))
 
-    model = CognateModel(**settings)
-
-    pair_rows = []
-    for line_no, line in sections["PAIRS"]:
-        fields = line.split("\t")
-        if len(fields) != 4:
-            raise FormatError("pair rows need 4 fields", path, line_no)
-        word_a = unescape_field(fields[0], path, line_no)
-        word_b = unescape_field(fields[1], path, line_no)
-        count_a = parse_positive(fields[2], path, line_no)
-        count_b = parse_positive(fields[3], path, line_no)
-        pair = CognatePair(word_a, word_b, count_a, count_b)
-        try:
-            model.register_pair(pair)
-        except CogsegError as exc:
-            raise FormatError(str(exc), path, line_no) from exc
-        pair_rows.append((line_no, pair))
-
-    for lang, name in (("a", "ANALYSES-A"), ("b", "ANALYSES-B")):
-        for line_no, line in sections[name]:
+    def rows(section, layout, what):
+        """(line number, fields) of each row of a section, with one letter
+        of layout per field: t for escaped text, m for escaped morphs joined
+        by spaces, c for a count. Only a row that holds a backslash is
+        unescaped: its text fields, and its morphs one by one, so that a bad
+        escape names the morph that holds it."""
+        for line_no, line in sections[section]:
             fields = line.split("\t")
-            if len(fields) != 3:
-                raise FormatError("analysis rows need 3 fields", path, line_no)
-            word = unescape_field(fields[0], path, line_no)
-            count = parse_positive(fields[1], path, line_no)
-            morphs = tuple(
-                unescape_field(m, path, line_no) for m in fields[2].split(" ")
-            )
+            if len(fields) != len(layout):
+                raise FormatError("%s rows need %d fields" % (what, len(layout)), path, line_no)
+            if "\\" in line:
+                for k, kind in enumerate(layout):
+                    if kind == "t":
+                        fields[k] = unescape_field(fields[k], path, line_no)
+                    elif kind == "m":
+                        morphs = fields[k].split(" ")
+                        fields[k] = " ".join(unescape_field(m, path, line_no) for m in morphs)
+            yield line_no, fields
+
+    model = CognateModel(**settings)
+    analyses = model.analyses
+    for lang, name in (("a", "ANALYSES-A"), ("b", "ANALYSES-B")):
+        for line_no, (word, count, morphs) in rows(name, "tcm", "analysis"):
+            count = parse_positive(count, path, line_no)
             try:
-                model.insert_analysis(Analysis(word, morphs, count), lang)
+                model.insert_analysis(Analysis(word, tuple(morphs.split(" ")), count), lang)
             except CogsegError as exc:
                 raise FormatError(str(exc), path, line_no) from exc
 
-    for line_no, pair in pair_rows:
-        analyses = []
-        for lang, word, count in (
-            ("a", pair.word_a, pair.count_a),
-            ("b", pair.word_b, pair.count_b),
-        ):
-            analysis = model.analyses[lang].get(word)
-            if analysis is None:
-                raise FormatError(
-                    "pair word %r has no analysis in %s" % (word, lang), path, line_no
-                )
-            if analysis.count != count:
-                raise FormatError(
-                    "pair count %d disagrees with analysis count %d for %r"
-                    % (count, analysis.count, word),
-                    path,
-                    line_no,
-                )
-            analyses.append(analysis)
+    for line_no, (word_a, word_b, count_a, count_b) in rows("PAIRS", "ttcc", "pair"):
+        count_a = parse_positive(count_a, path, line_no)
+        count_b = parse_positive(count_b, path, line_no)
         try:
-            check_equal_morph_counts(*analyses)
+            model.register_pair(CognatePair(word_a, word_b, count_a, count_b))
+            for lang, word, count in (("a", word_a, count_a), ("b", word_b, count_b)):
+                analysis = analyses[lang].get(word)
+                if analysis is None:
+                    raise CogsegError("pair word %r has no analysis in %s" % (word, lang))
+                if analysis.count != count:
+                    raise CogsegError(
+                        "pair count %d disagrees with analysis count %d for %r"
+                        % (count, analysis.count, word)
+                    )
+            check_equal_morph_counts(analyses["a"][word_a], analyses["b"][word_b])
         except CogsegError as exc:
             raise FormatError(str(exc), path, line_no) from exc
 
@@ -255,15 +245,11 @@ def load_model(path) -> CognateModel:
         ("EDITS", model.edit_lexicon),
     ):
         stored: dict[str, int] = {}
-        for line_no, line in sections[name]:
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise FormatError("lexicon rows need 2 fields", path, line_no)
-            form = unescape_field(fields[0], path, line_no)
+        for line_no, (form, count) in rows(name, "tc", "lexicon"):
             if form in stored:
                 raise FormatError("repeated row for %r" % form, path, line_no)
-            stored[form] = parse_positive(fields[1], path, line_no)
-            if form not in lexicon.counts or lexicon.counts[form] != stored[form]:
+            count = stored[form] = parse_positive(count, path, line_no)
+            if lexicon.counts.get(form) != count:
                 raise FormatError(
                     "stored count for %r disagrees with the analyses" % form,
                     path,

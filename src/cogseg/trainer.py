@@ -142,7 +142,9 @@ def initialize(corpus_a, corpus_b, pairs, params: TrainingParams) -> CognateMode
     corpus_a/corpus_b map word -> token count. pairs is an iterable of
     (word_a, word_b) tuples; pair counts are taken from the corpora. Both
     words of a pair must occur in their corpora and no word may belong to
-    two pairs.
+    two pairs. The analyses are recorded and then counted in with one
+    CognateModel.recount, the bulk recount load_model also runs, so
+    total_cost() equals recompute_from_scratch() bit for bit.
     """
     model = _empty_model(params)
 
@@ -161,7 +163,8 @@ def initialize(corpus_a, corpus_b, pairs, params: TrainingParams) -> CognateMode
         model.register_pair(CognatePair(wa, wb, counts["a"][wa], counts["b"][wb]))
     for lang in ("a", "b"):
         for word, count in counts[lang].items():
-            model.add_analysis(Analysis(word, (word,), count), lang)
+            model.insert_analysis(Analysis(word, (word,), count), lang)
+    model.recount()
     return model
 
 
@@ -373,8 +376,11 @@ def _unit_sort_key(seed: int, epoch: int, unit) -> bytes:
 def train(model: CognateModel, params: TrainingParams, epoch_callback=None) -> TrainingReport:
     """Run epochs of greedy local search until convergence or max_epochs.
 
-    Training stops when the relative cost improvement of an epoch falls
-    below convergence_threshold (a threshold of 0 disables early stopping).
+    Training stops after an epoch that changes no unit's analyses (every
+    later epoch would search the same counts again), or whose relative cost
+    improvement falls below convergence_threshold. With a threshold of 0
+    the second rule stops only an epoch whose cost rose, which takes
+    rounding: no step raises the cost in exact arithmetic.
     Of params it reads only max_epochs, convergence_threshold and
     record_steps: the cost uses the model's own settings, and units are
     visited in an order seeded by model.seed, the seed a saved model
@@ -434,7 +440,7 @@ def train(model: CognateModel, params: TrainingParams, epoch_callback=None) -> T
             "edit cache %d hits %d misses",
             epoch, cost, improvement, seconds, tally.candidates, hits, misses,
         )
-        if improvement < params.convergence_threshold * abs(prev):
+        if not changed or improvement < params.convergence_threshold * abs(prev):
             break
         prev = cost
     return report

@@ -4,7 +4,9 @@ The benchmark's traced run (--trace 1) wraps functions where they are looked
 up and reads the edit caches' cache_info() counters: extract_edits is an
 lru_cache, and edit_forms an EditFormCache with the same cache_info(). A
 refactor that renames or removes one of them breaks that run. The tables are read from child.py's source, so the
-benchmark is neither imported nor changed.
+benchmark is neither imported nor changed. The same holds for every name the
+benchmark's scripts import from the package, every attribute they read from
+an imported package module, and the CognateModel methods they call.
 """
 
 import ast
@@ -14,7 +16,8 @@ from pathlib import Path
 from cogseg import edits, segmenter, trainer
 from cogseg.model import CognateModel
 
-CHILD = Path(__file__).resolve().parent.parent / "perfbench" / "child.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+CHILD = PERFBENCH / "child.py"
 
 # Patched by child.py outside its SETUP and TRACED tables.
 OTHER_HOOKS = (
@@ -23,6 +26,10 @@ OTHER_HOOKS = (
     ("model", "CognateModel.total_cost"),
 )
 CACHES = (("edits", "extract_edits"), ("trainer", "_edit_forms"))
+# Called by gen.py on the gold models it builds, and by run.py on the
+# trained model it loads.
+MODEL_METHODS = ("register_pair", "add_analysis", "total_cost", "recompute_from_scratch",
+                 "pair_for")
 
 
 def child_tables():
@@ -48,6 +55,60 @@ def test_every_patched_name_resolves():
     hooks = list(tables["SETUP"]) + [entry[:2] for entry in tables["TRACED"]]
     for module, attr in hooks + list(OTHER_HOOKS):
         assert callable(resolve(module, attr)), (module, attr)
+
+
+def perfbench_names():
+    """(script, dotted name) of each name a perfbench script imports from
+    cogseg, and of each attribute read from an imported cogseg module in the
+    scope (module or function) that imports it."""
+    names = set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        scopes = [tree] + [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+        for scope in scopes:
+            modules = {}
+            for node in scope.body:
+                module = getattr(node, "module", None) or ""
+                if isinstance(node, ast.ImportFrom) and module.split(".")[0] == "cogseg":
+                    for alias in node.names:
+                        dotted = node.module + "." + alias.name
+                        names.add((path.name, dotted))
+                        modules[alias.asname or alias.name] = dotted
+            for node in ast.walk(scope):
+                if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                        and node.value.id in modules and isinstance(node.ctx, ast.Load)):
+                    names.add((path.name, modules[node.value.id] + "." + node.attr))
+    return names
+
+
+def resolve_dotted(dotted):
+    """The object a dotted name refers to, importing submodules on the way;
+    None if there is none."""
+    parts = dotted.split(".")
+    obj = importlib.import_module(parts[0])
+    for k, part in enumerate(parts[1:], 2):
+        if not hasattr(obj, part):
+            try:
+                importlib.import_module(".".join(parts[:k]))
+            except ModuleNotFoundError:
+                return None
+        obj = getattr(obj, part)
+    return obj
+
+
+def test_every_name_perfbench_imports_resolves():
+    names = perfbench_names()
+    assert {("gen.py", "cogseg.model.CognateModel"), ("run.py", "cogseg.trainer.initialize"),
+            ("child.py", "cogseg.trainer._edit_forms")} <= names
+    for script, dotted in sorted(names):
+        assert resolve_dotted(dotted) is not None, (script, dotted)
+
+
+def test_model_methods_perfbench_calls_exist():
+    source = "".join(path.read_text(encoding="utf-8") for path in PERFBENCH.glob("*.py"))
+    for name in MODEL_METHODS:
+        assert "." + name + "(" in source, name
+        assert callable(getattr(CognateModel, name)), name
 
 
 def test_read_caches_count():

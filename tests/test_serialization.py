@@ -53,6 +53,22 @@ class TestRoundTrip:
         save_model(load_model(first), second)
         assert first.read_bytes() == second.read_bytes()
 
+    def test_escaped_unpaired_word_and_morphs_roundtrip(self, tmp_path):
+        model = CognateModel()
+        model.register_pair(CognatePair("talo", "talu", 5, 3))
+        model.add_analysis(Analysis("talo", ("ta", "lo"), 5), "a")
+        model.add_analysis(Analysis("talu", ("ta", "lu"), 3), "b")
+        model.add_analysis(Analysis("ka\\la|t", ("ka\\", "la|t"), 2), "a")
+        first = tmp_path / "m1"
+        second = tmp_path / "m2"
+        save_model(model, first)
+        assert "ka\\\\la\\|t\t2\tka\\\\ la\\|t\n" in first.read_text(encoding="utf-8")
+        loaded = load_model(first)
+        assert loaded.analyses == model.analyses
+        assert loaded.lexicons["a"].counts == model.lexicons["a"].counts
+        save_model(loaded, second)
+        assert first.read_bytes() == second.read_bytes()
+
     def test_empty_model_roundtrips(self, tmp_path):
         path = tmp_path / "empty"
         save_model(CognateModel(), path)
@@ -162,6 +178,21 @@ class TestValidation:
             load_model(path)
         assert str(err.value) == "%s:%d: bad header field 'seed' (bad integer %r)" % (
             path, index + 1, text)
+
+    @pytest.mark.parametrize(
+        "row, escaped, text",
+        [("talo\t5\tta lo", "talo\t5\tta\\q lo", "ta\\q"), ("ta\t5", "ta\\q\t5", "ta\\q")],
+        ids=["analyses-a", "lexicon-a"],
+    )
+    def test_bad_escape_rejected_at_its_line(self, tmp_path, row, escaped, text):
+        path = self.make_file(tmp_path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        index = lines.index(row)
+        lines[index] = escaped
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(FormatError) as err:
+            load_model(path)
+        assert str(err.value) == "%s:%d: bad escape in %r" % (path, index + 1, text)
 
     @pytest.mark.parametrize(
         "key, value",

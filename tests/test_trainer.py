@@ -6,7 +6,13 @@ import pytest
 
 from cogseg.edits import MAX_ENTRIES, edit_forms, extract_edits
 from cogseg.errors import ContractError
-from cogseg.model import Analysis, CognatePair, CountLexicon, aligned_edit_tokens
+from cogseg.model import (
+    Analysis,
+    CognateModel,
+    CognatePair,
+    CountLexicon,
+    aligned_edit_tokens,
+)
 from cogseg.serialization import load_model, save_model
 from cogseg.trainer import (
     TrainingParams,
@@ -63,6 +69,30 @@ class TestInitialize:
         assert model.total_cost() == pytest.approx(
             model.recompute_from_scratch(), rel=1e-12
         )
+
+    def test_initial_cost_equals_the_recount_bit_for_bit(self):
+        corpora = TestPinnedTraining
+        model = initialize(corpora.CORPUS_A, corpora.CORPUS_B, corpora.PAIRS, default_params())
+        assert model.edit_lexicon.types > 0
+        assert model.total_cost() == model.recompute_from_scratch()
+
+    def test_counts_equal_a_word_by_word_build(self):
+        corpora = TestPinnedTraining
+        model = initialize(corpora.CORPUS_A, corpora.CORPUS_B, corpora.PAIRS, default_params())
+        built = CognateModel()
+        for word_a, word_b in corpora.PAIRS:
+            built.register_pair(CognatePair(word_a, word_b, corpora.CORPUS_A[word_a],
+                                            corpora.CORPUS_B[word_b]))
+        for lang, corpus in (("a", corpora.CORPUS_A), ("b", corpora.CORPUS_B)):
+            for word, count in corpus.items():
+                built.add_analysis(Analysis(word, (word,), count), lang)
+        assert model.analyses == built.analyses
+        for name in ("counts", "tokens", "char_counts", "char_tokens"):
+            for lang in ("a", "b"):
+                assert getattr(model.lexicons[lang], name) == getattr(built.lexicons[lang], name)
+            assert getattr(model.edit_lexicon, name) == getattr(built.edit_lexicon, name)
+        assert all(model.pair_tokens(p) == built.pair_tokens(p) for p in built.pairs)
+        assert model.total_cost() == pytest.approx(built.total_cost(), rel=1e-12)
 
     def test_pair_word_missing_from_corpus_rejected(self):
         with pytest.raises(ContractError):
@@ -304,6 +334,16 @@ class TestTrain:
         model.add_analysis(Analysis("ccc", ("c", "c", "c"), 3), "a")
         report = train(model, default_params(max_epochs=1))
         assert (report.epochs[0].units_changed, report.epochs[0].restores) == (0, 1)
+
+    def test_zero_threshold_stops_after_an_epoch_that_changes_nothing(self):
+        # Epoch 3 changes no unit, so no later epoch can: training stops
+        # there, whatever the rounding of its cost says.
+        params = default_params(alpha=0.5, rng_seed=1, max_epochs=8, convergence_threshold=0.0)
+        corpora = TestPinnedTraining
+        model = initialize(corpora.CORPUS_A, corpora.CORPUS_B, corpora.PAIRS, params)
+        report = train(model, params)
+        assert [e.units_changed for e in report.epochs] == [11, 1, 0]
+        assert repr(report.final_cost) == "1178.681209950501"
 
     def test_already_converged_stops_after_one_epoch(self):
         model = initialize({"a": 1}, {"b": 1}, [], default_params())
