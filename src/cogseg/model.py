@@ -18,7 +18,9 @@ constraint behave identically.
 
 Training's bookkeeping is incremental; ``recompute_from_scratch`` is the
 oracle guarding it. A fresh model (trainer.initialize) and a loaded one
-are counted by the same bulk recount (``recount``).
+are counted by the same bulk recount (``recount``). A pair's edit forms
+are counted while both of its words are recorded and counted in
+(``count_unit``); they come from edits.edit_forms and are not stored.
 """
 
 from __future__ import annotations
@@ -338,8 +340,6 @@ class CognateModel:
         self.analyses: dict[str, dict[str, Analysis]] = {"a": {}, "b": {}}
         self.pairs: list[CognatePair] = []
         self._pair_by_word: dict[tuple[str, str], CognatePair] = {}
-        # The edit forms counted for each linked pair, keyed by pair.key.
-        self._pair_tokens: dict[tuple[str, str], tuple[str, ...]] = {}
 
     # -- pair registry -------------------------------------------------
 
@@ -356,9 +356,6 @@ class CognateModel:
 
     def pair_for(self, language: str, word: str) -> CognatePair | None:
         return self._pair_by_word.get((language, word))
-
-    def pair_tokens(self, pair: CognatePair) -> tuple[str, ...]:
-        return self._pair_tokens.get(pair.key, ())
 
     # -- cost ----------------------------------------------------------
 
@@ -383,7 +380,7 @@ class CognateModel:
         return cost
 
     def cost_with(self, entries) -> float:
-        """The total cost with a detached unit's (language, analysis)
+        """The total cost with a counted-out unit's (language, analysis)
         entries counted in, computed from the counts without writing them.
         entries are one word, or the a and b words of a cognate pair, whose
         edit forms are counted too."""
@@ -414,18 +411,20 @@ class CognateModel:
         if language not in self.analyses:
             raise ContractError("unknown language %r" % language)
 
-    def _record_pair_tokens(self, pair: CognatePair) -> tuple[str, ...]:
-        """Align and record the pair's edit tokens once both analyses are
-        present; returns the newly recorded tokens, () if there are none."""
-        if pair.key in self._pair_tokens:
-            return ()
-        ana_a = self.analyses["a"].get(pair.word_a)
-        ana_b = self.analyses["b"].get(pair.word_b)
-        if ana_a is None or ana_b is None:
-            return ()
-        tokens = aligned_edit_tokens(ana_a, ana_b)
-        self._pair_tokens[pair.key] = tokens
-        return tokens
+    def check_pair(self, pair: CognatePair) -> None:
+        """Raise ContractError unless both words of pair are recorded, with
+        the pair's counts and equal morph counts."""
+        sides = (("a", pair.word_a, pair.count_a), ("b", pair.word_b, pair.count_b))
+        for lang, word, count in sides:
+            analysis = self.analyses[lang].get(word)
+            if analysis is None:
+                raise ContractError("pair word %r has no analysis in %s" % (word, lang))
+            if analysis.count != count:
+                raise ContractError(
+                    "pair count %d disagrees with analysis count %d for %r"
+                    % (count, analysis.count, word)
+                )
+        check_equal_morph_counts(self.analyses["a"][pair.word_a], self.analyses["b"][pair.word_b])
 
     def insert_analysis(self, analysis: Analysis, language: str) -> None:
         """Record a word's analysis without counting it; recount() counts
@@ -436,97 +435,63 @@ class CognateModel:
             raise ContractError("word %r already analyzed in %s" % (analysis.word, language))
         table[analysis.word] = analysis
 
-    def add_analysis(self, analysis: Analysis, language: str) -> None:
-        """Insert and count a word's analysis.
+    def count_unit(self, entries, sign: int) -> None:
+        """Count a unit's (language, analysis) entries in (sign 1) or out
+        (sign -1): one word, or the a and b words of a cognate pair, whose
+        aligned edit forms are counted first. The records are neither read
+        nor written. A pair with unequal morph counts raises ContractError
+        before any count changes."""
+        if len(entries) > 1:
+            (_, analysis_a), (_, analysis_b) = entries
+            add = self.edit_lexicon.add
+            for form in aligned_edit_tokens(analysis_a, analysis_b):
+                add(form, sign)
+        for language, analysis in entries:
+            add = self.lexicons[language].add
+            delta = sign * analysis.count
+            for morph in analysis.morphs:
+                add(morph, delta)
 
-        For a cognate word whose partner is present, the pair's edit tokens
-        are added atomically (both analyses must have equal morph counts).
-        Read the cost with total_cost().
-        """
+    def _partner_edit_forms(self, language: str, analysis: Analysis) -> tuple[str, ...]:
+        """The edit forms of analysis aligned with its pair partner's recorded
+        analysis; () if its word is unpaired or the partner unrecorded."""
+        pair = self.pair_for(language, analysis.word)
+        if pair is None:
+            return ()
+        both = {"a": self.analyses["a"].get(pair.word_a), "b": self.analyses["b"].get(pair.word_b)}
+        both[language] = analysis
+        return () if None in both.values() else aligned_edit_tokens(both["a"], both["b"])
+
+    def add_analysis(self, analysis: Analysis, language: str) -> None:
+        """Insert and count a word's analysis, with its pair's edit forms
+        first when its partner is recorded. A pair with unequal morph counts
+        raises ContractError with the model unchanged. Read the cost with
+        total_cost()."""
+        forms = self._partner_edit_forms(language, analysis)
         self.insert_analysis(analysis, language)
-        try:
-            self.attach_word(analysis.word, language)
-        except ContractError:
-            # attach_word raises before any count changes; a rejected call
-            # leaves no trace.
-            del self.analyses[language][analysis.word]
-            raise
+        for form in forms:
+            self.edit_lexicon.add(form, 1)
+        self.count_unit([(language, analysis)], 1)
 
     def remove_analysis(self, word: str, language: str) -> None:
-        """Uncount and remove a word's analysis, with its pair's edit tokens."""
+        """Uncount and remove a word's analysis, with its pair's edit forms
+        when its partner is recorded."""
         self._check_language(language)
         table = self.analyses[language]
         if word not in table:
             raise ContractError("word %r not analyzed in %s" % (word, language))
-        self.detach_word(word, language)
+        analysis = table[word]
+        for form in self._partner_edit_forms(language, analysis):
+            self.edit_lexicon.add(form, -1)
+        self.count_unit([(language, analysis)], -1)
         del table[word]
-
-    def detach_word(self, word: str, language: str) -> None:
-        """Remove a word's counted contributions, keeping its analysis record.
-
-        Local-search primitive: the record supplies the token count while the
-        word is being resegmented. Pair edit tokens are removed with the
-        first detached member of the pair.
-        """
-        analysis = self.analyses[language][word]
-        pair = self.pair_for(language, word)
-        if pair is not None:
-            add = self.edit_lexicon.add
-            for form in self._pair_tokens.pop(pair.key, ()):
-                add(form, -1)
-        lex = self.lexicons[language]
-        for morph in analysis.morphs:
-            lex.add(morph, -analysis.count)
-
-    def attach_word(self, word: str, language: str) -> None:
-        """Count a detached word's recorded analysis back in.
-
-        The pair's edit tokens come first: a pair with unequal morph counts
-        raises ContractError before any count changes.
-        """
-        pair = self.pair_for(language, word)
-        if pair is not None:
-            add = self.edit_lexicon.add
-            for form in self._record_pair_tokens(pair):
-                add(form, 1)
-        analysis = self.analyses[language][word]
-        lex = self.lexicons[language]
-        for morph in analysis.morphs:
-            lex.add(morph, analysis.count)
-
-    def record_analyses(self, entries) -> None:
-        """Record a detached unit's new analyses and a pair's edit tokens.
-
-        entries are (language, analysis) items: one word, or both words of
-        a cognate pair. Local-search primitive: the search that chose the
-        analyses has already counted their morphs and edit tokens in the
-        lexicons.
-        """
-        for language, analysis in entries:
-            self.analyses[language][analysis.word] = analysis
-        for language, analysis in entries:
-            pair = self.pair_for(language, analysis.word)
-            if pair is not None:
-                self._record_pair_tokens(pair)
-
-    def attach_analyses(self, entries) -> None:
-        """Record a detached unit's (language, analysis) entries and count
-        them in, with a pair's edit tokens.
-
-        Every record is in place before any word is attached, so a pair's
-        edit tokens are never aligned from one old and one new analysis.
-        """
-        for language, analysis in entries:
-            self.analyses[language][analysis.word] = analysis
-        for language, analysis in entries:
-            self.attach_word(analysis.word, language)
 
     # -- integrity -------------------------------------------------------
 
     def _rebuild(self):
         """The lexicons a, b and edits recounted from the recorded analyses
-        with CountLexicon.from_counts, and the edit tokens of each pair whose
-        words are both analyzed, keyed by pair.key."""
+        with CountLexicon.from_counts; the edits are those of each pair whose
+        words are both analyzed."""
         tallies = {}
         for lang in LANGUAGES:
             tally = tallies[lang] = {}
@@ -535,27 +500,24 @@ class CognateModel:
                 for morph in analysis.morphs:
                     tally[morph] = tally.get(morph, 0) + count
         edit_tally = {}
-        pair_tokens = {}
         for pair in self.pairs:
             ana_a = self.analyses["a"].get(pair.word_a)
             ana_b = self.analyses["b"].get(pair.word_b)
             if ana_a is None or ana_b is None:
                 continue
-            tokens = pair_tokens[pair.key] = aligned_edit_tokens(ana_a, ana_b)
-            for form in tokens:
+            for form in aligned_edit_tokens(ana_a, ana_b):
                 edit_tally[form] = edit_tally.get(form, 0) + 1
-        lexicons = [CountLexicon.from_counts(t) for t in (tallies["a"], tallies["b"], edit_tally)]
-        return lexicons, pair_tokens
+        return [CountLexicon.from_counts(t) for t in (tallies["a"], tallies["b"], edit_tally)]
 
     def recount(self) -> None:
-        """Replace every count and cached sum, and each pair's edit tokens,
-        with the recount of the recorded analyses. Afterwards total_cost()
-        equals recompute_from_scratch() bit for bit.
+        """Replace every count and cached sum with the recount of the
+        recorded analyses. Afterwards total_cost() equals
+        recompute_from_scratch() bit for bit.
 
         Raises ContractError, with the model unchanged, if a pair's analyses
         have unequal morph counts or give an edit Edit would reject.
         """
-        (lex_a, lex_b, lex_e), self._pair_tokens = self._rebuild()
+        lex_a, lex_b, lex_e = self._rebuild()
         self.lexicons = {"a": lex_a, "b": lex_b}
         self.edit_lexicon = lex_e
 
@@ -567,7 +529,7 @@ class CognateModel:
         cached one (exact count mismatch, or cached float sums off by more
         than 1e-9 relative).
         """
-        (fresh_a, fresh_b, fresh_e), _ = self._rebuild()
+        fresh_a, fresh_b, fresh_e = self._rebuild()
         for name, cached, fresh in (
             ("lexicon a", self.lexicons["a"], fresh_a),
             ("lexicon b", self.lexicons["b"], fresh_b),

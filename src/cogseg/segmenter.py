@@ -217,12 +217,17 @@ def override_source_segmentation(
 
 
 def target_tag(language_id: str, targets=("et", "fi")) -> str:
-    """The target-language pseudo-token "<to_XX>" of a configured language."""
+    """The target-language pseudo-token "<to_XX>" of a configured language.
+    An id whose tag does not match TAG_PATTERN, which the apply commands
+    would split like any other token, raises ContractError."""
     if language_id not in targets:
         raise ContractError(
             "unknown target language %r (configured: %s)" % (language_id, ", ".join(targets))
         )
-    return "<to_%s>" % language_id
+    tag = "<to_%s>" % language_id
+    if not TAG_PATTERN.match(tag):
+        raise ContractError("target language id %r is not ASCII letters and digits" % language_id)
+    return tag
 
 
 def prefix_target_tag(sentence: str, language_id: str, targets=("et", "fi")) -> str:

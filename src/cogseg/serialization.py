@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from .edits import Edit
 from .errors import CogsegError, FormatError, open_text, parse_int, parse_positive
-from .model import Analysis, CognateModel, CognatePair, check_equal_morph_counts
+from .model import Analysis, CognateModel, CognatePair
 
 FORMAT_NAME = "cogseg-model"
 FORMAT_VERSION = 1
@@ -66,14 +66,12 @@ def unescape_field(text: str, path=None, line=None) -> str:
     return "".join(out)
 
 
-def _check_token(token: str, what: str) -> str:
-    if not token or any(ch.isspace() for ch in token):
-        raise CogsegError("%s %r is empty or contains whitespace" % (what, token))
-    return token
-
-
 def save_model(model: CognateModel, path) -> None:
-    """Write the model to path; output bytes depend only on the model state."""
+    """Write the model to path; output bytes depend only on the model state.
+    A pair that fails CognateModel.check_pair, which load_model would
+    reject, raises ContractError before anything is written."""
+    for pair in model.pairs:
+        model.check_pair(pair)
     lines = ["%s %d" % (FORMAT_NAME, FORMAT_VERSION)]
     for key in _HEADER_FIELDS:
         lines.append("%s %s" % (key, getattr(model, key.replace("-", "_"))))
@@ -81,7 +79,8 @@ def save_model(model: CognateModel, path) -> None:
         lines.append("[%s]" % name)
         lex = model.lexicons[lang]
         for form in sorted(lex.counts):
-            _check_token(form, "morph")
+            if not form or any(ch.isspace() for ch in form):
+                raise CogsegError("morph %r is empty or contains whitespace" % form)
             lines.append("%s\t%d" % (escape_field(form), lex.counts[form]))
     lines.append("[EDITS]")
     for form in sorted(model.edit_lexicon.counts):
@@ -110,8 +109,6 @@ def save_model(model: CognateModel, path) -> None:
         table = model.analyses[lang]
         for word in sorted(table):
             analysis = table[word]
-            for morph in analysis.morphs:
-                _check_token(morph, "morph")
             lines.append(
                 "%s\t%d\t%s"
                 % (
@@ -207,7 +204,6 @@ def load_model(path) -> CognateModel:
             yield line_no, fields
 
     model = CognateModel(**settings)
-    analyses = model.analyses
     for lang, name in (("a", "ANALYSES-A"), ("b", "ANALYSES-B")):
         for line_no, (word, count, morphs) in rows(name, "tcm", "analysis"):
             count = parse_positive(count, path, line_no)
@@ -220,17 +216,9 @@ def load_model(path) -> CognateModel:
         count_a = parse_positive(count_a, path, line_no)
         count_b = parse_positive(count_b, path, line_no)
         try:
-            model.register_pair(CognatePair(word_a, word_b, count_a, count_b))
-            for lang, word, count in (("a", word_a, count_a), ("b", word_b, count_b)):
-                analysis = analyses[lang].get(word)
-                if analysis is None:
-                    raise CogsegError("pair word %r has no analysis in %s" % (word, lang))
-                if analysis.count != count:
-                    raise CogsegError(
-                        "pair count %d disagrees with analysis count %d for %r"
-                        % (count, analysis.count, word)
-                    )
-            check_equal_morph_counts(analyses["a"][word_a], analyses["b"][word_b])
+            pair = CognatePair(word_a, word_b, count_a, count_b)
+            model.register_pair(pair)
+            model.check_pair(pair)
         except CogsegError as exc:
             raise FormatError(str(exc), path, line_no) from exc
 

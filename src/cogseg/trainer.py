@@ -20,11 +20,11 @@ more than the recount tolerance cannot win, so its edit forms are neither
 aligned nor scored. Ties are broken by an explicit key, not by the visiting
 order, so the search chooses exactly what scoring every combination would.
 
-Every step then detaches the search result, scores it and the unit's
-previous analyses the same way from the same counts, and counts one of them
-back in, in one commit: the previous ones only when they are strictly
-cheaper, so the total cost never increases and a unit whose analysis the
-search finds again keeps it.
+Every step counts the unit out (CognateModel.count_unit) and searches. A
+new result is counted out again, scored with the previous analyses from the
+same counts, and one of them is counted back in: the previous ones only when
+strictly cheaper, so the total cost never increases and a unit whose
+analysis the search finds again keeps it.
 
 Unit ordering is derived by sorting on a keyed hash of the unit identity
 (not the language), which makes a joint run with an empty pair list visit
@@ -169,7 +169,7 @@ def initialize(corpus_a, corpus_b, pairs, params: TrainingParams) -> CognateMode
 
 
 def _search(model: CognateModel, unit, tally: SearchTally | None = None) -> list[Analysis]:
-    """Recursive splitting of a detached unit of (language, word) entries.
+    """Recursive splitting of a counted-out unit of (language, word) entries.
 
     Each morph takes the cheapest of staying whole and every split point,
     and the two parts of a split are searched in turn. For a cognate pair a
@@ -309,11 +309,9 @@ def _search(model: CognateModel, unit, tally: SearchTally | None = None) -> list
 
 def resegment_word(model: CognateModel, word: str, language: str,
                    tally: SearchTally | None = None) -> Analysis:
-    """Resegment a detached word and record the new analysis.
-
-    The word's morph counts must have been removed (detach_word); its
-    analysis record supplies the token count. The search's candidates are
-    added to tally, if given.
+    """Resegment a word counted out (CognateModel.count_unit), leave the new
+    morphs counted in and record the new analysis. The old record supplies
+    the token count. The search's candidates are added to tally, if given.
     """
     if not word:
         raise ContractError("cannot resegment an empty word")
@@ -322,33 +320,33 @@ def resegment_word(model: CognateModel, word: str, language: str,
     if model.pair_for(language, word) is not None:
         raise ContractError("cognate word %r must be resegmented as a pair" % word)
     (analysis,) = _search(model, ((language, word),), tally)
-    model.record_analyses([(language, analysis)])
+    model.analyses[language][word] = analysis
     return analysis
 
 
 def resegment_pair(model: CognateModel, pair: CognatePair, tally: SearchTally | None = None):
-    """Jointly resegment a detached cognate pair and record both analyses;
-    the search's candidates are added to tally, if given."""
+    """Jointly resegment a pair counted out (CognateModel.count_unit), leave
+    the new analyses counted in and record them; the search's candidates are
+    added to tally, if given."""
     if model.pair_for("a", pair.word_a) is not pair:
         raise ContractError("pair %r not registered" % (pair.key,))
     new_a, new_b = _search(model, (("a", pair.word_a), ("b", pair.word_b)), tally)
-    model.record_analyses([("a", new_a), ("b", new_b)])
+    model.analyses["a"][pair.word_a], model.analyses["b"][pair.word_b] = new_a, new_b
     return new_a, new_b
 
 
 def _optimize(model: CognateModel, unit, tally: SearchTally | None = None) -> tuple[bool, bool]:
     """One local-search step on a unit of (language, word) entries: one
-    word, or the two words of a cognate pair. The unit is detached and
-    resegmented. When the search found other analyses than the old ones,
-    those are detached again and both are scored with
-    CognateModel.cost_with from the detached counts; one attach_analyses
-    call then commits the new ones, or the old ones when they are strictly
+    word, or the two words of a cognate pair. The unit's analyses are
+    counted out and it is resegmented. When the search found other analyses
+    than the old ones, those are counted out again and both are scored with
+    CognateModel.cost_with from the same counts; the new ones are then
+    counted in and recorded, or the old ones when they are strictly
     cheaper. A search that finds the unit's own analyses again keeps them.
     The search's candidates are added to tally, if given. Returns (changed,
     restored)."""
     old = [(language, model.analyses[language][word]) for language, word in unit]
-    for language, word in unit:
-        model.detach_word(word, language)
+    model.count_unit(old, -1)
     if len(unit) == 1:
         ((language, word),) = unit
         resegment_word(model, word, language, tally)
@@ -358,10 +356,12 @@ def _optimize(model: CognateModel, unit, tally: SearchTally | None = None) -> tu
     if new == old:
         # Equal analyses score equally: keep them without scoring.
         return False, False
-    for language, word in unit:
-        model.detach_word(word, language)
+    model.count_unit(new, -1)
     restore = model.cost_with(old) < model.cost_with(new)
-    model.attach_analyses(old if restore else new)
+    kept = old if restore else new
+    model.count_unit(kept, 1)
+    for language, analysis in kept:
+        model.analyses[language][analysis.word] = analysis
     return not restore, restore
 
 
@@ -385,7 +385,8 @@ def train(model: CognateModel, params: TrainingParams, epoch_callback=None) -> T
     record_steps: the cost uses the model's own settings, and units are
     visited in an order seeded by model.seed, the seed a saved model
     records. epoch_callback(model, epoch), if given, is called after every
-    epoch.
+    epoch. A pair that fails CognateModel.check_pair raises ContractError
+    before any unit is visited.
     """
     units = []
     for lang in ("a", "b"):
@@ -393,6 +394,7 @@ def train(model: CognateModel, params: TrainingParams, epoch_callback=None) -> T
             if model.pair_for(lang, word) is None:
                 units.append(((lang, word),))
     for pair in model.pairs:
+        model.check_pair(pair)
         units.append((("a", pair.word_a), ("b", pair.word_b)))
 
     prev = model.total_cost()

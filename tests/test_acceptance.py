@@ -164,7 +164,7 @@ def test_criterion_2_bookkeeping_oracle():
                 w for w in model.analyses[lang] if model.pair_for(lang, w) is None
             ]
             word = rng.choice(sorted(candidates))
-            model.detach_word(word, lang)
+            model.count_unit([(lang, model.analyses[lang][word])], -1)
             resegment_word(model, word, lang)
         fresh = model.recompute_from_scratch()
         assert relative_close(model.total_cost(), fresh), "step %d diverged" % step

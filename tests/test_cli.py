@@ -293,6 +293,21 @@ class TestSegmentCommands:
             assert error_payload(code, err)["error"] == "ContractError"
             assert out == ""
 
+    @pytest.mark.parametrize(
+        "lang, targets", [("fi-x", "fi-x,et"), ("", ",et"), ("fö", "fö,et")],
+        ids=["hyphen", "empty", "non-ascii"],
+    )
+    def test_prep_tag_rejects_a_tag_the_apply_commands_split(self, workspace, monkeypatch,
+                                                             lang, targets):
+        # segment passes a token through whole only if it matches
+        # TAG_PATTERN, so prep-tag must not write any other "<to_...>".
+        code, out, err = run_cli(
+            ["prep-tag", "--lang", lang, "--targets", targets], stdin_text="tere\n",
+            monkeypatch=monkeypatch,
+        )
+        assert error_payload(code, err)["error"] == "ContractError"
+        assert out == ""
+
 
 def train_merges(workspace, monkeypatch):
     (workspace / "c1.tsv").write_text("kala\t10\nkalassa\t4\n", encoding="utf-8")

@@ -324,6 +324,70 @@ class TestAddRemove:
             assert model.total_cost() == pytest.approx(fresh, rel=1e-9)
 
 
+# Two pairs and one unpaired word per language: random add and remove
+# sequences reach every order of a pair's two members.
+STEP_PAIRS = [("talo", "talu"), ("kala", "kalu")]
+STEP_WORDS = [("a", "talo"), ("b", "talu"), ("a", "kala"), ("b", "kalu"), ("a", "vesi"),
+              ("b", "maa")]
+
+
+@st.composite
+def analysis_steps(draw):
+    """(language, word, cut points, count) of each step: a recorded word is
+    removed, an unrecorded one is added with that segmentation."""
+    steps = []
+    for _ in range(draw(st.integers(1, 24))):
+        language, word = draw(st.sampled_from(STEP_WORDS))
+        cuts = sorted(draw(st.sets(st.integers(1, len(word) - 1), max_size=2)))
+        steps.append((language, word, cuts, draw(st.integers(1, 4))))
+    return steps
+
+
+def counted_state(lexicons):
+    return [(lex.counts, lex.char_counts, lex.tokens, lex.char_tokens) for lex in lexicons]
+
+
+def model_state(model):
+    lexicons = [model.lexicons["a"], model.lexicons["b"], model.edit_lexicon]
+    return ({lang: dict(table) for lang, table in model.analyses.items()},
+            [(dict(counts), dict(chars), tokens, char_tokens)
+             for counts, chars, tokens, char_tokens in counted_state(lexicons)])
+
+
+@given(analysis_steps())
+def test_pair_edit_forms_are_counted_exactly_while_both_words_are_recorded(steps):
+    model = CognateModel()
+    for word_a, word_b in STEP_PAIRS:
+        model.register_pair(CognatePair(word_a, word_b, 1, 1))
+    for language, word, cuts, count in steps:
+        if word in model.analyses[language]:
+            model.remove_analysis(word, language)
+        else:
+            bounds = [0] + cuts + [len(word)]
+            analysis = Analysis(word, tuple(word[i:j] for i, j in zip(bounds, bounds[1:])), count)
+            pair = model.pair_for(language, word)
+            partner = pair and model.analyses["b" if language == "a" else "a"].get(
+                pair.word_b if language == "a" else pair.word_a)
+            if partner and len(partner.morphs) != len(analysis.morphs):
+                before = model_state(model)
+                with pytest.raises(ContractError):
+                    model.add_analysis(analysis, language)
+                assert model_state(model) == before
+                continue
+            model.add_analysis(analysis, language)
+        lexicons = [model.lexicons["a"], model.lexicons["b"], model.edit_lexicon]
+        assert counted_state(lexicons) == counted_state(model._rebuild())
+        model.recompute_from_scratch()
+        for pair in model.pairs:
+            entries = [("a", model.analyses["a"].get(pair.word_a)),
+                       ("b", model.analyses["b"].get(pair.word_b))]
+            if entries[0][1] and entries[1][1]:
+                before = model_state(model)
+                model.count_unit(entries, -1)
+                model.count_unit(entries, 1)
+                assert model_state(model) == before
+
+
 class TestIntegrity:
     def test_recompute_on_fresh_model(self):
         model = toy_model()
@@ -340,9 +404,11 @@ class TestIntegrity:
     def test_detach_attach_roundtrip(self):
         model = toy_model()
         before = model.total_cost()
-        model.detach_word("talo", "a")
+        pair = [("a", model.analyses["a"]["talo"]), ("b", model.analyses["b"]["talu"])]
+        model.count_unit(pair, -1)
         assert model.edit_lexicon.counts == {}
-        model.attach_word("talo", "a")
+        assert model.lexicons["a"].counts == {"katos": 2} and model.lexicons["b"].counts == {}
+        model.count_unit(pair, 1)
         assert model.total_cost() == pytest.approx(before, abs=1e-9)
         model.recompute_from_scratch()
 
@@ -351,10 +417,10 @@ class TestIntegrity:
         model = toy_model()
         model.add_analysis(Analysis("vesi", ("ve", "si"), 2), "a")
         counts = [dict(lex.counts) for lex in (*model.lexicons.values(), model.edit_lexicon)]
-        tokens = {pair.key: model.pair_tokens(pair) for pair in model.pairs}
         model.recount()
         assert [lex.counts for lex in (*model.lexicons.values(), model.edit_lexicon)] == counts
-        assert {pair.key: model.pair_tokens(pair) for pair in model.pairs} == tokens
+        forms = aligned_edit_tokens(model.analyses["a"]["talo"], model.analyses["b"]["talu"])
+        assert model.edit_lexicon.counts == {form: forms.count(form) for form in forms}
         assert model.total_cost() == model.recompute_from_scratch()
 
 

@@ -99,19 +99,24 @@ def build(world):
         if analyses["b"][pair.word_b] is None:
             analyses["a"][pair.word_a] = (pair.word_a,)
             analyses["b"][pair.word_b] = (pair.word_b,)
-    for language in ("a", "b"):
-        for word in model.analyses[language]:
-            model.detach_word(word, language)
+    units = [((language, word),) for language in ("a", "b") for word in model.analyses[language]
+             if model.pair_for(language, word) is None]
+    units += [(("a", pair.word_a), ("b", pair.word_b)) for pair in model.pairs]
+    for each in units:
+        model.count_unit(recorded(model, each), -1)
     for language in ("a", "b"):
         table = model.analyses[language]
         for word, morphs in analyses[language].items():
             table[word] = Analysis(word, morphs, table[word].count)
-    for language in ("a", "b"):
-        for word in model.analyses[language]:
-            model.attach_word(word, language)
-    for language, word in unit:
-        model.detach_word(word, language)
+    for each in units:
+        model.count_unit(recorded(model, each), 1)
+    model.count_unit(recorded(model, unit), -1)
     return model, unit
+
+
+def recorded(model, unit):
+    """The recorded (language, analysis) entries of a unit."""
+    return [(language, model.analyses[language][word]) for language, word in unit]
 
 
 def scorer_cost(model, unit, parts, forms):
@@ -222,8 +227,7 @@ def test_exact_ties_go_to_the_largest_split(monkeypatch, corpus_a, corpus_b, pai
 
     def detached():
         model = initialize(corpus_a, corpus_b, [pair], TrainingParams(**settings_))
-        for language, word in unit:
-            model.detach_word(word, language)
+        model.count_unit(recorded(model, unit), -1)
         return model
 
     reference = detached()
@@ -272,8 +276,7 @@ def test_the_bound_skips_edit_scoring(monkeypatch):
     runs = []
     for search in (score_every_pair_search, _search):
         model = initialize(corpus_a, corpus_b, pairs, TrainingParams())
-        for language, word in unit:
-            model.detach_word(word, language)
+        model.count_unit(recorded(model, unit), -1)
         scored.clear()
         runs.append((search(model, unit), len(scored)))
     (expected, every), (analyses, bounded) = runs

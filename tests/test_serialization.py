@@ -3,7 +3,7 @@ import pytest
 from cogseg import edits, model as model_module, trainer
 from cogseg.edits import Edit
 from cogseg.errors import ContractError, FormatError
-from cogseg.model import Analysis, CognateModel, CognatePair
+from cogseg.model import Analysis, CognateModel, CognatePair, aligned_edit_tokens
 from cogseg.serialization import (
     escape_field,
     load_model,
@@ -268,6 +268,27 @@ class TestValidation:
             % path
         )
 
+    @pytest.mark.parametrize(
+        "counts, remove, reason",
+        [((2, 2), "talo", "pair word 'talo' has no analysis in a"),
+         ((4, 3), None, "pair count 4 disagrees with analysis count 5 for 'talo'")],
+        ids=["no-analysis", "count"],
+    )
+    def test_save_refuses_a_pair_that_load_rejects(self, tmp_path, counts, remove, reason):
+        # save_model runs the check load_model runs on each [PAIRS] row, and
+        # writes nothing when a pair fails it.
+        model = CognateModel()
+        model.register_pair(CognatePair("talo", "talu", *counts))
+        model.add_analysis(Analysis("talo", ("talo",), 5 if remove is None else 2), "a")
+        model.add_analysis(Analysis("talu", ("talu",), 3 if remove is None else 2), "b")
+        if remove:
+            model.remove_analysis(remove, "a")
+        path = tmp_path / "model"
+        with pytest.raises(ContractError) as err:
+            save_model(model, path)
+        assert str(err.value) == reason
+        assert not path.exists()
+
     def test_pair_edit_holding_the_edit_boundary_rejected(self, tmp_path):
         path = self.make_file(tmp_path)
         text = path.read_text(encoding="utf-8")
@@ -366,7 +387,8 @@ class TestReportEdits:
         model = trained_model()
         recount = {}
         for pair in model.pairs:
-            for form in model.pair_tokens(pair):
+            analyses = model.analyses["a"][pair.word_a], model.analyses["b"][pair.word_b]
+            for form in aligned_edit_tokens(*analyses):
                 recount[form] = recount.get(form, 0) + 1
         reported = {e.form: c for e, c in report_edits(model, top_k=10_000)}
         assert reported == recount

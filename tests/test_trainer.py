@@ -1,6 +1,7 @@
 import hashlib
 import logging
 import math
+from collections import Counter
 
 import pytest
 
@@ -91,7 +92,11 @@ class TestInitialize:
             for lang in ("a", "b"):
                 assert getattr(model.lexicons[lang], name) == getattr(built.lexicons[lang], name)
             assert getattr(model.edit_lexicon, name) == getattr(built.edit_lexicon, name)
-        assert all(model.pair_tokens(p) == built.pair_tokens(p) for p in built.pairs)
+        edit_forms_of_pairs = [
+            form for p in built.pairs for form in aligned_edit_tokens(
+                built.analyses["a"][p.word_a], built.analyses["b"][p.word_b])
+        ]
+        assert model.edit_lexicon.counts == Counter(edit_forms_of_pairs)
         assert model.total_cost() == pytest.approx(built.total_cost(), rel=1e-12)
 
     def test_pair_word_missing_from_corpus_rejected(self):
@@ -115,14 +120,14 @@ class TestInitialize:
 class TestResegmentWord:
     def test_single_character_word(self):
         model = initialize({"a": 3, "bc": 1}, {}, [], default_params())
-        model.detach_word("a", "a")
+        model.count_unit([("a", model.analyses["a"]["a"])], -1)
         assert resegment_word(model, "a", "a").morphs == ("a",)
 
     def test_splits_into_frequent_parts(self):
         # with the corpus cost fully weighted, "aabb" rides on aa and bb
         params = default_params(alpha=1.0)
         model = initialize({"aabb": 1, "aa": 5, "bb": 5}, {}, [], params)
-        model.detach_word("aabb", "a")
+        model.count_unit([("a", model.analyses["a"]["aabb"])], -1)
         analysis = resegment_word(model, "aabb", "a")
         assert analysis.morphs == ("aa", "bb")
 
@@ -133,12 +138,12 @@ class TestResegmentWord:
         # oracle: all 8 segmentations of "aabb", exact cost of each
         results = {}
         for seg in segmentations("aabb"):
-            model.detach_word("aabb", "a")
+            model.count_unit([("a", model.analyses["a"]["aabb"])], -1)
             model.analyses["a"]["aabb"] = Analysis("aabb", seg, 1)
-            model.attach_word("aabb", "a")
+            model.count_unit([("a", model.analyses["a"]["aabb"])], 1)
             results[seg] = model.total_cost()
         best_cost = min(results.values())
-        model.detach_word("aabb", "a")
+        model.count_unit([("a", model.analyses["a"]["aabb"])], -1)
         model.analyses["a"]["aabb"] = Analysis("aabb", ("aabb",), 1)
         resegmented = resegment_word(model, "aabb", "a")
         assert model.total_cost() == pytest.approx(best_cost, rel=1e-9)
@@ -150,11 +155,11 @@ class TestResegmentWord:
             {"sininen": 1, "sini": 3, "nen": 3, "punainen": 1}, {}, [], params
         )
         for word in ("sininen", "punainen"):
-            model.detach_word(word, "a")
+            model.count_unit([("a", model.analyses["a"][word])], -1)
             model.analyses["a"][word] = Analysis(word, (word,), 1)
-            model.attach_word(word, "a")
+            model.count_unit([("a", model.analyses["a"][word])], 1)
             whole = model.total_cost()
-            model.detach_word(word, "a")
+            model.count_unit([("a", model.analyses["a"][word])], -1)
             resegment_word(model, word, "a")
             assert model.total_cost() <= whole + 1e-9
 
@@ -162,6 +167,11 @@ class TestResegmentWord:
         model = initialize({"ab": 1}, {}, [], default_params())
         with pytest.raises(ContractError):
             resegment_word(model, "", "a")
+
+
+def recorded(model, pair):
+    """The recorded (language, analysis) entries of a pair."""
+    return [("a", model.analyses["a"][pair.word_a]), ("b", model.analyses["b"][pair.word_b])]
 
 
 def pair_resegment_oracle(model, pair):
@@ -203,8 +213,7 @@ class TestResegmentPair:
         # A one-character side cannot split, so neither side may.
         model = initialize({word_a: 2}, {word_b: 2}, [(word_a, word_b)], default_params())
         pair = model.pairs[0]
-        model.detach_word(word_a, "a")
-        model.detach_word(word_b, "b")
+        model.count_unit(recorded(model, pair), -1)
         new_a, new_b = resegment_pair(model, pair)
         assert new_a.morphs == (word_a,) and new_b.morphs == (word_b,)
         assert model.recompute_from_scratch() == pytest.approx(model.total_cost(), rel=1e-12)
@@ -215,8 +224,7 @@ class TestResegmentPair:
         params = default_params(alpha=1.0)
         model = initialize(corpus_a, corpus_b, [("tööajast", "työajasta")], params)
         pair = model.pairs[0]
-        model.detach_word(pair.word_a, "a")
-        model.detach_word(pair.word_b, "b")
+        model.count_unit(recorded(model, pair), -1)
         oracle_cost, oracle_segs = pair_resegment_oracle(model, pair)
         new_a, new_b = resegment_pair(model, pair)
         assert len(new_a.morphs) == len(new_b.morphs)
@@ -230,8 +238,7 @@ class TestResegmentPair:
             [("kalastaja", "kalastaja")], default_params(alpha=1.0),
         )
         pair = model.pairs[0]
-        model.detach_word(pair.word_a, "a")
-        model.detach_word(pair.word_b, "b")
+        model.count_unit(recorded(model, pair), -1)
         new_a, new_b = resegment_pair(model, pair)
         assert len(new_a.morphs) == len(new_b.morphs)
 
@@ -272,7 +279,7 @@ class TestOptimizeRestore:
         model.add_analysis(old_a, "a")
         model.add_analysis(old_b, "b")
         self.step(model, (("a", "ccc"), ("b", "bbb")))
-        assert model.pair_tokens(model.pairs[0]) == aligned_edit_tokens(old_a, old_b)
+        assert model.edit_lexicon.counts == Counter(aligned_edit_tokens(old_a, old_b))
 
 
 class TestOptimizeKeep:
@@ -287,6 +294,16 @@ class TestOptimizeKeep:
 
 
 class TestTrain:
+    def test_pair_without_both_analyses_rejected_before_any_unit(self):
+        model = initialize({"talo": 2, "kala": 3}, {"talu": 2}, [("talo", "talu")],
+                           default_params())
+        model.remove_analysis("talo", "a")
+        analyses = {lang: dict(table) for lang, table in model.analyses.items()}
+        with pytest.raises(ContractError) as err:
+            train(model, default_params())
+        assert str(err.value) == "pair word 'talo' has no analysis in a"
+        assert model.analyses == analyses
+
     def test_epochs_count_changed_units_and_restores(self):
         params = default_params(alpha=0.5, rng_seed=1, max_epochs=3, convergence_threshold=0.0)
         corpora = TestPinnedTraining
@@ -512,20 +529,29 @@ class TestPinnedTraining:
     ]
 
     def test_two_epoch_joint_model_is_byte_identical(self, tmp_path):
-        params = default_params(
-            alpha=0.5, rng_seed=3, max_epochs=2, convergence_threshold=0.0
-        )
-        model = initialize(self.CORPUS_A, self.CORPUS_B, self.PAIRS, params)
-        report = train(model, params)
-        path = tmp_path / "model"
-        save_model(model, path)
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        assert report.epochs_run == 2
-        assert repr(report.final_cost) == "1190.9116639329977"
-        assert [e.candidates_scored for e in report.epochs] == [216, 162]
-        assert digest == (
-            "8afb6d3b187e47df31509d3d7e83155c2651e629586c21360d9a7b58a79b99c9"
-        )
+        # The joint model in the full and the count-only mode, and a
+        # monolingual one (corpus a, no pairs).
+        runs = [
+            ("full", self.CORPUS_B, self.PAIRS, "1190.9116639329977", [216, 162],
+             "8afb6d3b187e47df31509d3d7e83155c2651e629586c21360d9a7b58a79b99c9"),
+            ("count-only", self.CORPUS_B, self.PAIRS, "473.1309269628532", [78, 84],
+             "37f637cd2f0ca50f81c4e7a03dd07da26c6ca0e88494b717ee879f602891e7e5"),
+            ("full", {}, [], "261.03470027098456", [150, 150],
+             "cdb237b70a42aedd56f7c31d92d39d321b57e033b5be4ab48ce95a7c08bb3bf9"),
+        ]
+        for edit_mode, corpus_b, pairs, final_cost, candidates, digest in runs:
+            params = default_params(
+                alpha=0.5, rng_seed=3, max_epochs=2, convergence_threshold=0.0,
+                edit_mode=edit_mode,
+            )
+            model = initialize(self.CORPUS_A, corpus_b, pairs, params)
+            report = train(model, params)
+            path = tmp_path / "model"
+            save_model(model, path)
+            assert report.epochs_run == 2
+            assert repr(report.final_cost) == final_cost
+            assert [e.candidates_scored for e in report.epochs] == candidates
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_two_epoch_joint_training_scores_few_edit_forms(self, monkeypatch):
         # Visiting a pair's split combinations cheapest first lowers the
