@@ -50,10 +50,12 @@ def load_word_counts(path) -> dict[str, int]:
 
 
 def load_count_table(path) -> dict[str, int]:
-    """Read a word<TAB>count table; every count must be positive and every
-    word listed once."""
+    """Read a word<TAB>count table; every word must be non-empty and listed
+    once, and every count positive."""
     table: dict[str, int] = {}
     for lineno, (word, count) in read_rows(path, 2):
+        if not word:
+            raise FormatError("empty word", path, lineno)
         if word in table:
             raise FormatError("word %r listed twice" % word, path, lineno)
         table[word] = parse_positive(count, path, lineno)

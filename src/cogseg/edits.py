@@ -10,16 +10,15 @@ rather than the harder-to-reuse ' -> a') and merges runs that come to touch.
 One alignment table serves distance, alignment and edits:
 levenshtein_distance reads the cost from its first cell (after stripping
 the common prefix and suffix, which only the distance may do). One traceback
-walks the table and writes the operations as a string of letters; it can
-start from any cell, since cell (i, j) of the table of (a, b) holds the
-alignment of a[i:] with b[j:]. levenshtein_align
-turns those letters into AlignmentOps; _edit_spans turns their non-match
-runs into spans. edit_forms, an EditFormCache with one fixed bound of
-MAX_ENTRIES (2^20) entries, builds the serialized forms from the spans: the
-one edit path that training, the model's pair bookkeeping, the recount and
-model loading all read. Its tails(a, b) gives the forms of every tail pair
-(a[i:], b[j:]) from one table of (a, b); a call is the tail (0, 0).
-extract_edits builds the positioned script (Edit objects and spans) from them.
+walks the table from that cell and writes the operations as a string of
+letters. levenshtein_align turns those letters into AlignmentOps;
+_edit_spans turns their non-match runs into spans. edit_forms, a
+functools.lru_cache with one fixed bound of MAX_ENTRIES (2^20) entries,
+builds the serialized forms from the spans: the one edit path that
+training, the model's pair bookkeeping, the recount and model loading all
+read. Its tails(a, b) gives the forms of the tail pairs (a[i:], b[j:]), each
+looked up in the same cache. extract_edits builds the positioned script
+(Edit objects and spans) from them.
 
 All functions operate on Unicode code points, never bytes.
 
@@ -34,9 +33,7 @@ extraction stable.
 
 from __future__ import annotations
 
-import collections
 import functools
-import itertools
 import re
 from dataclasses import dataclass
 
@@ -204,20 +201,15 @@ def _suffix_table(a: str, b: str):
     return table0, table1, one
 
 
-def _traceback(a: str, b: str, tables, i: int = 0, j: int = 0) -> str:
-    """The tie-broken minimum-cost alignment of a[i:] with b[j:], one letter
-    per operation: m(atch), s(ubstitute), d(elete), i(nsert).
-
-    tables is _suffix_table(a, b). Its cells at and below (i, j) depend on
-    a[i:] and b[j:] alone, and its packed ints order as (cost, runs) tuples
-    do, so the walk from cell (i, j, p=0) makes exactly the choices the walk
-    of _suffix_table(a[i:], b[j:]) makes from (0, 0, p=0).
-    """
-    table0, table1, one = tables
+def _traceback(a: str, b: str) -> str:
+    """The tie-broken minimum-cost alignment of a with b, one letter per
+    operation: m(atch), s(ubstitute), d(elete), i(nsert), walked from cell
+    (0, 0, p=0) of _suffix_table(a, b)."""
+    table0, table1, one = _suffix_table(a, b)
     tables = (table0, table1)
     la, lb = len(a), len(b)
     ops: list[str] = []
-    p = 0
+    i = j = p = 0
     while i < la or j < lb:
         cur = tables[p][i][j]
         if i < la and j < lb and a[i] == b[j] and table0[i + 1][j + 1] == cur:
@@ -250,7 +242,7 @@ def levenshtein_align(a: str, b: str) -> list[AlignmentOp]:
     """
     ops: list[AlignmentOp] = []
     i = j = 0
-    for letter in _traceback(a, b, _suffix_table(a, b)):
+    for letter in _traceback(a, b):
         source = a[i] if letter != "i" else None
         target = b[j] if letter != "d" else None
         ops.append(AlignmentOp(_KINDS[letter], source, target, i, j))
@@ -319,7 +311,7 @@ def extract_edits(morph_a: str, morph_b: str) -> EditScript:
     be treated as immutable (it is). The package counts edits through
     edit_forms; this is the positioned API, for apply_edit_script.
     """
-    ops = _traceback(morph_a, morph_b, _suffix_table(morph_a, morph_b))
+    ops = _traceback(morph_a, morph_b)
     return EditScript(
         tuple(
             PositionedEdit(Edit(morph_a[a0:a1], morph_b[b0:b1]), a0, a1)
@@ -337,82 +329,29 @@ def _forms(a: str, b: str, spans) -> tuple[str, ...]:
     return tuple(forms)
 
 
-CacheInfo = collections.namedtuple("CacheInfo", "hits misses maxsize currsize")
-
-
-class EditFormCache:
-    """The edit forms (lhs|rhs) rewriting morph_a into morph_b, the forms of
-    extract_edits(morph_a, morph_b).edits built without Edit objects.
-
-    Calling the cache returns them; tails(a, b) returns the forms of every
-    tail pair (a[i:], b[j:]), traced from one shared alignment table. Both
-    read and fill one bounded store, which evicts its older half when
-    full, and count their hits and misses in cache_info() as
-    functools.lru_cache does. Raises ContractError where Edit would.
-    """
-
-    def __init__(self, maxsize: int):
-        self.maxsize = maxsize
-        self._store: dict[tuple[str, str], tuple[str, ...]] = {}
-        self._hits = self._misses = 0
-
-    def __call__(self, morph_a: str, morph_b: str) -> tuple[str, ...]:
-        forms = self._store.get((morph_a, morph_b))
-        if forms is None:
-            return self.tails(morph_a, morph_b)(0, 0)
-        self._hits += 1
-        return forms
-
-    def tails(self, a: str, b: str):
-        """A function of (i, j) returning the forms of (a[i:], b[j:]). The
-        alignment table of (a, b) is built on the first tail that misses the
-        cache, and every missing tail is traced back from it."""
-        store = self._store
-        tables = None
-
-        def tail(i: int, j: int) -> tuple[str, ...]:
-            nonlocal tables
-            key = (a_tail, b_tail) = (a[i:], b[j:])
-            forms = store.get(key)
-            if forms is not None:
-                self._hits += 1
-                return forms
-            spans = []
-            if a_tail != b_tail:
-                if tables is None:
-                    tables = _suffix_table(a, b)
-                spans = _edit_spans(a_tail, b_tail, _traceback(a, b, tables, i, j))
-            return self._put(key, _forms(a_tail, b_tail, spans))
-
-        return tail
-
-    def _put(self, key, forms):
-        self._misses += 1
-        store = self._store
-        if len(store) >= self.maxsize:
-            for old in list(itertools.islice(store, (len(store) + 1) // 2)):
-                del store[old]
-        store[key] = forms
-        return forms
-
-    def cache_info(self) -> CacheInfo:
-        return CacheInfo(self._hits, self._misses, self.maxsize, len(self._store))
-
-    def cache_clear(self) -> None:
-        self._store.clear()
-        self._hits = self._misses = 0
-
-
-# The bound of edit_forms. An entry takes about 300 bytes, so the cache
-# stays below about 300 MB. A 2-epoch seed-1 joint run on the benchmark
-# corpus stores 8,915 keys (about 2 per unit; the split search skips the
-# lookups of combinations it rules out), and a world four times that size
-# 34,034, so neither evicts.
+# The bound of edit_forms, a least-recently-used cache. An entry takes about
+# 270 bytes (tracemalloc over 50,000 short morph pairs), so a full cache
+# holds about 280 MB. A 2-epoch seed-1 joint run on the benchmark corpus
+# stores 8,915 keys (about 2 per unit; the split search skips the lookups of
+# combinations it rules out), and a world four times that size 34,034, so
+# neither evicts.
 MAX_ENTRIES = 1 << 20
 
-# The one edit-form cache: training, the model's pair bookkeeping, the
-# recount and model loading all read it.
-edit_forms = EditFormCache(MAX_ENTRIES)
+
+@functools.lru_cache(maxsize=MAX_ENTRIES)
+def edit_forms(morph_a: str, morph_b: str) -> tuple[str, ...]:
+    """The edit forms (lhs|rhs) rewriting morph_a into morph_b, the forms of
+    extract_edits(morph_a, morph_b).edits built without Edit objects. The
+    one edit-form cache: training, the model's pair bookkeeping, the
+    recount and model loading all read it. Raises ContractError where Edit
+    would."""
+    if morph_a == morph_b:
+        return ()
+    return _forms(morph_a, morph_b, _edit_spans(morph_a, morph_b, _traceback(morph_a, morph_b)))
+
+
+# A function of (i, j) returning the forms of the tail pair (a[i:], b[j:]).
+edit_forms.tails = lambda a, b: lambda i, j: edit_forms(a[i:], b[j:])
 
 
 def apply_edit_script(morph: str, script: EditScript) -> str:

@@ -344,12 +344,15 @@ class CognateModel:
     # -- pair registry -------------------------------------------------
 
     def register_pair(self, pair: CognatePair) -> None:
-        """Register a cognate link; each word may belong to one pair only."""
+        """Register a cognate link before either of its words is recorded;
+        each word may belong to one pair only."""
         for lang, word in (("a", pair.word_a), ("b", pair.word_b)):
             if (lang, word) in self._pair_by_word:
                 raise ContractError(
                     "word %r already belongs to a pair in language %s" % (word, lang)
                 )
+            if word in self.analyses[lang]:
+                raise ContractError("pair word %r is already analyzed in %s" % (word, lang))
         self.pairs.append(pair)
         self._pair_by_word[("a", pair.word_a)] = pair
         self._pair_by_word[("b", pair.word_b)] = pair

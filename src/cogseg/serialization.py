@@ -204,6 +204,19 @@ def load_model(path) -> CognateModel:
             yield line_no, fields
 
     model = CognateModel(**settings)
+    # Pairs are registered before any word is recorded, and checked against
+    # the recorded analyses at their own rows.
+    pairs = []
+    for line_no, (word_a, word_b, count_a, count_b) in rows("PAIRS", "ttcc", "pair"):
+        count_a = parse_positive(count_a, path, line_no)
+        count_b = parse_positive(count_b, path, line_no)
+        try:
+            pair = CognatePair(word_a, word_b, count_a, count_b)
+            model.register_pair(pair)
+        except CogsegError as exc:
+            raise FormatError(str(exc), path, line_no) from exc
+        pairs.append((line_no, pair))
+
     for lang, name in (("a", "ANALYSES-A"), ("b", "ANALYSES-B")):
         for line_no, (word, count, morphs) in rows(name, "tcm", "analysis"):
             count = parse_positive(count, path, line_no)
@@ -212,12 +225,8 @@ def load_model(path) -> CognateModel:
             except CogsegError as exc:
                 raise FormatError(str(exc), path, line_no) from exc
 
-    for line_no, (word_a, word_b, count_a, count_b) in rows("PAIRS", "ttcc", "pair"):
-        count_a = parse_positive(count_a, path, line_no)
-        count_b = parse_positive(count_b, path, line_no)
+    for line_no, pair in pairs:
         try:
-            pair = CognatePair(word_a, word_b, count_a, count_b)
-            model.register_pair(pair)
             model.check_pair(pair)
         except CogsegError as exc:
             raise FormatError(str(exc), path, line_no) from exc

@@ -201,8 +201,8 @@ def _search(model: CognateModel, unit, tally: SearchTally | None = None) -> list
     replaces the best when it is strictly cheaper, or equally cheap with a
     larger (i, j), and staying whole has the lowest key. Among equal costs
     the largest i, then the largest j, wins, as in a word. The tail edit
-    forms (a[i:], b[j:]) come from one alignment table of the morph pair
-    (EditFormCache.tails).
+    forms (a[i:], b[j:]) are looked up in the one edit-form cache
+    (edit_forms.tails).
 
     Only chosen morphs and edit forms are written: the tail of a split
     while its head is searched, and each final morph (pair). Leaves the

@@ -1,12 +1,13 @@
 """The names perfbench/child.py patches must exist in the package.
 
 The benchmark's traced run (--trace 1) wraps functions where they are looked
-up and reads the edit caches' cache_info() counters: extract_edits is an
-lru_cache, and edit_forms an EditFormCache with the same cache_info(). A
-refactor that renames or removes one of them breaks that run. The tables are read from child.py's source, so the
-benchmark is neither imported nor changed. The same holds for every name the
-benchmark's scripts import from the package, every attribute they read from
-an imported package module, and the CognateModel methods they call.
+up and reads the edit caches' cache_info() counters: extract_edits and
+edit_forms are both functools.lru_cache functions. A refactor that renames
+or removes one of them breaks that run. The tables are read from child.py's
+source, so the benchmark is neither imported nor changed. The same holds for
+every name the benchmark's scripts import from the package, every attribute
+they read from an imported package module, and the CognateModel methods they
+call.
 """
 
 import ast

@@ -529,6 +529,19 @@ class TestErrors:
         assert payload["message"].startswith("%s:3: " % table)
         assert not merges.exists()
 
+    def test_empty_word_in_table(self, workspace, monkeypatch):
+        table = workspace / "c1.tsv"
+        table.write_text("kala\t3\n\t5\n", encoding="utf-8")
+        merges = workspace / "merges.txt"
+        code, _, err = run_cli(
+            ["bpe-train", "--counts", str(table), "--vocab", "12", "--out", str(merges)],
+            monkeypatch=monkeypatch,
+        )
+        payload = error_payload(code, err)
+        assert payload["error"] == "FormatError"
+        assert payload["message"] == "%s:2: empty word" % table
+        assert not merges.exists()
+
     @pytest.mark.parametrize(
         "bad_table, line", [("kala\t0\nkalassa\t0\n", 1), ("kala\t10\nkalassa\t-4\n", 2)],
         ids=["all-zero", "negative"],

@@ -11,9 +11,8 @@ from cogseg.edits import (
     INSERT,
     MATCH,
     Edit,
-    EditFormCache,
+    MAX_ENTRIES,
     _edit_spans,
-    _suffix_table,
     _traceback,
     apply_edit_script,
     edit_forms,
@@ -201,36 +200,23 @@ def tail_pairs(draw):
 
 class TestEditFormCache:
     @given(tail_pairs())
-    def test_tails_from_one_table_equal_their_own_alignment(self, pair):
+    def test_tails_equal_extract_edits_of_the_tail(self, pair):
         a, b = pair
-        tail = EditFormCache(1 << 10).tails(a, b)
-        standalone = EditFormCache(1 << 10)
+        tail = edit_forms.tails(a, b)
         for i in range(len(a) + 1):
             for j in range(len(b) + 1):
-                assert tail(i, j) == standalone(a[i:], b[j:]), (a, b, i, j)
-
-    def test_tiny_bound_evicts_and_returns_equal_forms(self):
-        rng = random.Random(3)
-        words = ["".join(rng.choice("abc") for _ in range(rng.randint(0, 6))) for _ in range(40)]
-        tiny = EditFormCache(4)
-        for a, b in itertools.product(words[:20], words[20:]):
-            assert tiny(a, b) == edit_forms(a, b)
-            i, j = min(1, len(a)), min(1, len(b))
-            assert tiny.tails(a, b)(i, j) == edit_forms(a[i:], b[j:])
-            assert tiny.cache_info().currsize <= 4
-        info = tiny.cache_info()
-        assert info.misses > 4 and info.hits > 0
+                assert tail(i, j) == script_forms(a[i:], b[j:]), (a, b, i, j)
 
     def test_tail_lookups_are_counted(self):
-        cache = EditFormCache(16)
-        tail = cache.tails("talossa", "talus")
+        edit_forms.cache_clear()
+        tail = edit_forms.tails("talossa", "talus")
         assert tail(4, 4) == ("ssa|s",)
         assert tail(0, 0) == ("ossa|us",)
-        assert cache.cache_info() == (0, 2, 16, 2)
-        assert cache.tails("talossa", "talus")(4, 4) == cache("ssa", "s") == ("ssa|s",)
-        assert cache.cache_info() == (2, 2, 16, 2)
-        cache.cache_clear()
-        assert cache.cache_info() == (0, 0, 16, 0)
+        assert edit_forms.cache_info() == (0, 2, MAX_ENTRIES, 2)
+        assert edit_forms.tails("talossa", "talus")(4, 4) == edit_forms("ssa", "s") == ("ssa|s",)
+        assert edit_forms.cache_info() == (2, 2, MAX_ENTRIES, 2)
+        edit_forms.cache_clear()
+        assert edit_forms.cache_info() == (0, 0, MAX_ENTRIES, 0)
 
 
 def non_match_runs(ops):
@@ -273,7 +259,7 @@ class TestExtendAndRemerge:
     def test_one_pass_equals_fixpoint(self):
         grown = merged = 0
         for a, b in span_pairs():
-            ops = _traceback(a, b, _suffix_table(a, b))
+            ops = _traceback(a, b)
             runs = non_match_runs(ops)
             expected = fixpoint_extend_and_remerge(a, b, copy.deepcopy(runs))
             assert _edit_spans(a, b, ops) == expected, (a, b)

@@ -453,6 +453,18 @@ class TestTypes:
         with pytest.raises(ContractError):
             model.register_pair(CognatePair("a2", "b1", 1, 1))
 
+    def test_pair_of_recorded_words_rejected_unchanged(self):
+        # Registered after its words were counted in, the pair's edit forms
+        # would never be counted.
+        model = CognateModel()
+        model.add_analysis(Analysis("talo", ("talo",), 1), "a")
+        model.add_analysis(Analysis("talu", ("talu",), 1), "b")
+        with pytest.raises(ContractError) as err:
+            model.register_pair(CognatePair("talo", "talu", 1, 1))
+        assert str(err.value) == "pair word 'talo' is already analyzed in a"
+        assert model.pairs == [] and model.pair_for("b", "talu") is None
+        model.recompute_from_scratch()
+
     def test_aligned_edit_tokens_requires_equal_counts(self):
         with pytest.raises(ContractError):
             aligned_edit_tokens(

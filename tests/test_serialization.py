@@ -322,6 +322,31 @@ class TestValidation:
             load_model(path)
         assert "version" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "old, new, line, reason",
+        # new None empties the file; line None is an error of no one line.
+        [("", None, 1, "empty model file"),
+         ("cogseg-model 1\n", "morfessor-model 1\n", 1, "not a cogseg-model file"),
+         ("seed 0\n", "seed\n", 5, "bad header line 'seed'"),
+         ("seed 0\n", "", 6, "missing header field 'seed'"),
+         ("[EDITS]\n", "[EDIT]\n", 13, "unknown section 'EDIT'"),
+         ("[LEXICON-B]\n", "[LEXICON-A]\n", 10, "duplicate section 'LEXICON-A'"),
+         ("[LEXICON-A]\n", "[LEXICON-A\n", 7, "data before first section"),
+         ("talo\t5\tta lo\n", "talo\t5\n", 18, "analysis rows need 3 fields"),
+         ("\nlo\t5\n", "\n", None, "[LEXICON-A] is missing entries (e.g. ['lo'])")],
+        ids=["empty", "not-a-model", "header-line", "missing-header", "unknown-section",
+             "duplicate-section", "data-before-section", "field-count", "missing-entries"],
+    )
+    def test_malformed_file_rejected_at_its_line(self, tmp_path, old, new, line, reason):
+        path = self.make_file(tmp_path)
+        text = path.read_text(encoding="utf-8")
+        text = "" if new is None else text.replace(old, new, 1)
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(FormatError) as err:
+            load_model(path)
+        where = str(path) if line is None else "%s:%d" % (path, line)
+        assert str(err.value) == "%s: %s" % (where, reason)
+
     def test_missing_section_rejected(self, tmp_path):
         path = self.make_file(tmp_path)
         text = path.read_text(encoding="utf-8").replace("[PAIRS]\n", "")
