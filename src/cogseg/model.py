@@ -78,7 +78,7 @@ class Analysis:
     def __post_init__(self):
         if self.count < 1:
             raise ContractError("count must be positive: %r" % (self,))
-        if not self.morphs or any(not m for m in self.morphs):
+        if not self.morphs or not all(self.morphs):
             raise ContractError("morphs must be non-empty: %r" % (self,))
         if "".join(self.morphs) != self.word:
             raise ContractError(
@@ -112,9 +112,9 @@ class CountLexicon:
     (forms are serialized edits, boundary symbol included). Zero-count forms
     are evicted immediately so type and character statistics stay exact.
 
-    trie() indexes the forms for Viterbi segmentation. It is built on first
-    use and dropped whenever a form enters or leaves the inventory; it holds
-    no counts, so a count change alone keeps it. Training never builds it.
+    trie() is the Viterbi index: each form with its step cost. It is built
+    on first use and is a snapshot of the counts, so every add() drops it.
+    Training never builds it.
     """
 
     __slots__ = (
@@ -164,15 +164,17 @@ class CountLexicon:
 
     def trie(self) -> dict:
         """Character trie of the forms: nested dicts keyed by character,
-        where a node's "" key holds the form that ends there."""
+        where a node's "" key holds the step cost ln N - ln count of the
+        form that ends there (ln N is 0.0 for an empty lexicon)."""
         root = self._trie
         if root is None:
             root = {}
-            for form in self.counts:
+            log_tokens = _log(self.tokens) if self.tokens > 0 else 0.0
+            for form, count in self.counts.items():
                 node = root
                 for ch in form:
                     node = node.setdefault(ch, {})
-                node[""] = form
+                node[""] = log_tokens - _log(count)
             self._trie = root
         return root
 
@@ -189,6 +191,7 @@ class CountLexicon:
         else:
             counts[form] = new
         self.tokens += delta
+        self._trie = None
         if old > 1:
             self.log_token_sum -= XLOGX[old] if old < _XLOGX_SIZE else old * _log(old)
         if new > 1:
@@ -202,7 +205,6 @@ class CountLexicon:
         # Runs exactly when form enters or leaves the inventory. Same float
         # operations, in the same order, as updating self.log_char_sum in
         # place.
-        self._trie = None
         chars = self.char_counts
         total = self.log_char_sum
         for ch in form + FORM_END:

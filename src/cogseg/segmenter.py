@@ -44,17 +44,16 @@ def viterbi_segment(lexicon: CountLexicon, word: str) -> Analysis:
 
     A forward pass over the lexicon's trie: from each start position the
     walk follows word down the trie, so only the morphs that occur in word
-    are looked at. A morph costs ln N - ln count; the single character at a
-    start position is always a candidate, at ln N + UNKNOWN_CHAR_PENALTY
-    when it is not a morph. Ties are broken deterministically: fewest morphs
-    first, then the leftmost-longest morph sequence.
+    are looked at. A morph costs ln N - ln count, the step the trie stores;
+    the single character at a start position is always a candidate, at
+    ln N + UNKNOWN_CHAR_PENALTY when it is not a morph. Ties are broken
+    deterministically: fewest morphs first, then the leftmost-longest morph
+    sequence.
     """
     if not word:
         raise ContractError("cannot segment an empty word")
     trie = lexicon.trie()
-    counts = lexicon.counts
-    log = math.log
-    log_tokens = log(lexicon.tokens) if lexicon.tokens > 0 else 0.0
+    log_tokens = math.log(lexicon.tokens) if lexicon.tokens > 0 else 0.0
     unknown = log_tokens + UNKNOWN_CHAR_PENALTY
     n = len(word)
     # Over word[:i]: the best cost, its morph count, and where its last
@@ -66,12 +65,9 @@ def viterbi_segment(lexicon: CountLexicon, word: str) -> Analysis:
         base = cost[j]
         k = size[j] + 1
         node = trie.get(word[j], _NO_FORMS)
-        step = unknown
+        step = node.get("", unknown)
         i = j + 1
         while True:
-            form = node.get("")
-            if form is not None:
-                step = log_tokens - log(counts[form])
             if step is not None:
                 c = base + step
                 if c < cost[i] or c == cost[i] and (
@@ -81,12 +77,12 @@ def viterbi_segment(lexicon: CountLexicon, word: str) -> Analysis:
                     cost[i] = c
                     size[i] = k
                     back[i] = j
-                step = None
             if i == n:
                 break
             node = node.get(word[i])
             if node is None:
                 break
+            step = node.get("")
             i += 1
     morphs: list[str] = []
     pos = n
@@ -117,13 +113,15 @@ def join_morphs(morphs, joiner: str) -> str:
     """Render a token's morphs with the joiner marking non-final subwords.
 
     Rejects morphs containing the joiner, which would make the output
-    ambiguous to undo.
+    ambiguous to undo. Neither the joiner nor a morph may hold whitespace
+    (SegmenterConfig and Analysis reject it), so the joiner occurs in the
+    space-joined morphs exactly when it occurs inside one of them.
     """
     if len(morphs) == 1:
         return morphs[0]
-    if any(joiner in m for m in morphs):
+    if joiner in " ".join(morphs):
         raise ContractError("joiner %r occurs inside a morph of %r" % (joiner, morphs))
-    return " ".join(m + joiner for m in morphs[:-1]) + " " + morphs[-1]
+    return (joiner + " ").join(morphs)
 
 
 def map_lines(lines, transform):

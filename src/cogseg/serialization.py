@@ -177,7 +177,8 @@ def load_model(path) -> CognateModel:
             sections[name] = []
             current = name
         elif current is None:
-            raise FormatError("data before first section", path, offset + 1)
+            # The header ends at the first line that starts with "[".
+            raise FormatError("bad section header %r" % line, path, offset + 1)
         else:
             sections[current].append((offset + 1, line))
     for name in _SECTIONS:

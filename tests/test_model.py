@@ -187,16 +187,21 @@ class TestCountLexiconBookkeeping:
         with pytest.raises(ContractError):
             lex.add("a", -2)
 
-    def test_trie_follows_the_set_of_forms(self):
+    def test_trie_holds_step_costs_and_follows_every_add(self):
+        def step(tokens, count):
+            return math.log(tokens) - math.log(count)
+
         lex = lexicon_from({"ka": 2, "kala": 1})
         trie = lex.trie()
-        assert trie == {"k": {"a": {"": "ka", "l": {"a": {"": "kala"}}}}}
-        lex.add("ka", 3)  # a count change alone keeps the trie
+        assert trie == {"k": {"a": {"": step(3, 2), "l": {"a": {"": step(3, 1)}}}}}
         assert lex.trie() is trie
+        lex.add("ka", 3)  # a count change alone drops the trie
+        assert lex.trie() is not trie
+        assert lex.trie() == {"k": {"a": {"": step(6, 5), "l": {"a": {"": step(6, 1)}}}}}
         lex.add("la", 1)  # a form enters
-        assert lex.trie()["l"] == {"a": {"": "la"}}
+        assert lex.trie()["l"] == {"a": {"": step(7, 1)}}
         lex.add("kala", -1)  # a form leaves
-        assert lex.trie() == {"k": {"a": {"": "ka"}}, "l": {"a": {"": "la"}}}
+        assert lex.trie() == {"k": {"a": {"": step(6, 5)}}, "l": {"a": {"": step(6, 1)}}}
 
 
 def toy_model(alpha=0.01, edit_weight=10.0, edit_mode="full"):

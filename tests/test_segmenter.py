@@ -122,6 +122,12 @@ class TestViterbi:
         check("kala", ("ka", "la"))
         lex.add("kala", 9)  # no form enters or leaves; the best split flips
         check("kala", ("kala",))
+        # "kala" splits while N < count(ka) * count(la) / count(kala).
+        lex.add("kala", -9)
+        lex.add("vesi", 1)
+        check("kala", ("ka", "la"))  # N = 8 < 9
+        lex.add("vesi", 2)  # only a count outside the word changes
+        check("kala", ("kala",))  # N = 10 > 9
 
     def test_training_never_builds_the_index(self, monkeypatch):
         def refuse(self):
@@ -268,6 +274,9 @@ class TestJoiner:
     def test_join_morphs_formats(self):
         assert join_morphs(("kala", "ssa"), "@@") == "kala@@ ssa"
         assert join_morphs(("kala",), "@@") == "kala"
+        # "@@" is in "a@" + "@b" but inside neither morph.
+        assert join_morphs(("a@", "@b"), "@@") == "a@@@ @b"
+        assert join_morphs(("a@", "x", "@b"), "@@") == "a@@@ x@@ @b"
 
     def test_custom_joiner(self):
         model = trained_toy_model()
@@ -285,8 +294,9 @@ class TestJoiner:
             SegmenterConfig(joiner=joiner)
 
     def test_joiner_inside_morph_rejected(self):
-        with pytest.raises(ContractError):
-            join_morphs(("a+b", "c"), "+")
+        for morphs in [("a+b", "c"), ("a", "b+"), ("+", "c")]:
+            with pytest.raises(ContractError):
+                join_morphs(morphs, "+")
 
 
 def source_model_from(counts):

@@ -331,11 +331,11 @@ class TestValidation:
          ("seed 0\n", "", 6, "missing header field 'seed'"),
          ("[EDITS]\n", "[EDIT]\n", 13, "unknown section 'EDIT'"),
          ("[LEXICON-B]\n", "[LEXICON-A]\n", 10, "duplicate section 'LEXICON-A'"),
-         ("[LEXICON-A]\n", "[LEXICON-A\n", 7, "data before first section"),
+         ("[LEXICON-A]\n", "[LEXICON-A\n", 7, "bad section header '[LEXICON-A'"),
          ("talo\t5\tta lo\n", "talo\t5\n", 18, "analysis rows need 3 fields"),
          ("\nlo\t5\n", "\n", None, "[LEXICON-A] is missing entries (e.g. ['lo'])")],
         ids=["empty", "not-a-model", "header-line", "missing-header", "unknown-section",
-             "duplicate-section", "data-before-section", "field-count", "missing-entries"],
+             "duplicate-section", "unclosed-section-header", "field-count", "missing-entries"],
     )
     def test_malformed_file_rejected_at_its_line(self, tmp_path, old, new, line, reason):
         path = self.make_file(tmp_path)
