@@ -13,6 +13,7 @@ import bisect
 import collections
 import heapq
 import logging
+import re
 from dataclasses import dataclass, field
 
 from .errors import ContractError, FormatError, read_rows
@@ -21,6 +22,7 @@ _logger = logging.getLogger(__name__)
 
 WORD_END = "</w>"
 HYPHENS = "-"
+_HYPHEN_SPLIT = re.compile("([%s])" % re.escape(HYPHENS))
 
 
 @dataclass
@@ -97,25 +99,10 @@ def _fragments(word: str) -> list[tuple[str, ...]]:
     last fragment, or stands alone when the word ends in a hyphen so that no
     pair can span the hyphen.
     """
-    frags: list[list[str]] = []
-    current: list[str] = []
-    for ch in word:
-        if ch in HYPHENS:
-            if current:
-                frags.append(current)
-            frags.append([ch])
-            current = []
-        else:
-            current.append(ch)
-    if current:
-        frags.append(current)
-    if frags and len(frags[-1]) == 1 and frags[-1][0] in HYPHENS:
-        frags.append([WORD_END])
-    elif frags:
-        frags[-1].append(WORD_END)
-    else:
-        frags.append([WORD_END])
-    return [tuple(f) for f in frags]
+    # The split alternates text and hyphen, and ends with the (maybe empty)
+    # text after the last hyphen.
+    *pieces, last = _HYPHEN_SPLIT.split(word)
+    return [tuple(piece) for piece in pieces if piece] + [(*last, WORD_END)]
 
 
 def _merge_fragment(symbols: tuple[str, ...], left: str, right: str) -> tuple[str, ...]:

@@ -16,13 +16,16 @@ import logging
 import sys
 
 from . import bpe, cognates, segmenter, serialization, trainer
-from .errors import CogsegError, FormatError, UsageError, open_text, parse_positive, read_rows
+from .edits import EDIT_BOUNDARY
+from .errors import (
+    CogsegError, FormatError, UsageError, check_word, open_text, parse_positive, read_rows,
+)
 from .model import DAMPENING_MODES, EDIT_MODES
 
 _logger = logging.getLogger(__name__)
 
 # Characters that would collide with the file formats or segment markers.
-RESERVED_SUBSTRINGS = ("|", "@@")
+RESERVED_SUBSTRINGS = (EDIT_BOUNDARY, segmenter.DEFAULT_JOINER)
 
 
 def validate_token(token: str) -> str:
@@ -54,10 +57,7 @@ def load_count_table(path) -> dict[str, int]:
     whitespace and listed once, and every count positive."""
     table: dict[str, int] = {}
     for lineno, (word, count) in read_rows(path, 2):
-        if not word:
-            raise FormatError("empty word", path, lineno)
-        if any(ch.isspace() for ch in word):
-            raise FormatError("word %r contains whitespace" % word, path, lineno)
+        check_word(word, path, lineno)
         if word in table:
             raise FormatError("word %r listed twice" % word, path, lineno)
         table[word] = parse_positive(count, path, lineno)
@@ -77,9 +77,9 @@ def _load_config(path) -> dict:
 
 
 def _training_params(args) -> trainer.TrainingParams:
-    """flags > config file > defaults, for the seven training settings; a
-    config key that names none of them, or whose value does not have the
-    setting's JSON type, is rejected. Reads only the config file, so a
+    """flags > config file > TrainingParams defaults, for the seven training
+    settings; a config key that names none of them, or whose value does not
+    have the setting's JSON type, is rejected. Reads only the config file, so a
     caller checks its settings before reading any corpus."""
     # Each config key (the flag's dest) with its TrainingParams field and type.
     # A float setting takes any JSON number, an int setting a JSON integer, a
@@ -97,20 +97,23 @@ def _training_params(args) -> trainer.TrainingParams:
     unknown = sorted(set(config) - set(fields))
     if unknown:
         raise FormatError("unknown config key %r" % unknown[0], args.config)
-    default = trainer.TrainingParams()
     settings = {}
     for key, (name, kind) in fields.items():
-        # train-mono has no --edit-weight or --edit-mode flag.
+        # A flag's value is typed by argparse; train-mono has no
+        # --edit-weight or --edit-mode flag.
         value = getattr(args, key, None)
-        if value is None:
-            value = config.get(key, getattr(default, name))
-        json_types = (int, float) if kind is float else kind
-        try:
-            if isinstance(value, bool) or not isinstance(value, json_types):
-                raise TypeError
-            settings[name] = kind(value)
-        except (TypeError, OverflowError):  # float() of a JSON integer can overflow
-            raise CogsegError("bad value %r for %r" % (value, key)) from None
+        if value is None and key in config:
+            value = config[key]
+            json_types = (int, float) if kind is float else kind
+            try:
+                if isinstance(value, bool) or not isinstance(value, json_types):
+                    raise TypeError
+                value = kind(value)
+            except (TypeError, OverflowError):  # float() of a JSON integer can overflow
+                raise CogsegError("bad value %r for %r" % (value, key)) from None
+        # An unset setting is left to the TrainingParams default.
+        if value is not None:
+            settings[name] = value
     return trainer.TrainingParams(**settings)
 
 

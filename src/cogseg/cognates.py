@@ -13,7 +13,7 @@ import unicodedata
 from dataclasses import dataclass
 
 from .edits import levenshtein_distance
-from .errors import ContractError, FormatError, parse_positive, read_rows
+from .errors import ContractError, check_word, parse_positive, read_rows
 
 
 @dataclass(frozen=True)
@@ -94,12 +94,13 @@ def extract(pairs, min_count: int = 2, short_len: int = 4) -> list[AlignedPair]:
 
 
 def read_pairs_tsv(path) -> list[AlignedPair]:
-    """Read (word_a, word_b, count) rows from a UTF-8 TSV file."""
+    """Read (word_a, word_b, count) rows from a UTF-8 TSV file; every count
+    must be positive, and every word non-empty and free of whitespace."""
     pairs = []
     for lineno, (word_a, word_b, count) in read_rows(path, 3):
         count = parse_positive(count, path, lineno)
-        if not word_a or not word_b:
-            raise FormatError("empty word", path, lineno)
+        check_word(word_a, path, lineno)
+        check_word(word_b, path, lineno)
         pairs.append(AlignedPair(word_a, word_b, count))
     return pairs
 

@@ -1,4 +1,5 @@
-"""Exception types, and the readers that turn malformed files into FormatError."""
+"""Exception types, the readers that turn malformed files into FormatError,
+and the one whitespace rule every word, morph and joiner follows."""
 
 import contextlib
 
@@ -58,6 +59,22 @@ def read_rows(path, width: int, sep: str = "\t"):
                 if len(fields) != width:
                     raise FormatError("expected %d fields" % width, path, lineno)
                 yield lineno, fields
+
+
+def holds_whitespace(text: str) -> bool:
+    """Whether text holds a character for which str.isspace() is true."""
+    # isprintable() is False for every whitespace character but the space,
+    # so printable text skips the per-character check.
+    return " " in text or (not text.isprintable() and any(ch.isspace() for ch in text))
+
+
+def check_word(word: str, path, line) -> None:
+    """The word field of a table row: an empty word, or one holding
+    whitespace, raises FormatError at path:line."""
+    if not word:
+        raise FormatError("empty word", path, line)
+    if holds_whitespace(word):
+        raise FormatError("word %r contains whitespace" % word, path, line)
 
 
 def parse_int(text: str, path=None, line=None) -> int:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 # extract_edits is not called here; perfbench/child.py wraps it by name.
 from .edits import edit_forms, extract_edits  # noqa: F401
-from .errors import ContractError, ModelIntegrityError
+from .errors import ContractError, ModelIntegrityError, holds_whitespace
 
 # Internal end-of-form marker counted once per entry in character statistics.
 FORM_END = "\x00"
@@ -84,11 +84,8 @@ class Analysis:
             raise ContractError(
                 "morphs %r do not concatenate to %r" % (self.morphs, self.word)
             )
-        # isprintable() is False for every whitespace character but the
-        # space, so printable words skip the per-character check.
-        word = self.word
-        if " " in word or (not word.isprintable() and any(ch.isspace() for ch in word)):
-            raise ContractError("word %r contains whitespace" % word)
+        if holds_whitespace(self.word):
+            raise ContractError("word %r contains whitespace" % self.word)
 
 
 @dataclass(frozen=True)

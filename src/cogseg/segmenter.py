@@ -14,7 +14,7 @@ import math
 import re
 from dataclasses import dataclass
 
-from .errors import CogsegError, ContractError
+from .errors import CogsegError, ContractError, holds_whitespace
 from .model import Analysis, CognateModel, CountLexicon
 
 # Pseudo-tokens of this shape select the target language in a multilingual
@@ -35,7 +35,7 @@ class SegmenterConfig:
     joiner: str = DEFAULT_JOINER
 
     def __post_init__(self):
-        if not self.joiner or any(ch.isspace() for ch in self.joiner):
+        if not self.joiner or holds_whitespace(self.joiner):
             raise ContractError("joiner must be a non-empty token-safe string")
 
 
@@ -159,11 +159,7 @@ def segment_lines(lines, token_morphs, config: SegmenterConfig):
 
     @functools.lru_cache(maxsize=1 << 16)
     def render(token):
-        # isprintable() is False for every whitespace character but the
-        # space, so plain tokens skip the per-character check.
-        if not token or TAG_PATTERN.match(token) or (
-            not token.isprintable() and any(ch.isspace() for ch in token)
-        ):
+        if not token or TAG_PATTERN.match(token) or holds_whitespace(token):
             return token
         return join_morphs(token_morphs(token), joiner)
 

@@ -11,8 +11,12 @@ that trainer.initialize and recompute_from_scratch also run).
 
 from __future__ import annotations
 
-from .edits import Edit
-from .errors import CogsegError, FormatError, open_text, parse_int, parse_positive
+import re
+
+from .edits import EDIT_BOUNDARY, Edit
+from .errors import (
+    CogsegError, FormatError, holds_whitespace, open_text, parse_int, parse_positive,
+)
 from .model import Analysis, CognateModel, CognatePair
 
 FORMAT_NAME = "cogseg-model"
@@ -37,33 +41,30 @@ _HEADER_FIELDS = {
     "dampening": str,
 }
 
-_ESCAPES = {"\\": "\\\\", "\t": "\\t", "\n": "\\n", "|": "\\|"}
-_UNESCAPES = {"\\": "\\", "t": "\t", "n": "\n", "|": "|"}
+# Each character that would break the file format, with its escape. An edit
+# form is its two escaped sides joined by an unescaped EDIT_BOUNDARY.
+_ESCAPES = {"\\": "\\\\", "\t": "\\t", "\n": "\\n", EDIT_BOUNDARY: "\\" + EDIT_BOUNDARY}
+_ESCAPE_TABLE = str.maketrans(_ESCAPES)
+_UNESCAPES = {escaped[1]: ch for ch, escaped in _ESCAPES.items()}
+# A backslash and the character after it, if any.
+_ESCAPED = re.compile(r"\\(.?)", re.DOTALL)
 
 
 def escape_field(text: str) -> str:
     """Escape the characters that would break the file format."""
-    if not any(ch in text for ch in _ESCAPES):
-        return text
-    return "".join(_ESCAPES.get(ch, ch) for ch in text)
+    return text.translate(_ESCAPE_TABLE)
 
 
 def unescape_field(text: str, path=None, line=None) -> str:
-    if "\\" not in text:
-        return text
-    out = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\\":
-            if i + 1 >= len(text) or text[i + 1] not in _UNESCAPES:
-                raise FormatError("bad escape in %r" % text, path, line)
-            out.append(_UNESCAPES[text[i + 1]])
-            i += 2
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
+    """Undo escape_field; a backslash that starts no escape raises FormatError."""
+
+    def unescape(match):
+        ch = _UNESCAPES.get(match[1])
+        if ch is None:
+            raise FormatError("bad escape in %r" % text, path, line)
+        return ch
+
+    return _ESCAPED.sub(unescape, text)
 
 
 def save_model(model: CognateModel, path) -> None:
@@ -79,20 +80,14 @@ def save_model(model: CognateModel, path) -> None:
         lines.append("[%s]" % name)
         lex = model.lexicons[lang]
         for form in sorted(lex.counts):
-            if not form or any(ch.isspace() for ch in form):
+            if not form or holds_whitespace(form):
                 raise CogsegError("morph %r is empty or contains whitespace" % form)
             lines.append("%s\t%d" % (escape_field(form), lex.counts[form]))
     lines.append("[EDITS]")
     for form in sorted(model.edit_lexicon.counts):
         edit = Edit.from_form(form)
-        lines.append(
-            "%s|%s\t%d"
-            % (
-                escape_field(edit.lhs),
-                escape_field(edit.rhs),
-                model.edit_lexicon.counts[form],
-            )
-        )
+        sides = escape_field(edit.lhs) + EDIT_BOUNDARY + escape_field(edit.rhs)
+        lines.append("%s\t%d" % (sides, model.edit_lexicon.counts[form]))
     lines.append("[PAIRS]")
     for pair in sorted(model.pairs, key=lambda p: (p.word_a, p.word_b)):
         lines.append(

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from cogseg import cli
+from cogseg import bpe, cli
 from cogseg.errors import CogsegError, FormatError, parse_int, parse_positive
 from cogseg.serialization import load_model
 
@@ -193,6 +193,19 @@ class TestTrainMono:
         assert model.alpha == 0.3
         assert model.analyses["b"] == {}
 
+    @pytest.mark.parametrize("text", ["", " \n\t\n\n"], ids=["empty", "whitespace-only"])
+    def test_corpus_without_tokens_rejected(self, workspace, monkeypatch, text):
+        corpus = workspace / "empty.txt"
+        corpus.write_text(text, encoding="utf-8")
+        model_path = workspace / "mono"
+        code, _, err = run_cli(
+            ["train-mono", "--corpus", str(corpus), "--out", str(model_path)],
+            monkeypatch=monkeypatch,
+        )
+        assert error_payload(code, err) == {
+            "error": "CogsegError", "message": "corpus %s contains no tokens" % corpus}
+        assert not model_path.exists()
+
 
 class TestSegmentCommands:
     def test_segment_roundtrip(self, workspace, monkeypatch):
@@ -323,6 +336,20 @@ def train_merges(workspace, monkeypatch):
 
 
 class TestBpeCommands:
+    def test_one_table_trains_on_its_own_counts(self, workspace, monkeypatch):
+        # One table is not balanced: its counts are trained on as they are.
+        table = workspace / "c1.tsv"
+        table.write_text("kala\t10\nkalassa\t4\ntöö-aeg\t3\n", encoding="utf-8")
+        merges = workspace / "merges.txt"
+        code, _, err = run_cli(
+            ["bpe-train", "--counts", str(table), "--vocab", "16", "--out", str(merges)],
+            monkeypatch=monkeypatch,
+        )
+        assert code == 0, err
+        expected = bpe.train_bpe(cli.load_count_table(table), 16).merges
+        assert len(expected) == 6
+        assert bpe.load_merges(merges).merges == expected
+
     def test_train_and_apply(self, workspace, monkeypatch):
         merges = train_merges(workspace, monkeypatch)
         code, out, err = run_cli(
@@ -515,6 +542,30 @@ class TestErrors:
         payload = error_payload(code, err)
         assert payload["error"] == "FormatError"
         assert payload["message"] == "%s:2: bad integer %r" % (table, text)
+
+    @pytest.mark.parametrize(
+        "row, reason",
+        [("\tkalas\t4", "empty word"),
+         ("kalassa\t\t4", "empty word"),
+         ("kala ssa\tkalas\t4", "word 'kala ssa' contains whitespace"),
+         ("kalassa\tkala\u00a0s\t4", "word 'kala\\xa0s' contains whitespace"),
+         ("kalassa\tkala\x0bs\t4", "word 'kala\\x0bs' contains whitespace"),
+         # A tab ends the field, so a word cannot hold one: the row has a
+         # fourth field.
+         ("kala\tssa\tkalas\t4", "expected 3 fields")],
+        ids=["empty-a", "empty-b", "space", "no-break-space", "vertical-tab", "tab"],
+    )
+    def test_bad_word_in_pairs_rejected(self, workspace, monkeypatch, row, reason):
+        pairs = workspace / "aligned.tsv"
+        pairs.write_text("vesi\tveed\t3\n%s\n" % row, encoding="utf-8")
+        out_path = workspace / "out.tsv"
+        code, _, err = run_cli(
+            ["extract-cognates", "--pairs", str(pairs), "--out", str(out_path)],
+            monkeypatch=monkeypatch,
+        )
+        payload = error_payload(code, err)
+        assert payload == {"error": "FormatError", "message": "%s:2: %s" % (pairs, reason)}
+        assert not out_path.exists()
 
     def test_repeated_word_in_table(self, workspace, monkeypatch):
         table = workspace / "c1.tsv"

@@ -401,10 +401,29 @@ class TestIntegrity:
         )
 
     def test_corruption_detected(self):
-        model = toy_model()
-        model.lexicons["a"].add("bogus", 3)
-        with pytest.raises(ModelIntegrityError):
-            model.recompute_from_scratch()
+        # One corrupted cached field each, with the message that names it.
+        clean = toy_model()
+        token_sum = clean.lexicons["a"].log_token_sum
+        char_sum = clean.edit_lexicon.log_char_sum
+        cases = [
+            (lambda m: m.lexicons["a"].add("bogus", 3), "lexicon a counts diverge from analyses"),
+            (lambda m: m.lexicons["b"].char_counts.update(t=2),
+             "lexicon b character counts diverge"),
+            (lambda m: setattr(m.lexicons["a"], "tokens", 8), "lexicon a totals diverge"),
+            (lambda m: setattr(m.edit_lexicon, "char_tokens", 5), "edit lexicon totals diverge"),
+            (lambda m: setattr(m.lexicons["a"], "log_token_sum", token_sum + 1.0),
+             "lexicon a log_token_sum drifted: cached %.17g vs fresh %.17g"
+             % (token_sum + 1.0, token_sum)),
+            (lambda m: setattr(m.edit_lexicon, "log_char_sum", char_sum + 0.5),
+             "edit lexicon log_char_sum drifted: cached %.17g vs fresh %.17g"
+             % (char_sum + 0.5, char_sum)),
+        ]
+        for corrupt, message in cases:
+            model = toy_model()
+            corrupt(model)
+            with pytest.raises(ModelIntegrityError) as err:
+                model.recompute_from_scratch()
+            assert str(err.value) == message
 
     def test_detach_attach_roundtrip(self):
         model = toy_model()

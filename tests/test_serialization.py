@@ -333,9 +333,12 @@ class TestValidation:
          ("[LEXICON-B]\n", "[LEXICON-A]\n", 10, "duplicate section 'LEXICON-A'"),
          ("[LEXICON-A]\n", "[LEXICON-A\n", 7, "bad section header '[LEXICON-A'"),
          ("talo\t5\tta lo\n", "talo\t5\n", 18, "analysis rows need 3 fields"),
+         ("talo\ttalu\t5\t3\n", "talo\ttalu\t5\t3\ntalo\ttalo\t5\t5\n", 17,
+          "word 'talo' already belongs to a pair in language a"),
          ("\nlo\t5\n", "\n", None, "[LEXICON-A] is missing entries (e.g. ['lo'])")],
         ids=["empty", "not-a-model", "header-line", "missing-header", "unknown-section",
-             "duplicate-section", "unclosed-section-header", "field-count", "missing-entries"],
+             "duplicate-section", "unclosed-section-header", "field-count", "repeated-pair-word",
+             "missing-entries"],
     )
     def test_malformed_file_rejected_at_its_line(self, tmp_path, old, new, line, reason):
         path = self.make_file(tmp_path)
