@@ -9,16 +9,17 @@ rather than the harder-to-reuse ' -> a') and merges runs that come to touch.
 
 One alignment table serves distance, alignment and edits:
 levenshtein_distance reads the cost from its first cell (after stripping
-the common prefix and suffix, which only the distance may do). One traceback
-walks the table from that cell and writes the operations as a string of
-letters. levenshtein_align turns those letters into AlignmentOps;
-_edit_spans turns their non-match runs into spans. edit_forms, a
-functools.lru_cache with one fixed bound of MAX_ENTRIES (2^20) entries,
-builds the serialized forms from the spans: the one edit path that
-training, the model's pair bookkeeping, the recount and model loading all
-read. Its tails(a, b) gives the forms of the tail pairs (a[i:], b[j:]), each
-looked up in the same cache. extract_edits builds the positioned script
-(Edit objects and spans) from them.
+the common prefix and suffix; only the distance may strip the suffix). One
+traceback writes the common prefix as matches, walks the table of the rest
+from that cell and writes the operations as a string of letters.
+levenshtein_align turns those letters into AlignmentOps; _edit_spans turns
+their non-match runs into spans. edit_forms, a functools.lru_cache with
+one fixed bound of MAX_ENTRIES (2^20) entries, builds the serialized forms
+from the spans: the one edit path that training, the model's pair
+bookkeeping, the recount and model loading all read. Its tails(a, b) gives
+the forms of the tail pairs (a[i:], b[j:]), each looked up in the same
+cache. extract_edits builds the positioned script (Edit objects and spans)
+from them.
 
 All functions operate on Unicode code points, never bytes.
 
@@ -130,15 +131,13 @@ def levenshtein_distance(a: str, b: str) -> int:
     differ.
 
     Stripping a common prefix and suffix never changes the plain distance.
-    It can change which alignment the tie-break picks, so the alignment and
-    the edits are always taken from the whole strings.
+    Stripping the suffix can change which alignment the tie-break picks, so
+    the alignment and the edits keep it.
     """
     if a == b:
         return 0
+    start = _common_prefix(a, b)
     shorter = min(len(a), len(b))
-    start = 0
-    while start < shorter and a[start] == b[start]:
-        start += 1
     end = 0
     while end < shorter - start and a[-1 - end] == b[-1 - end]:
         end += 1
@@ -146,6 +145,15 @@ def levenshtein_distance(a: str, b: str) -> int:
     b = b[start : len(b) - end]
     table0, _, one = _suffix_table(a, b)
     return table0[0][0] // one
+
+
+def _common_prefix(a: str, b: str) -> int:
+    """The length of the longest common prefix of a and b."""
+    shorter = min(len(a), len(b))
+    k = 0
+    while k < shorter and a[k] == b[k]:
+        k += 1
+    return k
 
 
 def _suffix_table(a: str, b: str):
@@ -204,11 +212,20 @@ def _suffix_table(a: str, b: str):
 def _traceback(a: str, b: str) -> str:
     """The tie-broken minimum-cost alignment of a with b, one letter per
     operation: m(atch), s(ubstitute), d(elete), i(nsert), walked from cell
-    (0, 0, p=0) of _suffix_table(a, b)."""
+    (0, 0, p=0) of _suffix_table(a, b).
+
+    The common prefix is all matches, so only the rest is tabled: at p=0 a
+    match of equal characters is among the cheapest moves and wins the
+    tie-break, and a run opened instead could take the match's place at no
+    greater cost or run count. The common suffix cannot be skipped that
+    way: the tie-break aligns aa with a as md.
+    """
+    k = _common_prefix(a, b)
+    a, b = a[k:], b[k:]
     table0, table1, one = _suffix_table(a, b)
     tables = (table0, table1)
     la, lb = len(a), len(b)
-    ops: list[str] = []
+    ops = ["m" * k]
     i = j = p = 0
     while i < la or j < lb:
         cur = tables[p][i][j]

@@ -12,9 +12,10 @@ call.
 
 import ast
 import importlib
+import io
 from pathlib import Path
 
-from cogseg import edits, segmenter, trainer
+from cogseg import bpe, cli, edits, segmenter, trainer
 from cogseg.model import CognateModel
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -144,3 +145,24 @@ def test_apply_paths_reach_viterbi_through_the_module(monkeypatch):
     result = segmenter.override_source_segmentation(model, CognateModel(), "kalas")
     assert result.morphs == ("kala", "s")
     assert calls == ["kalat", "kalas"]
+
+
+def test_bpe_apply_reaches_apply_bpe_through_the_module(monkeypatch, tmp_path):
+    # The traced run counts bpe.apply_bpe spans by replacing the module
+    # attribute; bpe-apply must look it up there, not bind it at import.
+    calls = []
+
+    def fake(table, word):
+        calls.append(word)
+        return real(table, word)
+
+    real = bpe.apply_bpe
+    monkeypatch.setattr(bpe, "apply_bpe", fake)
+    merges = tmp_path / "merges.txt"
+    merges.write_text("k a\nka l\n", encoding="utf-8")
+    stdout = io.StringIO()
+    monkeypatch.setattr(cli.sys, "stdin", io.StringIO("kala kalat\n"))
+    monkeypatch.setattr(cli.sys, "stdout", stdout)
+    assert cli.main(["bpe-apply", "--merges", str(merges)]) == 0
+    assert stdout.getvalue() == "kal@@ a kal@@ a@@ t\n"
+    assert calls == ["kala", "kalat"]

@@ -1,4 +1,5 @@
 import collections
+import itertools
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from cogseg.bpe import (
 from cogseg.errors import ContractError, FormatError
 
 from oracles import recounting_bpe_train, reference_bpe_apply, table_order_bpe_apply
+from test_paper_claim import gen
 
 
 class TestBalanceCounts:
@@ -189,6 +191,41 @@ class TestApplyBpe:
     )
     def test_table_order_semantics(self, merges, word, pieces):
         assert apply_bpe(MergeTable(merges=merges), word) == pieces
+
+    @pytest.mark.parametrize(
+        "merges",
+        [
+            [("a", "a"), ("aa", "a"), ("a", "aa")],
+            [("a", "aa"), ("a", "a"), ("aa", "a"), ("aa", "aa"), ("a", "aa")],
+            # Each aa merge re-ranks a b on both sides at once.
+            [("a", "a"), ("b", "aa"), ("aa", "b"), ("baa", "b"), ("aa", "b")],
+            # The duplicate (aa, aa) acts after (a, a) forms its pair.
+            [("aa", "aa"), ("a", "a"), ("aa", "a"), ("aa", "aa"), ("aaaa", "aa")],
+            [("a", "</w>"), ("a", "a"), ("aa", "a</w>"), ("a", "</w>"), ("aa", "aa")],
+            # The pairs an aa merge forms have lines only before its turn.
+            [("aa", "b"), ("b", "aa"), ("aa", "a"), ("a", "a")],
+        ],
+        ids=["runs", "neighbour-first", "both-neighbours", "duplicate-acts-later",
+             "word-end", "lines-passed"],
+    )
+    def test_hand_made_tables_match_table_order_oracle(self, merges):
+        table = MergeTable(merges=merges)
+        words = ["".join(w) for n in range(1, 9) for w in itertools.product("ab", repeat=n)]
+        for word in words + ["a-aaaa", "aaaa-", "aaa-baab"]:
+            assert apply_bpe(table, word) == table_order_bpe_apply(merges, word), word
+
+    def test_benchmark_world_matches_table_order_oracle(self):
+        # Merges trained as the benchmark trains them, from the balanced a,
+        # b and source count tables at vocab 400, on a generated world.
+        world = gen.World(1, 600)
+        tables = {lang: {word: count for word, (_, count) in getattr(world, lang).items()}
+                  for lang in "abs"}
+        table = train_bpe(balance_counts(tables).combined(), vocab_size=400)
+        words = sorted(set().union(*tables.values()))
+        half = len(words) // 2
+        joined = ["%s-%s" % pair for pair in zip(words[:half], words[half:])]
+        for word in words + joined:
+            assert apply_bpe(table, word) == table_order_bpe_apply(table.merges, word), word
 
     def test_merges_appended_after_apply_are_used(self):
         table = MergeTable(merges=[("a", "b")])

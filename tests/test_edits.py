@@ -94,6 +94,17 @@ class TestAlign:
             ops = [astuple(op) for op in levenshtein_align(a, b)]
             assert ops == brute_alignment(a, b), (a, b)
 
+    def test_tie_break_equals_oracle_after_a_long_common_prefix(self):
+        # The traceback writes a common prefix as matches without tabling
+        # it; the random strings above rarely share more than two letters.
+        rng = random.Random(13)
+        for _ in range(500):
+            prefix = "".join(rng.choice("abc") for _ in range(rng.randint(3, 8)))
+            a, b = (prefix + "".join(rng.choice("abc") for _ in range(rng.randint(0, 6)))
+                    for _ in range(2))
+            ops = [astuple(op) for op in levenshtein_align(a, b)]
+            assert ops == brute_alignment(a, b), (a, b)
+
 
 class TestExtractEdits:
     def test_identical_morphs_empty_script(self):
