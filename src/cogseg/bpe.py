@@ -106,18 +106,36 @@ def _fragments(word: str) -> list[tuple[str, ...]]:
     return [tuple(piece) for piece in pieces if piece] + [(*last, WORD_END)]
 
 
+def _merge_span(symbols: tuple[str, ...], left: str, right: str):
+    """Merge every occurrence of the pair (left, right) in symbols, left to
+    right; one that overlaps the occurrence merged before it (the second
+    pair of a a a) is not merged.
+
+    Returns the merged tuple and the indices in symbols of the first and
+    the last merged occurrence, or (symbols, -1, -1) when none is merged.
+    The merged tuple equals symbols before the first occurrence and after
+    the last one.
+    """
+    joined = (left + right,)
+    merged: tuple[str, ...] = ()
+    first = -1
+    start = 0  # the first symbol not yet copied into merged
+    i = -1
+    for _ in range(symbols.count(left)):
+        i = symbols.index(left, i + 1)
+        if start <= i < len(symbols) - 1 and symbols[i + 1] == right:
+            if first < 0:
+                first = i
+            merged += symbols[start:i] + joined
+            start = i + 2
+    if first < 0:
+        return symbols, -1, -1
+    return merged + symbols[start:], first, start - 2
+
+
 def _merge_fragment(symbols: tuple[str, ...], left: str, right: str) -> tuple[str, ...]:
-    out = []
-    i = 0
-    n = len(symbols)
-    while i < n:
-        if i + 1 < n and symbols[i] == left and symbols[i + 1] == right:
-            out.append(left + right)
-            i += 2
-        else:
-            out.append(symbols[i])
-            i += 1
-    return tuple(out)
+    """symbols with every occurrence of (left, right) merged (_merge_span)."""
+    return _merge_span(symbols, left, right)[0]
 
 
 def train_bpe(counts: dict[str, int], vocab_size: int) -> MergeTable:
@@ -130,9 +148,15 @@ def train_bpe(counts: dict[str, int], vocab_size: int) -> MergeTable:
     table is returned shorter, flagged as truncated.
 
     Pairs are counted once (the pair-statistics index of Sennrich et al.
-    2016, arXiv:1508.07909): each merge recounts only the fragments that
-    hold the chosen pair, and the best pair is the least (-count, pair)
-    entry of a heap whose stale entries are dropped when they surface.
+    2016, arXiv:1508.07909), and the best pair is the least (-count, pair)
+    entry of a heap whose stale entries are dropped when they surface. A
+    merge visits only the fragments in the chosen pair's holder set, and in
+    each only the pairs from the symbol before the first merged occurrence
+    to the one after the last: the pairs outside that window do not change,
+    so they would push no heap entry. A fragment that holds a pair is in its
+    holder set, because a merge that forms the pair adds the fragment, and
+    a set is dropped only when its pair has no occurrence left: it was
+    merged, which leaves none, or its count fell to 0.
     """
     fragment_counts: collections.Counter = collections.Counter()
     alphabet = set()
@@ -149,11 +173,12 @@ def train_bpe(counts: dict[str, int], vocab_size: int) -> MergeTable:
         )
     # A merge acts alike on equal fragments, so each distinct one is a unit.
     units = [[frag, count] for frag, count in fragment_counts.items()]
-    pair_counts: collections.Counter = collections.Counter()
+    # A plain dict: Counter's __missing__ is a Python call per new pair.
+    pair_counts: dict[tuple[str, str], int] = {}
     holders: dict[tuple[str, str], set[int]] = collections.defaultdict(set)
     for unit, (symbols, count) in enumerate(units):
         for pair in zip(symbols, symbols[1:]):
-            pair_counts[pair] += count
+            pair_counts[pair] = pair_counts.get(pair, 0) + count
             holders[pair].add(unit)
     # Every pair in pair_counts has a heap entry holding its current count.
     heap = [(-count, pair) for pair, count in pair_counts.items()]
@@ -175,23 +200,30 @@ def train_bpe(counts: dict[str, int], vocab_size: int) -> MergeTable:
         # A holder may no longer hold the pair; its merge is then a no-op.
         for unit in holders.pop(best):
             symbols, count = units[unit]
-            merged = _merge_fragment(symbols, left, right)
-            if len(merged) == len(symbols):
+            merged, first, last = _merge_span(symbols, left, right)
+            if first < 0:
                 continue
             units[unit][0] = merged
-            for pair in zip(symbols, symbols[1:]):
+            # Only the pairs from the symbol before the first occurrence to
+            # the one after the last change; the rest of the unit's pairs,
+            # and its place in their holder sets, stay as they are.
+            start = first - 1 if first else 0
+            stop = last + 3
+            old = symbols[start:stop]
+            new = merged[start:stop + len(merged) - len(symbols)]
+            for pair in zip(old, old[1:]):
                 before.setdefault(pair, pair_counts[pair])
                 pair_counts[pair] -= count
-            for pair in zip(merged, merged[1:]):
-                before.setdefault(pair, pair_counts[pair])
-                pair_counts[pair] += count
+            for pair in zip(new, new[1:]):
+                before.setdefault(pair, pair_counts.get(pair, 0))
+                pair_counts[pair] = pair_counts.get(pair, 0) + count
                 holders[pair].add(unit)
-        for pair, old in before.items():
+        for pair, old_count in before.items():
             count = pair_counts[pair]
             if count == 0:
                 del pair_counts[pair]
                 holders.pop(pair, None)
-            elif count != old:
+            elif count != old_count:
                 heapq.heappush(heap, (-count, pair))
     return table
 

@@ -18,7 +18,8 @@ import sys
 from . import bpe, cognates, segmenter, serialization, trainer
 from .edits import EDIT_BOUNDARY
 from .errors import (
-    CogsegError, FormatError, UsageError, check_word, open_text, parse_positive, read_rows,
+    CogsegError, FormatError, PairError, UsageError, check_word, open_text, parse_positive,
+    read_rows,
 )
 from .model import DAMPENING_MODES, EDIT_MODES
 
@@ -53,14 +54,16 @@ def load_word_counts(path) -> dict[str, int]:
 
 
 def load_count_table(path) -> dict[str, int]:
-    """Read a word<TAB>count table; every word must be non-empty, free of
-    whitespace and listed once, and every count positive."""
+    """Read a word<TAB>count table; it must hold a row, every word must be
+    non-empty, free of whitespace and listed once, and every count positive."""
     table: dict[str, int] = {}
     for lineno, (word, count) in read_rows(path, 2):
         check_word(word, path, lineno)
         if word in table:
             raise FormatError("word %r listed twice" % word, path, lineno)
         table[word] = parse_positive(count, path, lineno)
+    if not table:
+        raise FormatError("count table holds no rows", path)
     return table
 
 
@@ -158,8 +161,7 @@ def cmd_extract_cognates(args):
     _logger.info("kept %d of %d pairs", len(result), len(pairs))
 
 
-def _train_and_save(args, params, corpus_a, corpus_b, pairs):
-    model = trainer.initialize(corpus_a, corpus_b, pairs, params)
+def _train_and_save(args, params, model):
     report = trainer.train(model, params)
     serialization.save_model(model, args.out)
     _logger.info(
@@ -173,12 +175,17 @@ def cmd_train(args):
     corpus_b = load_word_counts(args.corpus_b)
     pair_rows = cognates.read_pairs_tsv(args.cognates) if args.cognates else []
     pairs = [(p.word_a, p.word_b) for p in pair_rows]
-    _train_and_save(args, params, corpus_a, corpus_b, pairs)
+    try:
+        model = trainer.initialize(corpus_a, corpus_b, pairs, params)
+    except PairError as exc:
+        raise FormatError(str(exc), args.cognates, pair_rows[exc.index].line) from None
+    _train_and_save(args, params, model)
 
 
 def cmd_train_mono(args):
     params = _training_params(args)
-    _train_and_save(args, params, load_word_counts(args.corpus), {}, [])
+    corpus = load_word_counts(args.corpus)
+    _train_and_save(args, params, trainer.initialize(corpus, {}, [], params))
 
 
 def cmd_segment(args):

@@ -10,7 +10,7 @@ participating in several pairs greedily by descending count.
 from __future__ import annotations
 
 import unicodedata
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .edits import levenshtein_distance
 from .errors import ContractError, check_word, parse_positive, read_rows
@@ -18,11 +18,13 @@ from .errors import ContractError, check_word, parse_positive, read_rows
 
 @dataclass(frozen=True)
 class AlignedPair:
-    """Two words aligned to each other `count` times by the word aligner."""
+    """Two words aligned to each other `count` times by the word aligner;
+    line is the 1-based line of the pairs TSV it was read from, if any."""
 
     word_a: str
     word_b: str
     count: int
+    line: int | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.count < 1:
@@ -101,7 +103,7 @@ def read_pairs_tsv(path) -> list[AlignedPair]:
         count = parse_positive(count, path, lineno)
         check_word(word_a, path, lineno)
         check_word(word_b, path, lineno)
-        pairs.append(AlignedPair(word_a, word_b, count))
+        pairs.append(AlignedPair(word_a, word_b, count, lineno))
     return pairs
 
 

@@ -12,6 +12,15 @@ class ContractError(CogsegError):
     """An operation was called in a state that violates its precondition."""
 
 
+class PairError(ContractError):
+    """A cognate pair failed a check; index is its position among the pairs
+    given, so a caller that read them from a file can name the line."""
+
+    def __init__(self, message, index):
+        self.index = index
+        super().__init__(message)
+
+
 class ModelIntegrityError(CogsegError):
     """Cached model statistics disagree with a from-scratch recount."""
 

@@ -163,7 +163,9 @@ def load_model(path) -> CognateModel:
     current = None
     for offset in range(lineno, len(raw)):
         line = raw[offset]
-        if line.startswith("[") and line.endswith("]"):
+        # Every row holds a tab, so a row whose word is bracketed ("[1]") is
+        # not taken for a section header.
+        if line.startswith("[") and line.endswith("]") and "\t" not in line:
             name = line[1:-1]
             if name not in _SECTIONS:
                 raise FormatError("unknown section %r" % name, path, offset + 1)

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 # here) and reads the counters of _edit_forms, the one edit-form cache;
 # ROADMAP item 4 moves the benchmark onto the model's own counters.
 from .edits import edit_forms as _edit_forms, extract_edits  # noqa: F401
-from .errors import ContractError
+from .errors import ContractError, PairError
 from .model import EDIT_MODE_FULL, Analysis, CognateModel, CognatePair, dampen_count
 
 _logger = logging.getLogger(__name__)
@@ -142,9 +142,10 @@ def initialize(corpus_a, corpus_b, pairs, params: TrainingParams) -> CognateMode
     corpus_a/corpus_b map word -> token count. pairs is an iterable of
     (word_a, word_b) tuples; pair counts are taken from the corpora. Both
     words of a pair must occur in their corpora and no word may belong to
-    two pairs. The analyses are recorded and then counted in with one
-    CognateModel.recount, the bulk recount load_model also runs, so
-    total_cost() equals recompute_from_scratch() bit for bit.
+    two pairs; the first pair that breaks a rule raises PairError. The
+    analyses are recorded and then counted in with one CognateModel.recount,
+    the bulk recount load_model also runs, so total_cost() equals
+    recompute_from_scratch() bit for bit.
     """
     model = _empty_model(params)
 
@@ -157,10 +158,13 @@ def initialize(corpus_a, corpus_b, pairs, params: TrainingParams) -> CognateMode
         "a": {w: effective(c) for w, c in corpus_a.items()},
         "b": {w: effective(c) for w, c in corpus_b.items()},
     }
-    for wa, wb in pairs:
-        if wa not in counts["a"] or wb not in counts["b"]:
-            raise ContractError("pair (%r, %r) not covered by the corpora" % (wa, wb))
-        model.register_pair(CognatePair(wa, wb, counts["a"][wa], counts["b"][wb]))
+    for index, (wa, wb) in enumerate(pairs):
+        try:
+            if wa not in counts["a"] or wb not in counts["b"]:
+                raise ContractError("pair (%r, %r) not covered by the corpora" % (wa, wb))
+            model.register_pair(CognatePair(wa, wb, counts["a"][wa], counts["b"][wb]))
+        except ContractError as exc:
+            raise PairError(str(exc), index) from None
     for lang in ("a", "b"):
         for word, count in counts[lang].items():
             model.insert_analysis(Analysis(word, (word,), count), lang)

@@ -166,3 +166,28 @@ def test_bpe_apply_reaches_apply_bpe_through_the_module(monkeypatch, tmp_path):
     assert cli.main(["bpe-apply", "--merges", str(merges)]) == 0
     assert stdout.getvalue() == "kal@@ a kal@@ a@@ t\n"
     assert calls == ["kala", "kalat"]
+
+
+def test_bpe_train_reaches_train_bpe_through_the_module(monkeypatch, tmp_path):
+    # The traced run counts bpe.balance_counts and bpe.train_bpe spans by
+    # replacing the module attributes; bpe-train must look them up there.
+    calls = []
+
+    def fake_balance(tables):
+        calls.append("balance_counts")
+        return real_balance(tables)
+
+    def fake_train(counts, vocab_size):
+        calls.append("train_bpe")
+        return real_train(counts, vocab_size)
+
+    real_balance, real_train = bpe.balance_counts, bpe.train_bpe
+    monkeypatch.setattr(bpe, "balance_counts", fake_balance)
+    monkeypatch.setattr(bpe, "train_bpe", fake_train)
+    (tmp_path / "a.tsv").write_text("kala\t3\n", encoding="utf-8")
+    (tmp_path / "b.tsv").write_text("kalas\t2\n", encoding="utf-8")
+    merges = tmp_path / "merges.txt"
+    counts = "%s,%s" % (tmp_path / "a.tsv", tmp_path / "b.tsv")
+    assert cli.main(["bpe-train", "--counts", counts, "--vocab", "8", "--out", str(merges)]) == 0
+    assert calls == ["balance_counts", "train_bpe"]
+    assert merges.read_text(encoding="utf-8") == "a l\nal a\nk ala\n"

@@ -6,6 +6,7 @@ import pytest
 
 from cogseg.bpe import (
     MergeTable,
+    _merge_span,
     apply_bpe,
     balance_counts,
     load_merges,
@@ -16,6 +17,31 @@ from cogseg.errors import ContractError, FormatError
 
 from oracles import recounting_bpe_train, reference_bpe_apply, table_order_bpe_apply
 from test_paper_claim import gen
+
+
+@pytest.fixture(scope="module")
+def benchmark_tables():
+    """The a, b and source count tables of a generated benchmark world."""
+    world = gen.World(1, 600)
+    return {lang: {word: count for word, (_, count) in getattr(world, lang).items()}
+            for lang in "abs"}
+
+
+def loop_merge(symbols, left, right):
+    """The per-symbol merge: (merged, first, last) as _merge_span gives it."""
+    out, merged_at = [], []
+    i = 0
+    while i < len(symbols):
+        if i + 1 < len(symbols) and symbols[i] == left and symbols[i + 1] == right:
+            out.append(left + right)
+            merged_at.append(i)
+            i += 2
+        else:
+            out.append(symbols[i])
+            i += 1
+    if not merged_at:
+        return symbols, -1, -1
+    return tuple(out), merged_at[0], merged_at[-1]
 
 
 class TestBalanceCounts:
@@ -126,6 +152,23 @@ class TestTrainBpe:
             truncated += table.truncated
         assert 0 < truncated < 400
 
+    def test_merge_span_matches_per_symbol_merge(self):
+        # Every tuple of up to 6 symbols, with runs (a a a, ab ab) that
+        # overlap and a symbol (ab) that is also a merge result.
+        alphabet = ("a", "b", "ab", "c")
+        for n in range(7):
+            for symbols in itertools.product(alphabet, repeat=n):
+                for left, right in itertools.product(alphabet, repeat=2):
+                    assert (_merge_span(symbols, left, right)
+                            == loop_merge(symbols, left, right)), (symbols, left, right)
+
+    def test_benchmark_world_matches_recounting_oracle(self, benchmark_tables):
+        counts = balance_counts(benchmark_tables).combined()
+        table = train_bpe(counts, vocab_size=150)
+        reference = recounting_bpe_train(counts, 150)
+        assert len(table.merges) > 100
+        assert (table.merges, table.truncated) == (reference.merges, reference.truncated)
+
 
 class TestApplyBpe:
     def test_no_merges_gives_characters(self):
@@ -214,14 +257,11 @@ class TestApplyBpe:
         for word in words + ["a-aaaa", "aaaa-", "aaa-baab"]:
             assert apply_bpe(table, word) == table_order_bpe_apply(merges, word), word
 
-    def test_benchmark_world_matches_table_order_oracle(self):
+    def test_benchmark_world_matches_table_order_oracle(self, benchmark_tables):
         # Merges trained as the benchmark trains them, from the balanced a,
         # b and source count tables at vocab 400, on a generated world.
-        world = gen.World(1, 600)
-        tables = {lang: {word: count for word, (_, count) in getattr(world, lang).items()}
-                  for lang in "abs"}
-        table = train_bpe(balance_counts(tables).combined(), vocab_size=400)
-        words = sorted(set().union(*tables.values()))
+        table = train_bpe(balance_counts(benchmark_tables).combined(), vocab_size=400)
+        words = sorted(set().union(*benchmark_tables.values()))
         half = len(words) // 2
         joined = ["%s-%s" % pair for pair in zip(words[:half], words[half:])]
         for word in words + joined:

@@ -5,7 +5,7 @@ import pytest
 
 from cogseg import bpe, cli
 from cogseg.errors import CogsegError, FormatError, parse_int, parse_positive
-from cogseg.serialization import load_model
+from cogseg.serialization import load_model, save_model
 
 
 def run_cli(argv, stdin_text="", monkeypatch=None):
@@ -192,6 +192,29 @@ class TestTrainMono:
         model = load_model(model_path)
         assert model.alpha == 0.3
         assert model.analyses["b"] == {}
+
+    def test_bracketed_words_round_trip(self, workspace, monkeypatch):
+        # A row of a bracketed word ("[1]") ends in "]" as a section header does.
+        corpus = workspace / "brackets.txt"
+        corpus.write_text("[ab] [ab] kala kala\n[1] kala [ab]\n", encoding="utf-8")
+        model_path = workspace / "mono"
+        code, _, err = run_cli(
+            ["train-mono", "--corpus", str(corpus), "--out", str(model_path)],
+            monkeypatch=monkeypatch,
+        )
+        assert code == 0, err
+        model = load_model(model_path)
+        assert {"[ab]", "[1]"} <= set(model.analyses["a"])
+        resaved = workspace / "resaved"
+        save_model(model, resaved)
+        assert resaved.read_bytes() == model_path.read_bytes()
+        text = "[ab] kala [1]\n[2] [ab]\n"
+        code, out, err = run_cli(
+            ["segment", "--model", str(model_path), "--lang", "a"],
+            stdin_text=text, monkeypatch=monkeypatch,
+        )
+        assert code == 0, err
+        assert out.replace("@@ ", "") == text
 
     @pytest.mark.parametrize("text", ["", " \n\t\n\n"], ids=["empty", "whitespace-only"])
     def test_corpus_without_tokens_rejected(self, workspace, monkeypatch, text):
@@ -605,6 +628,46 @@ class TestErrors:
         assert payload["error"] == "FormatError"
         assert payload["message"] == "%s:2: word 'ka la' contains whitespace" % table
         assert not merges.exists()
+
+    @pytest.mark.parametrize("empty_first", [True, False], ids=["alone", "beside-another"])
+    @pytest.mark.parametrize("text", ["", "\n\n"], ids=["empty", "blank-lines"])
+    def test_table_without_rows_rejected(self, workspace, monkeypatch, empty_first, text):
+        good = workspace / "c1.tsv"
+        good.write_text("kalas\t5\n", encoding="utf-8")
+        empty = workspace / "c2.tsv"
+        empty.write_text(text, encoding="utf-8")
+        counts = str(empty) if empty_first else "%s,%s" % (good, empty)
+        merges = workspace / "merges.txt"
+        code, _, err = run_cli(
+            ["bpe-train", "--counts", counts, "--vocab", "12", "--out", str(merges)],
+            monkeypatch=monkeypatch,
+        )
+        assert error_payload(code, err) == {
+            "error": "FormatError", "message": "%s: count table holds no rows" % empty}
+        assert not merges.exists()
+
+    @pytest.mark.parametrize(
+        "rows, line, reason",
+        [("kalassa\tkalas\t4\nkala\tkalas\t2\n", 2,
+          "word 'kalas' already belongs to a pair in language b"),
+         ("kalassa\tkalas\t4\n\nkala\tkalax\t3\n", 3,
+          "pair ('kala', 'kalax') not covered by the corpora")],
+        ids=["repeated-word", "not-in-corpus"],
+    )
+    def test_bad_cognate_pair_rejected_at_its_line(self, workspace, monkeypatch, rows, line,
+                                                   reason):
+        (workspace / "cognates.tsv").write_text(rows, encoding="utf-8")
+        model_path = workspace / "model"
+        code, _, err = run_cli(
+            ["train", "--corpus-a", str(workspace / "a.txt"),
+             "--corpus-b", str(workspace / "b.txt"),
+             "--cognates", str(workspace / "cognates.tsv"), "--out", str(model_path)],
+            monkeypatch=monkeypatch,
+        )
+        assert error_payload(code, err) == {
+            "error": "FormatError",
+            "message": "%s:%d: %s" % (workspace / "cognates.tsv", line, reason)}
+        assert not model_path.exists()
 
     @pytest.mark.parametrize(
         "bad_table, line", [("kala\t0\nkalassa\t0\n", 1), ("kala\t10\nkalassa\t-4\n", 2)],
