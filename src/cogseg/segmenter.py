@@ -9,7 +9,7 @@ additive smoothing penalty so that every word is segmentable.
 
 from __future__ import annotations
 
-import functools
+import collections
 import math
 import re
 from dataclasses import dataclass
@@ -26,6 +26,9 @@ DEFAULT_JOINER = "@@"
 # Extra cost in nats (on top of ln N) of emitting an out-of-lexicon single
 # character, chosen large so known morphs always win when available.
 UNKNOWN_CHAR_PENALTY = 20.0
+
+# Distinct tokens the render memo of one segment_lines call holds.
+MEMO_SIZE = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -143,6 +146,31 @@ def map_lines(lines, transform):
         raise CogsegError("line %d: %s" % (lineno + 1, exc)) from exc
 
 
+class _RenderMemo(collections.OrderedDict):
+    """A token's rendering, keyed by the token. A hit is a plain dict
+    subscript and runs no Python code; a miss renders the token in
+    __missing__ and stores it, first dropping the oldest entry when the
+    memo holds MEMO_SIZE tokens (first in, first out: a hit does not move
+    an entry)."""
+
+    def __init__(self, token_morphs, joiner: str):
+        super().__init__()
+        self.token_morphs = token_morphs
+        self.joiner = joiner
+
+    def __missing__(self, token):
+        # Every tag starts with "<"; testing that first keeps the regex off
+        # the path of almost every token.
+        if not token or token[0] == "<" and TAG_PATTERN.match(token) or holds_whitespace(token):
+            rendered = token
+        else:
+            rendered = join_morphs(self.token_morphs(token), self.joiner)
+        if len(self) >= MEMO_SIZE:
+            self.popitem(last=False)
+        self[token] = rendered
+        return rendered
+
+
 def segment_lines(lines, token_morphs, config: SegmenterConfig):
     """The token loop of every apply command, run by map_lines; yields
     output lines.
@@ -150,19 +178,13 @@ def segment_lines(lines, token_morphs, config: SegmenterConfig):
     Lines are split on single spaces. Empty tokens, target tags and tokens
     holding other whitespace pass through unsplit; any other token becomes
     token_morphs(token) rendered with the joiner. A token's rendering
-    depends on the token alone, so each call keeps one memo and a repeated
-    token is rendered once; token_morphs runs once per distinct token
-    (while it stays among the memo's 2^16 most recent). Each line keeps its
-    terminator, so unjoin restores the input byte for byte.
+    depends on the token alone, so each call keeps one memo of up to
+    MEMO_SIZE (2^16) distinct tokens, dropping the oldest first: a token is
+    rendered again only after it has been dropped, and the output never
+    depends on the memo. Each line keeps its terminator, so unjoin restores
+    the input byte for byte.
     """
-    joiner = config.joiner
-
-    @functools.lru_cache(maxsize=1 << 16)
-    def render(token):
-        if not token or TAG_PATTERN.match(token) or holds_whitespace(token):
-            return token
-        return join_morphs(token_morphs(token), joiner)
-
+    render = _RenderMemo(token_morphs, config.joiner).__getitem__
     return map_lines(lines, lambda text: " ".join(map(render, text.split(" "))))
 
 

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 
 # perfbench/child.py's traced run wraps trainer.extract_edits (not called
 # here) and reads the counters of _edit_forms, the one edit-form cache;
-# ROADMAP item 4 moves the benchmark onto the model's own counters.
+# ROADMAP item 3 moves the benchmark onto the model's own counters.
 from .edits import edit_forms as _edit_forms, extract_edits  # noqa: F401
 from .errors import ContractError, PairError
 from .model import EDIT_MODE_FULL, Analysis, CognateModel, CognatePair, dampen_count

@@ -1,9 +1,11 @@
 import collections
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from cogseg import segmenter
 from cogseg.errors import ContractError
 from cogseg.model import Analysis, CognateModel, CountLexicon
 from cogseg.segmenter import (
@@ -243,8 +245,12 @@ class TestTokenMemo:
         def token_morphs(token):
             return (analyses.get(token) or viterbi_segment(lexicon, token)).morphs
 
-        out = list(segment_corpus(model, lines, "a", SegmenterConfig(joiner)))
-        assert out == list(per_token_segment_lines(lines, token_morphs, joiner))
+        expected = list(per_token_segment_lines(lines, token_morphs, joiner))
+        # A memo of 2 tokens drops entries in the middle of a line.
+        for size in (segmenter.MEMO_SIZE, 2):
+            with mock.patch.object(segmenter, "MEMO_SIZE", size):
+                out = list(segment_corpus(model, lines, "a", SegmenterConfig(joiner)))
+            assert out == expected
 
     def test_each_distinct_token_rendered_once_per_call(self):
         calls = collections.Counter()
@@ -260,6 +266,15 @@ class TestTokenMemo:
         assert calls == {"kala": 1, "vesi": 1}
         assert list(segment_lines(lines, token_morphs, SegmenterConfig())) == first
         assert calls == {"kala": 2, "vesi": 2}
+
+        # A full memo drops its oldest token, even one just hit: kala is
+        # dropped for talo and rendered again, talo is kept, vesi is dropped.
+        calls.clear()
+        with mock.patch.object(segmenter, "MEMO_SIZE", 2):
+            out = list(segment_lines(["kala vesi kala talo kala talo vesi"],
+                                     token_morphs, SegmenterConfig()))
+        assert out == ["ka@@ la ve@@ si ka@@ la ta@@ lo ka@@ la ta@@ lo ve@@ si"]
+        assert calls == {"kala": 2, "vesi": 2, "talo": 1}
 
 
 # one trained model shared by the hypothesis cases to keep them fast
