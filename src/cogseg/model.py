@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 # extract_edits is not called here; perfbench/child.py wraps it by name.
 from .edits import edit_forms, extract_edits  # noqa: F401
-from .errors import ContractError, ModelIntegrityError, holds_whitespace
+from .errors import ContractError, ModelIntegrityError, PairError, holds_whitespace
 
 # Internal end-of-form marker counted once per entry in character statistics.
 FORM_END = "\x00"
@@ -345,16 +345,18 @@ class CognateModel:
     def register_pair(self, pair: CognatePair) -> None:
         """Register a cognate link before either of its words is recorded;
         each word may belong to one pair only."""
-        for lang, word in (("a", pair.word_a), ("b", pair.word_b)):
-            if (lang, word) in self._pair_by_word:
+        pair_by_word = self._pair_by_word
+        key_a, key_b = keys = ("a", pair.word_a), ("b", pair.word_b)
+        for key in keys:
+            lang, word = key
+            if key in pair_by_word:
                 raise ContractError(
                     "word %r already belongs to a pair in language %s" % (word, lang)
                 )
             if word in self.analyses[lang]:
                 raise ContractError("pair word %r is already analyzed in %s" % (word, lang))
         self.pairs.append(pair)
-        self._pair_by_word[("a", pair.word_a)] = pair
-        self._pair_by_word[("b", pair.word_b)] = pair
+        pair_by_word[key_a] = pair_by_word[key_b] = pair
 
     def pair_for(self, language: str, word: str) -> CognatePair | None:
         return self._pair_by_word.get((language, word))
@@ -381,18 +383,17 @@ class CognateModel:
             cost += self.edit_weight * (lexicon_e + self.alpha * corpus_e)
         return cost
 
-    def cost_with(self, entries) -> float:
+    def cost_with(self, entries, forms) -> float:
         """The total cost with a counted-out unit's (language, analysis)
         entries counted in, computed from the counts without writing them.
         entries are one word, or the a and b words of a cognate pair, whose
-        edit forms are counted too."""
+        edit forms, as count_unit returns them for entries, are counted
+        too; a word's forms are not read."""
         costs = {language: lex.costs() for language, lex in self.lexicons.items()}
         for language, analysis in entries:
             costs[language] = self.lexicons[language].costs_with(analysis.morphs, analysis.count)
         costs_edits = self.edit_lexicon.costs()
         if len(entries) > 1:
-            (_, analysis_a), (_, analysis_b) = entries
-            forms = aligned_edit_tokens(analysis_a, analysis_b)
             costs_edits = self.edit_lexicon.costs_with(forms, 1)
         return self.weigh(costs["a"], costs["b"], costs_edits)
 
@@ -413,12 +414,15 @@ class CognateModel:
         if language not in self.analyses:
             raise ContractError("unknown language %r" % language)
 
-    def check_pair(self, pair: CognatePair) -> None:
-        """Raise ContractError unless both words of pair are recorded, with
-        the pair's counts and equal morph counts."""
-        sides = (("a", pair.word_a, pair.count_a), ("b", pair.word_b, pair.count_b))
-        for lang, word, count in sides:
-            analysis = self.analyses[lang].get(word)
+    def check_pair(self, pair: CognatePair) -> tuple[Analysis, Analysis]:
+        """The recorded a and b analyses of pair. Raises ContractError
+        unless both words are recorded, with the pair's counts and equal
+        morph counts."""
+        analysis_a = self.analyses["a"].get(pair.word_a)
+        analysis_b = self.analyses["b"].get(pair.word_b)
+        sides = (("a", pair.word_a, pair.count_a, analysis_a),
+                 ("b", pair.word_b, pair.count_b, analysis_b))
+        for lang, word, count, analysis in sides:
             if analysis is None:
                 raise ContractError("pair word %r has no analysis in %s" % (word, lang))
             if analysis.count != count:
@@ -426,7 +430,8 @@ class CognateModel:
                     "pair count %d disagrees with analysis count %d for %r"
                     % (count, analysis.count, word)
                 )
-        check_equal_morph_counts(self.analyses["a"][pair.word_a], self.analyses["b"][pair.word_b])
+        check_equal_morph_counts(analysis_a, analysis_b)
+        return analysis_a, analysis_b
 
     def insert_analysis(self, analysis: Analysis, language: str) -> None:
         """Record a word's analysis without counting it; recount() counts
@@ -437,22 +442,28 @@ class CognateModel:
             raise ContractError("word %r already analyzed in %s" % (analysis.word, language))
         table[analysis.word] = analysis
 
-    def count_unit(self, entries, sign: int) -> None:
+    def count_unit(self, entries, sign: int, forms=None) -> tuple[str, ...]:
         """Count a unit's (language, analysis) entries in (sign 1) or out
         (sign -1): one word, or the a and b words of a cognate pair, whose
-        aligned edit forms are counted first. The records are neither read
-        nor written. A pair with unequal morph counts raises ContractError
-        before any count changes."""
-        if len(entries) > 1:
-            (_, analysis_a), (_, analysis_b) = entries
-            add = self.edit_lexicon.add
-            for form in aligned_edit_tokens(analysis_a, analysis_b):
-                add(form, sign)
+        aligned edit forms are counted first. forms, if given, are those
+        forms as an earlier count_unit of the same entries returned them;
+        otherwise they are looked up. Returns the edit forms counted, () for
+        a word. The records are neither read nor written. A pair with
+        unequal morph counts raises ContractError before any count changes."""
+        if forms is None:
+            forms = ()
+            if len(entries) > 1:
+                (_, analysis_a), (_, analysis_b) = entries
+                forms = aligned_edit_tokens(analysis_a, analysis_b)
+        add = self.edit_lexicon.add
+        for form in forms:
+            add(form, sign)
         for language, analysis in entries:
             add = self.lexicons[language].add
             delta = sign * analysis.count
             for morph in analysis.morphs:
                 add(morph, delta)
+        return forms
 
     def _partner_edit_forms(self, language: str, analysis: Analysis) -> tuple[str, ...]:
         """The edit forms of analysis aligned with its pair partner's recorded
@@ -490,10 +501,14 @@ class CognateModel:
 
     # -- integrity -------------------------------------------------------
 
-    def _rebuild(self):
+    def _rebuild(self, check_pairs: bool = False):
         """The lexicons a, b and edits recounted from the recorded analyses
-        with CountLexicon.from_counts; the edits are those of each pair whose
-        words are both analyzed."""
+        with CountLexicon.from_counts. The edits are those of each pair whose
+        words are both analyzed, or with check_pairs of every pair: the
+        first pair that fails check_pair raises PairError with its index in
+        self.pairs. A pair with unequal morph counts, and then an edit Edit
+        would reject, raises ContractError; every pair is checked before the
+        first edit error is raised."""
         tallies = {}
         for lang in LANGUAGES:
             tally = tallies[lang] = {}
@@ -502,13 +517,29 @@ class CognateModel:
                 for morph in analysis.morphs:
                     tally[morph] = tally.get(morph, 0) + count
         edit_tally = {}
-        for pair in self.pairs:
-            ana_a = self.analyses["a"].get(pair.word_a)
-            ana_b = self.analyses["b"].get(pair.word_b)
-            if ana_a is None or ana_b is None:
-                continue
-            for form in aligned_edit_tokens(ana_a, ana_b):
-                edit_tally[form] = edit_tally.get(form, 0) + 1
+        edit_error = None
+        analyses_a, analyses_b = self.analyses["a"], self.analyses["b"]
+        for index, pair in enumerate(self.pairs):
+            if check_pairs:
+                try:
+                    ana_a, ana_b = self.check_pair(pair)
+                except ContractError as exc:
+                    raise PairError(str(exc), index) from None
+            else:
+                ana_a = analyses_a.get(pair.word_a)
+                ana_b = analyses_b.get(pair.word_b)
+                if ana_a is None or ana_b is None:
+                    continue
+                check_equal_morph_counts(ana_a, ana_b)
+            if edit_error is None:
+                try:
+                    for morph_a, morph_b in zip(ana_a.morphs, ana_b.morphs):
+                        for form in edit_forms(morph_a, morph_b):
+                            edit_tally[form] = edit_tally.get(form, 0) + 1
+                except ContractError as exc:
+                    edit_error = exc
+        if edit_error is not None:
+            raise edit_error
         return [CountLexicon.from_counts(t) for t in (tallies["a"], tallies["b"], edit_tally)]
 
     def recount(self) -> None:
@@ -516,10 +547,12 @@ class CognateModel:
         recorded analyses. Afterwards total_cost() equals
         recompute_from_scratch() bit for bit.
 
-        Raises ContractError, with the model unchanged, if a pair's analyses
-        have unequal morph counts or give an edit Edit would reject.
+        Every pair must pass check_pair, which this pass runs once per pair
+        while it counts the pair's edit forms: the first that fails raises
+        PairError with its index in self.pairs. Then an edit Edit would
+        reject raises ContractError. Either way the model is unchanged.
         """
-        lex_a, lex_b, lex_e = self._rebuild()
+        lex_a, lex_b, lex_e = self._rebuild(check_pairs=True)
         self.lexicons = {"a": lex_a, "b": lex_b}
         self.edit_lexicon = lex_e
 

@@ -3,10 +3,28 @@
 A model file is a versioned, sectioned UTF-8 document with TSV rows inside
 the sections. Sections are sorted, so saving is byte-deterministic and
 save -> load -> save is the identity on bytes. Loading revalidates all model
-invariants: analyses must concatenate to their words, cognate analyses must
-have equal morph counts, and the stored lexicon and edit sections must match
-an exact recount from the analyses (CognateModel.recount, the bulk recount
-that trainer.initialize and recompute_from_scratch also run).
+invariants, and the first check that fails raises FormatError at its
+path:line. The checks run in this order:
+
+1. the format line, then the header fields;
+2. the section headers, found in one scan of the text;
+3. each [PAIRS] row: its fields, its two counts, and its registration;
+4. each [ANALYSES-A], then [ANALYSES-B] row: its fields, its count, and
+   the analysis (its morphs concatenate to its word, which is listed once);
+5. the recount (CognateModel.recount, the bulk recount trainer.initialize
+   also runs). It checks each pair at its [PAIRS] row: both words
+   analyzed, with the pair's counts and equal morph counts. Then an edit
+   that Edit rejects fails, with no line;
+6. each [LEXICON-A], [LEXICON-B] and [EDITS] row: its fields, a repeated
+   form, its count, and agreement with the recount; then a missing form.
+
+It is one pass over the rows. Each row is split once and unescaped only if
+it holds a backslash. Each count field takes an ASCII-digit test inline,
+and parse_positive only when it fails. Each pair is looked up once, in the
+recount pass that tallies its edit forms. On the benchmark's seed-1 gold
+joint model (3,057 pairs, 6,802 analyses), a cold load in a fresh process
+takes about 41 ms on a 2-vCPU VM, and about a fifth of that aligns the
+1,372 distinct morph pairs for the tally: the [EDITS] check needs it.
 """
 
 from __future__ import annotations
@@ -15,7 +33,7 @@ import re
 
 from .edits import EDIT_BOUNDARY, Edit
 from .errors import (
-    CogsegError, FormatError, holds_whitespace, open_text, parse_int, parse_positive,
+    CogsegError, FormatError, PairError, holds_whitespace, open_text, parse_int, parse_positive,
 )
 from .model import Analysis, CognateModel, CognatePair
 
@@ -48,6 +66,9 @@ _ESCAPE_TABLE = str.maketrans(_ESCAPES)
 _UNESCAPES = {escaped[1]: ch for ch, escaped in _ESCAPES.items()}
 # A backslash and the character after it, if any.
 _ESCAPED = re.compile(r"\\(.?)", re.DOTALL)
+# A section header line "[NAME]" with the newline before it. Every row holds
+# a tab, so a row whose word is bracketed ("[1]") is not taken for one.
+_SECTION_HEADER = re.compile(r"\n\[([^\t\n]*)\](?=\n|\Z)")
 
 
 def escape_field(text: str) -> str:
@@ -118,9 +139,10 @@ def save_model(model: CognateModel, path) -> None:
 
 
 def load_model(path) -> CognateModel:
-    """Load and fully validate a model file."""
+    """Load and fully validate a model file (see the module docstring)."""
     with open_text(path) as stream:
-        raw = stream.read().split("\n")
+        text = stream.read()
+    raw = text.split("\n")
     if raw and raw[-1] == "":
         raw.pop()
     if not raw:
@@ -150,34 +172,35 @@ def load_model(path) -> CognateModel:
     for key, parse in _HEADER_FIELDS.items():
         if key not in header:
             raise FormatError("missing header field %r" % key, path, lineno + 1)
-        line, text = header[key]
+        line, value = header[key]
         name = key.replace("-", "_")
         try:
-            settings[name] = parse(text)
+            settings[name] = parse(value)
             # The constructor holds the one check of each setting: try this one alone.
             CognateModel(**{name: settings[name]})
         except (ValueError, CogsegError) as exc:
             raise FormatError("bad header field %r (%s)" % (key, exc), path, line) from None
 
-    sections: dict[str, list[tuple[int, str]]] = {}
-    current = None
-    for offset in range(lineno, len(raw)):
-        line = raw[offset]
-        # Every row holds a tab, so a row whose word is bracketed ("[1]") is
-        # not taken for a section header.
-        if line.startswith("[") and line.endswith("]") and "\t" not in line:
-            name = line[1:-1]
-            if name not in _SECTIONS:
-                raise FormatError("unknown section %r" % name, path, offset + 1)
-            if name in sections:
-                raise FormatError("duplicate section %r" % name, path, offset + 1)
-            sections[name] = []
-            current = name
-        elif current is None:
-            # The header ends at the first line that starts with "[".
-            raise FormatError("bad section header %r" % line, path, offset + 1)
-        else:
-            sections[current].append((offset + 1, line))
+    # (index in raw, name) of each section header, found in one scan of the
+    # text from raw[lineno], the first line after the header. raw[index]
+    # starts at offset at of the text.
+    heads = []
+    index, at = lineno, sum(map(len, raw[:lineno])) + lineno
+    for match in _SECTION_HEADER.finditer(text, at - 1):
+        start = match.start() + 1
+        index += text.count("\n", at, start)
+        at = start
+        heads.append((index, match[1]))
+    if lineno < len(raw) and (not heads or heads[0][0] != lineno):
+        # The header ends at the first line that starts with "[".
+        raise FormatError("bad section header %r" % raw[lineno], path, lineno + 1)
+    sections: dict[str, tuple[int, int]] = {}
+    for (index, name), (end, _) in zip(heads, heads[1:] + [(len(raw), None)]):
+        if name not in _SECTIONS:
+            raise FormatError("unknown section %r" % name, path, index + 1)
+        if name in sections:
+            raise FormatError("duplicate section %r" % name, path, index + 1)
+        sections[name] = (index + 1, end)
     for name in _SECTIONS:
         if name not in sections:
             raise FormatError("missing section [%s]" % name, path, len(raw))
@@ -188,10 +211,12 @@ def load_model(path) -> CognateModel:
         by spaces, c for a count. Only a row that holds a backslash is
         unescaped: its text fields, and its morphs one by one, so that a bad
         escape names the morph that holds it."""
-        for line_no, line in sections[section]:
+        first, end = sections[section]
+        width = len(layout)
+        for line_no, line in enumerate(raw[first:end], first + 1):
             fields = line.split("\t")
-            if len(fields) != len(layout):
-                raise FormatError("%s rows need %d fields" % (what, len(layout)), path, line_no)
+            if len(fields) != width:
+                raise FormatError("%s rows need %d fields" % (what, width), path, line_no)
             if "\\" in line:
                 for k, kind in enumerate(layout):
                     if kind == "t":
@@ -202,35 +227,39 @@ def load_model(path) -> CognateModel:
             yield line_no, fields
 
     model = CognateModel(**settings)
+    # Each count field takes the inline ASCII-digit test; one that fails it,
+    # or reads 0, goes to parse_positive, which raises its message.
     # Pairs are registered before any word is recorded, and checked against
-    # the recorded analyses at their own rows.
-    pairs = []
+    # the recorded analyses at their own rows by the recount.
+    pair_lines = []
     for line_no, (word_a, word_b, count_a, count_b) in rows("PAIRS", "ttcc", "pair"):
-        count_a = parse_positive(count_a, path, line_no)
-        count_b = parse_positive(count_b, path, line_no)
+        n_a = int(count_a) if count_a.isdigit() and count_a.isascii() else 0
+        if n_a < 1:
+            n_a = parse_positive(count_a, path, line_no)
+        n_b = int(count_b) if count_b.isdigit() and count_b.isascii() else 0
+        if n_b < 1:
+            n_b = parse_positive(count_b, path, line_no)
         try:
-            pair = CognatePair(word_a, word_b, count_a, count_b)
-            model.register_pair(pair)
+            model.register_pair(CognatePair(word_a, word_b, n_a, n_b))
         except CogsegError as exc:
             raise FormatError(str(exc), path, line_no) from exc
-        pairs.append((line_no, pair))
+        pair_lines.append(line_no)
 
+    insert = model.insert_analysis
     for lang, name in (("a", "ANALYSES-A"), ("b", "ANALYSES-B")):
         for line_no, (word, count, morphs) in rows(name, "tcm", "analysis"):
-            count = parse_positive(count, path, line_no)
+            n = int(count) if count.isdigit() and count.isascii() else 0
+            if n < 1:
+                n = parse_positive(count, path, line_no)
             try:
-                model.insert_analysis(Analysis(word, tuple(morphs.split(" ")), count), lang)
+                insert(Analysis(word, tuple(morphs.split(" ")), n), lang)
             except CogsegError as exc:
                 raise FormatError(str(exc), path, line_no) from exc
 
-    for line_no, pair in pairs:
-        try:
-            model.check_pair(pair)
-        except CogsegError as exc:
-            raise FormatError(str(exc), path, line_no) from exc
-
     try:
         model.recount()
+    except PairError as exc:
+        raise FormatError(str(exc), path, pair_lines[exc.index]) from exc
     except CogsegError as exc:
         raise FormatError(str(exc), path) from exc
 
@@ -239,19 +268,23 @@ def load_model(path) -> CognateModel:
         ("LEXICON-B", model.lexicons["b"]),
         ("EDITS", model.edit_lexicon),
     ):
+        counts = lexicon.counts
         stored: dict[str, int] = {}
         for line_no, (form, count) in rows(name, "tc", "lexicon"):
             if form in stored:
                 raise FormatError("repeated row for %r" % form, path, line_no)
-            count = stored[form] = parse_positive(count, path, line_no)
-            if lexicon.counts.get(form) != count:
+            n = int(count) if count.isdigit() and count.isascii() else 0
+            if n < 1:
+                n = parse_positive(count, path, line_no)
+            stored[form] = n
+            if counts.get(form) != n:
                 raise FormatError(
                     "stored count for %r disagrees with the analyses" % form,
                     path,
                     line_no,
                 )
-        if stored != lexicon.counts:
-            missing = sorted(set(lexicon.counts) - set(stored))[:3]
+        if stored != counts:
+            missing = sorted(set(counts) - set(stored))[:3]
             raise FormatError(
                 "[%s] is missing entries (e.g. %r)" % (name, missing), path, None
             )

@@ -347,10 +347,12 @@ def _optimize(model: CognateModel, unit, tally: SearchTally | None = None) -> tu
     CognateModel.cost_with from the same counts; the new ones are then
     counted in and recorded, or the old ones when they are strictly
     cheaper. A search that finds the unit's own analyses again keeps them.
+    The edit forms of the old and of the new pair analyses are each looked
+    up once, by the count_unit that counts them out, and handed on.
     The search's candidates are added to tally, if given. Returns (changed,
     restored)."""
     old = [(language, model.analyses[language][word]) for language, word in unit]
-    model.count_unit(old, -1)
+    old_forms = model.count_unit(old, -1)
     if len(unit) == 1:
         ((language, word),) = unit
         resegment_word(model, word, language, tally)
@@ -360,10 +362,10 @@ def _optimize(model: CognateModel, unit, tally: SearchTally | None = None) -> tu
     if new == old:
         # Equal analyses score equally: keep them without scoring.
         return False, False
-    model.count_unit(new, -1)
-    restore = model.cost_with(old) < model.cost_with(new)
-    kept = old if restore else new
-    model.count_unit(kept, 1)
+    new_forms = model.count_unit(new, -1)
+    restore = model.cost_with(old, old_forms) < model.cost_with(new, new_forms)
+    kept, kept_forms = (old, old_forms) if restore else (new, new_forms)
+    model.count_unit(kept, 1, kept_forms)
     for language, analysis in kept:
         model.analyses[language][analysis.word] = analysis
     return not restore, restore

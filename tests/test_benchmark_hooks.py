@@ -191,3 +191,38 @@ def test_bpe_train_reaches_train_bpe_through_the_module(monkeypatch, tmp_path):
     assert cli.main(["bpe-train", "--counts", counts, "--vocab", "8", "--out", str(merges)]) == 0
     assert calls == ["balance_counts", "train_bpe"]
     assert merges.read_text(encoding="utf-8") == "a l\nal a\nk ala\n"
+
+
+def test_setup_commands_reach_the_setup_calls_through_their_modules(monkeypatch, tmp_path):
+    # The untraced run's setup_s sums child.py's SETUP timers, which replace
+    # the module attributes. train, segment and segment-source must look the
+    # set-up calls up there: one bound at import would go untimed and show
+    # up as a free setup_s gain.
+    calls = []
+
+    def spy(name, real):
+        def recorded(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return recorded
+
+    for module, attr in child_tables()["SETUP"]:
+        owner = importlib.import_module("cogseg." + module)
+        monkeypatch.setattr(owner, attr, spy("%s.%s" % (module, attr), getattr(owner, attr)))
+    (tmp_path / "a.txt").write_text("talo talot kala\n", encoding="utf-8")
+    (tmp_path / "b.txt").write_text("talu talud kala\n", encoding="utf-8")
+    (tmp_path / "pairs.tsv").write_text("talo\ttalu\t3\n", encoding="utf-8")
+    model = str(tmp_path / "model")
+    assert cli.main(["train", "--corpus-a", str(tmp_path / "a.txt"), "--corpus-b",
+                     str(tmp_path / "b.txt"), "--cognates", str(tmp_path / "pairs.tsv"),
+                     "--max-epochs", "1", "--out", model]) == 0
+    assert calls == ["cli.load_word_counts", "cli.load_word_counts",
+                     "cognates.read_pairs_tsv", "trainer.initialize"]
+    monkeypatch.setattr(cli.sys, "stdin", io.StringIO("talot\n"))
+    monkeypatch.setattr(cli.sys, "stdout", io.StringIO())
+    assert cli.main(["segment", "--model", model, "--lang", "a"]) == 0
+    assert calls[4:] == ["serialization.load_model"]
+    monkeypatch.setattr(cli.sys, "stdin", io.StringIO("talot\n"))
+    assert cli.main(["segment-source", "--source-model", model, "--cognate-model", model]) == 0
+    assert calls[5:] == ["serialization.load_model"] * 2

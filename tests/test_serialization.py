@@ -14,6 +14,7 @@ from cogseg.serialization import (
 from cogseg.trainer import TrainingParams, initialize, train
 
 from test_cli import NOT_INTEGERS
+from test_paper_claim import gen
 
 
 def trained_model(**kwargs):
@@ -167,6 +168,51 @@ class TestValidation:
             load_model(path)
         assert str(err.value) == "%s:%d: bad integer %r" % (path, index + 1, text)
 
+    # Every count field of make_file's rows: (row prefix, field index).
+    COUNT_FIELDS = pytest.mark.parametrize(
+        "row, field",
+        [("talo\ttalu\t5\t3", 2), ("talo\ttalu\t5\t3", 3), ("talo\t5\t", 1),
+         ("talu\t3\t", 1), ("ta\t5", 1), ("lu\t3", 1), ("o|u\t1", 1)],
+        ids=["pairs-count-a", "pairs-count-b", "analyses-a", "analyses-b", "lexicon-a",
+             "lexicon-b", "edits"],
+    )
+
+    def set_count(self, tmp_path, row, field, text):
+        """make_file with the count field of row set to text; returns the
+        path and the row's line number."""
+        path = self.make_file(tmp_path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        index = next(i for i, l in enumerate(lines) if l.startswith(row))
+        fields = lines[index].split("\t")
+        fields[field] = text
+        lines[index] = "\t".join(fields)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return path, index + 1
+
+    @COUNT_FIELDS
+    @pytest.mark.parametrize(
+        "text, reason",
+        [("", "bad integer ''"), ("0", "count must be positive, got 0"),
+         ("-2", "count must be positive, got -2")],
+        ids=["empty", "zero", "negative"],
+    )
+    def test_count_field_out_of_range_rejected_at_its_line(self, tmp_path, row, field, text,
+                                                           reason):
+        # An empty field fails the per-field digit test; a test of all the
+        # row's count fields joined would let it through.
+        path, line = self.set_count(tmp_path, row, field, text)
+        with pytest.raises(FormatError) as err:
+            load_model(path)
+        assert str(err.value) == "%s:%d: %s" % (path, line, reason)
+
+    @COUNT_FIELDS
+    @NOT_INTEGERS
+    def test_count_field_loose_integer_rejected_at_its_line(self, tmp_path, row, field, text):
+        path, line = self.set_count(tmp_path, row, field, text)
+        with pytest.raises(FormatError) as err:
+            load_model(path)
+        assert str(err.value) == "%s:%d: bad integer %r" % (path, line, text)
+
     @NOT_INTEGERS
     def test_loose_integer_seed_rejected_at_its_line(self, tmp_path, text):
         path = self.make_file(tmp_path)
@@ -298,6 +344,21 @@ class TestValidation:
         with pytest.raises(FormatError) as err:
             load_model(path)
         assert str(err.value) == "%s: edit sides may not contain '|'" % path
+
+    def test_pair_check_comes_before_an_earlier_pairs_edit_error(self, tmp_path):
+        # The recount checks every pair before it reports an edit error, as
+        # the loader did when it checked the pairs in a pass of their own.
+        path = self.make_file(tmp_path)
+        text = path.read_text(encoding="utf-8")
+        text = text.replace("talo\ttalu\t5\t3\n", "talo\tta\\|u\t5\t3\nvesi\tveed\t2\t2\n")
+        text = text.replace("talo\t5\tta lo\n", "talo\t5\tta lo\nvesi\t3\tvesi\n")
+        path.write_text(text.replace("talu\t3\tta lu\n", "ta\\|u\t3\tta \\|u\nveed\t2\tveed\n"),
+                        encoding="utf-8")
+        assert path.read_text(encoding="utf-8").splitlines()[16] == "vesi\tveed\t2\t2"
+        with pytest.raises(FormatError) as err:
+            load_model(path)
+        assert str(err.value) == (
+            "%s:17: pair count 2 disagrees with analysis count 3 for 'vesi'" % path)
 
     def test_lexicon_disagreeing_with_analyses_rejected(self, tmp_path):
         path = self.make_file(tmp_path)
@@ -463,3 +524,46 @@ def test_load_counts_with_one_recount(tmp_path, monkeypatch):
     assert edits.edit_forms.cache_info().misses == len(morph_pairs)
     assert loaded.total_cost() == loaded.recompute_from_scratch()
     assert loaded.total_cost() == pytest.approx(model.total_cost(), rel=1e-12)
+
+
+def test_load_checks_each_pair_once(tmp_path, monkeypatch):
+    # The recount checks each pair, counts and equal morph counts, in the
+    # pass that counts its edit forms; nothing checks it a second time.
+    model = trained_model()
+    path = tmp_path / "model"
+    save_model(model, path)
+    checked = []
+    real = model_module.check_equal_morph_counts
+
+    def counted(analysis_a, analysis_b):
+        checked.append((analysis_a.word, analysis_b.word))
+        return real(analysis_a, analysis_b)
+
+    monkeypatch.setattr(model_module, "check_equal_morph_counts", counted)
+    loaded = load_model(path)
+    assert sorted(checked) == sorted(pair.key for pair in model.pairs)
+    assert loaded.analyses == model.analyses
+
+
+def test_gold_joint_model_of_a_generated_world_roundtrips(tmp_path):
+    # The benchmark's gold joint model, built as gen.write_models builds it,
+    # at the world size tests/test_bpe.py uses.
+    world = gen.World(1, 600)
+    model = CognateModel()
+    for word_a, word_b in world.pairs:
+        model.register_pair(CognatePair(word_a, word_b, world.a[word_a][1], world.b[word_b][1]))
+    for lang in ("a", "b"):
+        for word, (morphs, count) in getattr(world, lang).items():
+            model.add_analysis(Analysis(word, morphs, count), lang)
+    assert model.pairs and model.edit_lexicon.types
+    first, second = tmp_path / "m1", tmp_path / "m2"
+    save_model(model, first)
+    loaded = load_model(first)
+    save_model(loaded, second)
+    assert first.read_bytes() == second.read_bytes()
+    assert loaded.analyses == model.analyses
+    assert sorted(loaded.pairs, key=lambda p: p.key) == sorted(model.pairs, key=lambda p: p.key)
+    for name in ("a", "b"):
+        assert loaded.lexicons[name].counts == model.lexicons[name].counts
+    assert loaded.edit_lexicon.counts == model.edit_lexicon.counts
+    assert loaded.total_cost() == loaded.recompute_from_scratch()

@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+from cogseg import model as model_module
 from cogseg.edits import MAX_ENTRIES, edit_forms, extract_edits
 from cogseg.errors import ContractError
 from cogseg.model import (
@@ -280,6 +281,50 @@ class TestOptimizeRestore:
         model.add_analysis(old_b, "b")
         self.step(model, (("a", "ccc"), ("b", "bbb")))
         assert model.edit_lexicon.counts == Counter(aligned_edit_tokens(old_a, old_b))
+
+
+class TestOptimizeLookups:
+    """A step looks up the edit forms of its old and of its new pair
+    analyses once each, when it counts them out, and hands them on to the
+    scoring and to the final count. The search's own lookups go through
+    trainer._edit_forms and are not counted here."""
+
+    @staticmethod
+    def model_lookups(monkeypatch):
+        lookups = []
+        real = model_module.edit_forms
+
+        def counted(morph_a, morph_b):
+            lookups.append((morph_a, morph_b))
+            return real(morph_a, morph_b)
+
+        monkeypatch.setattr(model_module, "edit_forms", counted)
+        return lookups
+
+    def test_changed_pair_looks_up_old_and_new_forms_once(self, monkeypatch):
+        model = initialize(
+            {"kalassa": 3, "kala": 9, "ssa": 5, "vesi": 2},
+            {"kalas": 3, "kala": 8, "s": 5, "veed": 2},
+            [("kalassa", "kalas"), ("vesi", "veed")],
+            default_params(rng_seed=1),
+        )
+        lookups = self.model_lookups(monkeypatch)
+        assert _optimize(model, (("a", "kalassa"), ("b", "kalas"))) == (True, False)
+        assert model.analyses["a"]["kalassa"].morphs == ("kala", "ssa")
+        assert model.analyses["b"]["kalas"].morphs == ("kala", "s")
+        assert lookups == [("kalassa", "kalas"), ("kala", "kala"), ("ssa", "s")]
+        assert model.recompute_from_scratch() == pytest.approx(model.total_cost(), rel=1e-12)
+
+    def test_restored_pair_looks_up_old_and_new_forms_once(self, monkeypatch):
+        model = initialize({"ccc": 1}, {"bbb": 3}, [("ccc", "bbb")], default_params(alpha=0.5))
+        model.remove_analysis("ccc", "a")
+        model.remove_analysis("bbb", "b")
+        model.add_analysis(Analysis("ccc", ("c", "c", "c"), 1), "a")
+        model.add_analysis(Analysis("bbb", ("b", "b", "b"), 3), "b")
+        lookups = self.model_lookups(monkeypatch)
+        assert _optimize(model, (("a", "ccc"), ("b", "bbb"))) == (False, True)
+        assert lookups == [("c", "b")] * 3 + [("ccc", "bbb")]
+        assert model.edit_lexicon.counts == {"c|b": 3}
 
 
 class TestOptimizeKeep:
