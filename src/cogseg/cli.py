@@ -250,8 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extract-cognates", help="filter aligned pairs to a cognate list")
     p.add_argument("--pairs", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--min-count", type=_int_at_least(1), default=2, dest="min_count")
-    p.add_argument("--short-len", type=_int_at_least(0), default=4, dest="short_len")
+    p.add_argument("--min-count", type=_int_at_least(1), default=cognates.DEFAULT_MIN_COUNT)
+    p.add_argument("--short-len", type=_int_at_least(0), default=cognates.DEFAULT_SHORT_LEN)
     p.set_defaults(func=cmd_extract_cognates)
 
     p = sub.add_parser("train", help="train the bilingual model")
@@ -283,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("prep-tag", help="prefix the target-language tag")
     p.add_argument("--lang", required=True)
-    p.add_argument("--targets", default="et,fi")
+    p.add_argument("--targets", default=",".join(segmenter.DEFAULT_TARGETS))
     p.set_defaults(func=cmd_prep_tag)
 
     p = sub.add_parser("bpe-train", help="train balanced BPE merges")

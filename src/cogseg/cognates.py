@@ -15,6 +15,10 @@ from dataclasses import dataclass, field
 from .edits import levenshtein_distance
 from .errors import ContractError, check_word, parse_positive, read_rows
 
+# The filters' defaults, which extract-cognates also uses.
+DEFAULT_MIN_COUNT = 2
+DEFAULT_SHORT_LEN = 4
+
 
 @dataclass(frozen=True)
 class AlignedPair:
@@ -37,7 +41,7 @@ def excluded_char(ch: str) -> bool:
     return cat.startswith("P") or cat == "Nd"
 
 
-def levenshtein_threshold(len_a: int, len_b: int, short_len: int = 4) -> int:
+def levenshtein_threshold(len_a: int, len_b: int, short_len: int = DEFAULT_SHORT_LEN) -> int:
     """Maximum allowed distance for word lengths (len_a, len_b).
 
     Words of short_len or fewer characters require an exact match; otherwise
@@ -51,7 +55,9 @@ def levenshtein_threshold(len_a: int, len_b: int, short_len: int = 4) -> int:
     return -((len_a + len_b) // -6)  # ceil((len_a + len_b) / 6)
 
 
-def filter_pairs(pairs, min_count: int = 2, short_len: int = 4) -> list[AlignedPair]:
+def filter_pairs(
+    pairs, min_count: int = DEFAULT_MIN_COUNT, short_len: int = DEFAULT_SHORT_LEN
+) -> list[AlignedPair]:
     """Apply the count, character (excluded_char) and distance filters."""
     pairs = [pair for pair in pairs if pair.count >= min_count]
     alphabet = set("".join(pair.word_a + pair.word_b for pair in pairs))
@@ -88,7 +94,9 @@ def resolve_unique(pairs) -> list[AlignedPair]:
     return out
 
 
-def extract(pairs, min_count: int = 2, short_len: int = 4) -> list[AlignedPair]:
+def extract(
+    pairs, min_count: int = DEFAULT_MIN_COUNT, short_len: int = DEFAULT_SHORT_LEN
+) -> list[AlignedPair]:
     """Full pipeline (filter_pairs, then resolve_unique); output is
     deterministic and sorted by (word_a, word_b)."""
     resolved = resolve_unique(filter_pairs(pairs, min_count, short_len))

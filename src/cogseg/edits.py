@@ -15,11 +15,10 @@ from that cell and writes the operations as a string of letters.
 levenshtein_align turns those letters into AlignmentOps; _edit_spans turns
 their non-match runs into spans. edit_forms, a functools.lru_cache with
 one fixed bound of MAX_ENTRIES (2^20) entries, builds the serialized forms
-from the spans: the one edit path that training, the model's pair
-bookkeeping, the recount and model loading all read. Its tails(a, b) gives
-the forms of the tail pairs (a[i:], b[j:]), each looked up in the same
-cache. extract_edits builds the positioned script (Edit objects and spans)
-from them.
+from the spans: the one edit-form cache, called directly by training, the
+model's pair bookkeeping, the recount and model loading. Its tails(a, b)
+serves the tests' oracles. extract_edits, the positioned script (Edit
+objects and spans), runs its own traceback under its own 2^17-entry cache.
 
 All functions operate on Unicode code points, never bytes.
 
@@ -367,7 +366,7 @@ def edit_forms(morph_a: str, morph_b: str) -> tuple[str, ...]:
     return _forms(morph_a, morph_b, _edit_spans(morph_a, morph_b, _traceback(morph_a, morph_b)))
 
 
-# A function of (i, j) returning the forms of the tail pair (a[i:], b[j:]).
+# For the tests: a function of (i, j) giving the forms of (a[i:], b[j:]).
 edit_forms.tails = lambda a, b: lambda i, j: edit_forms(a[i:], b[j:])
 
 

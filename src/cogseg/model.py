@@ -20,7 +20,8 @@ Training's bookkeeping is incremental; ``recompute_from_scratch`` is the
 oracle guarding it. A fresh model (trainer.initialize) and a loaded one
 are counted by the same bulk recount (``recount``). A pair's edit forms
 are counted while both of its words are recorded and counted in
-(``count_unit``); they come from edits.edit_forms and are not stored.
+(``count_unit``); they are not stored, and each caller looks them up in
+edits.edit_forms (``aligned_edit_tokens``) where it needs them.
 """
 
 from __future__ import annotations
@@ -383,30 +384,28 @@ class CognateModel:
             cost += self.edit_weight * (lexicon_e + self.alpha * corpus_e)
         return cost
 
-    def cost_with(self, entries, forms) -> float:
+    def cost_with(self, entries) -> float:
         """The total cost with a counted-out unit's (language, analysis)
         entries counted in, computed from the counts without writing them.
         entries are one word, or the a and b words of a cognate pair, whose
-        edit forms, as count_unit returns them for entries, are counted
-        too; a word's forms are not read."""
+        aligned edit forms (aligned_edit_tokens) are counted too."""
         costs = {language: lex.costs() for language, lex in self.lexicons.items()}
         for language, analysis in entries:
             costs[language] = self.lexicons[language].costs_with(analysis.morphs, analysis.count)
         costs_edits = self.edit_lexicon.costs()
         if len(entries) > 1:
+            (_, analysis_a), (_, analysis_b) = entries
+            forms = aligned_edit_tokens(analysis_a, analysis_b)
             costs_edits = self.edit_lexicon.costs_with(forms, 1)
         return self.weigh(costs["a"], costs["b"], costs_edits)
 
     def cost_components(self) -> dict[str, float]:
         """Raw (unweighted) cost terms, for reporting."""
-        return {
-            "lexicon_a": self.lexicons["a"].lexicon_cost(),
-            "corpus_a": self.lexicons["a"].corpus_cost(),
-            "lexicon_b": self.lexicons["b"].lexicon_cost(),
-            "corpus_b": self.lexicons["b"].corpus_cost(),
-            "lexicon_edits": self.edit_lexicon.lexicon_cost(),
-            "corpus_edits": self.edit_lexicon.corpus_cost(),
-        }
+        components = {}
+        for name, lex in (("a", self.lexicons["a"]), ("b", self.lexicons["b"]),
+                          ("edits", self.edit_lexicon)):
+            components["lexicon_" + name], components["corpus_" + name] = lex.costs()
+        return components
 
     # -- analysis mutation ----------------------------------------------
 
@@ -442,28 +441,22 @@ class CognateModel:
             raise ContractError("word %r already analyzed in %s" % (analysis.word, language))
         table[analysis.word] = analysis
 
-    def count_unit(self, entries, sign: int, forms=None) -> tuple[str, ...]:
+    def count_unit(self, entries, sign: int) -> None:
         """Count a unit's (language, analysis) entries in (sign 1) or out
         (sign -1): one word, or the a and b words of a cognate pair, whose
-        aligned edit forms are counted first. forms, if given, are those
-        forms as an earlier count_unit of the same entries returned them;
-        otherwise they are looked up. Returns the edit forms counted, () for
-        a word. The records are neither read nor written. A pair with
-        unequal morph counts raises ContractError before any count changes."""
-        if forms is None:
-            forms = ()
-            if len(entries) > 1:
-                (_, analysis_a), (_, analysis_b) = entries
-                forms = aligned_edit_tokens(analysis_a, analysis_b)
-        add = self.edit_lexicon.add
-        for form in forms:
-            add(form, sign)
+        aligned edit forms (aligned_edit_tokens) are counted first. The
+        records are neither read nor written. A pair with unequal morph
+        counts raises ContractError before any count changes."""
+        if len(entries) > 1:
+            (_, analysis_a), (_, analysis_b) = entries
+            add = self.edit_lexicon.add
+            for form in aligned_edit_tokens(analysis_a, analysis_b):
+                add(form, sign)
         for language, analysis in entries:
             add = self.lexicons[language].add
             delta = sign * analysis.count
             for morph in analysis.morphs:
                 add(morph, delta)
-        return forms
 
     def _partner_edit_forms(self, language: str, analysis: Analysis) -> tuple[str, ...]:
         """The edit forms of analysis aligned with its pair partner's recorded

@@ -22,6 +22,7 @@ from .model import Analysis, CognateModel, CountLexicon
 TAG_PATTERN = re.compile(r"^<to_[0-9A-Za-z]+>$")
 
 DEFAULT_JOINER = "@@"
+DEFAULT_TARGETS = ("et", "fi")
 
 # Extra cost in nats (on top of ln N) of emitting an out-of-lexicon single
 # character, chosen large so known morphs always win when available.
@@ -232,7 +233,7 @@ def override_source_segmentation(
     return viterbi_segment(source_model.lexicons["a"], word)
 
 
-def target_tag(language_id: str, targets=("et", "fi")) -> str:
+def target_tag(language_id: str, targets=DEFAULT_TARGETS) -> str:
     """The target-language pseudo-token "<to_XX>" of a configured language.
     An id whose tag does not match TAG_PATTERN, which the apply commands
     would split like any other token, raises ContractError."""
@@ -246,6 +247,6 @@ def target_tag(language_id: str, targets=("et", "fi")) -> str:
     return tag
 
 
-def prefix_target_tag(sentence: str, language_id: str, targets=("et", "fi")) -> str:
+def prefix_target_tag(sentence: str, language_id: str, targets=DEFAULT_TARGETS) -> str:
     """Prefix the target-language pseudo-token: "<to_XX> " + sentence."""
     return target_tag(language_id, targets) + " " + sentence

@@ -204,9 +204,9 @@ def _search(model: CognateModel, unit, tally: SearchTally | None = None) -> list
     The tie key is explicit, so the visiting order never decides: a split
     replaces the best when it is strictly cheaper, or equally cheap with a
     larger (i, j), and staying whole has the lowest key. Among equal costs
-    the largest i, then the largest j, wins, as in a word. The tail edit
-    forms (a[i:], b[j:]) are looked up in the one edit-form cache
-    (edit_forms.tails).
+    the largest i, then the largest j, wins, as in a word. The edit forms of
+    a whole pair, a head (a[:i], b[:j]) and a tail (a[i:], b[j:]) are each
+    looked up by a direct call of the one edit-form cache, edits.edit_forms.
 
     Only chosen morphs and edit forms are written: the tail of a split
     while its head is searched, and each final morph (pair). Leaves the
@@ -259,47 +259,45 @@ def _search(model: CognateModel, unit, tally: SearchTally | None = None) -> list
                     cost = weigh(score_a((a[:i], a[i:]), count_a), costs_other, costs_edits)
                     if cost <= best:
                         best, split = cost, (i, None)
-        else:
-            tail = _edit_forms.tails(a, b)
-            if len(a) > 1 and len(b) > 1:
-                best = weigh(
-                    score_a((a,), count_a),
-                    score_b((b,), count_b),
-                    score_e(tail(0, 0), 1) if full else None,
-                )
-                scored += 1
-                rows = by_part([score_a((a[:i], a[i:]), count_a) for i in range(1, len(a))])
-                columns = by_part([score_b((b[:j], b[j:]), count_b) for j in range(1, len(b))])
-                floor_e = lex_e.costs()
-                for i, costs_a in rows:
-                    passed = 0
-                    for j, cost_b in columns:
-                        # The bound, and in the count-only mode the cost.
-                        cost = weigh(costs_a, cost_b, floor_e)
-                        if cost > best + 1e-9 * abs(best):
-                            break
-                        passed += 1
-                        if full:
-                            forms = _edit_forms(a[:i], b[:j]) + tail(i, j)
-                            cost = weigh(costs_a, cost_b, score_e(forms, 1))
-                        # Staying whole loses every tie, and of tied
-                        # splits the largest (i, j) wins.
-                        if cost < best or cost == best and (split is None or (i, j) > split):
-                            best, split = cost, (i, j)
-                    if not passed:
-                        # The row's cheapest column is ruled out, and so
-                        # is every column of the costlier rows after it.
+        elif len(a) > 1 and len(b) > 1:
+            best = weigh(
+                score_a((a,), count_a),
+                score_b((b,), count_b),
+                score_e(_edit_forms(a, b), 1) if full else None,
+            )
+            scored += 1
+            rows = by_part([score_a((a[:i], a[i:]), count_a) for i in range(1, len(a))])
+            columns = by_part([score_b((b[:j], b[j:]), count_b) for j in range(1, len(b))])
+            floor_e = lex_e.costs()
+            for i, costs_a in rows:
+                passed = 0
+                for j, cost_b in columns:
+                    # The bound, and in the count-only mode the cost.
+                    cost = weigh(costs_a, cost_b, floor_e)
+                    if cost > best + 1e-9 * abs(best):
                         break
-                    scored += passed
+                    passed += 1
+                    if full:
+                        forms = _edit_forms(a[:i], b[:j]) + _edit_forms(a[i:], b[j:])
+                        cost = weigh(costs_a, cost_b, score_e(forms, 1))
+                    # Staying whole loses every tie, and of tied
+                    # splits the largest (i, j) wins.
+                    if cost < best or cost == best and (split is None or (i, j) > split):
+                        best, split = cost, (i, j)
+                if not passed:
+                    # The row's cheapest column is ruled out, and so
+                    # is every column of the costlier rows after it.
+                    break
+                scored += passed
         if split is None:
-            put(a, b, () if b is None else tail(0, 0), 1)
+            put(a, b, () if b is None else _edit_forms(a, b), 1)
             morphs_a.append(a)
             morphs_b.append(b)
             return
         i, j = split
         a1, a2 = a[:i], a[i:]
         b1, b2 = (None, None) if b is None else (b[:j], b[j:])
-        tail_forms = () if b is None else tail(i, j)
+        tail_forms = () if b is None else _edit_forms(a2, b2)
         put(a2, b2, tail_forms, 1)
         rec(a1, b1)
         put(a2, b2, tail_forms, -1)
@@ -347,12 +345,11 @@ def _optimize(model: CognateModel, unit, tally: SearchTally | None = None) -> tu
     CognateModel.cost_with from the same counts; the new ones are then
     counted in and recorded, or the old ones when they are strictly
     cheaper. A search that finds the unit's own analyses again keeps them.
-    The edit forms of the old and of the new pair analyses are each looked
-    up once, by the count_unit that counts them out, and handed on.
-    The search's candidates are added to tally, if given. Returns (changed,
-    restored)."""
+    Each of those calls looks up a pair's edit forms for itself, in the one
+    edit-form cache. The search's candidates are added to tally, if given.
+    Returns (changed, restored)."""
     old = [(language, model.analyses[language][word]) for language, word in unit]
-    old_forms = model.count_unit(old, -1)
+    model.count_unit(old, -1)
     if len(unit) == 1:
         ((language, word),) = unit
         resegment_word(model, word, language, tally)
@@ -362,10 +359,10 @@ def _optimize(model: CognateModel, unit, tally: SearchTally | None = None) -> tu
     if new == old:
         # Equal analyses score equally: keep them without scoring.
         return False, False
-    new_forms = model.count_unit(new, -1)
-    restore = model.cost_with(old, old_forms) < model.cost_with(new, new_forms)
-    kept, kept_forms = (old, old_forms) if restore else (new, new_forms)
-    model.count_unit(kept, 1, kept_forms)
+    model.count_unit(new, -1)
+    restore = model.cost_with(old) < model.cost_with(new)
+    kept = old if restore else new
+    model.count_unit(kept, 1)
     for language, analysis in kept:
         model.analyses[language][analysis.word] = analysis
     return not restore, restore

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from cogseg import bpe, cli
+from cogseg import bpe, cli, cognates, segmenter
 from cogseg.errors import CogsegError, FormatError, parse_int, parse_positive
 from cogseg.serialization import load_model, save_model
 
@@ -356,6 +356,49 @@ def train_merges(workspace, monkeypatch):
     )
     assert code == 0, err
     return merges
+
+
+class TestLibraryDefaults:
+    """extract-cognates and prep-tag run without --min-count, --short-len or
+    --targets behave as cognates.extract and segmenter.prefix_target_tag do
+    with their own defaults."""
+
+    # Each default decides the output: "kuuluvus" (count 2) is dropped at a
+    # count floor of 3 and "kalassa" (count 1) kept at 1; "talu"/"talo" is
+    # kept at a short length of 3 and "kaalu"/"kaali" dropped at 5.
+    ALIGNED = ("kuuluvus\tkuuluvuus\t2\nkalassa\tkalasse\t1\ntalu\ttalo\t5\n"
+               "kaalu\tkaali\t3\nsama\tsama\t5\n")
+
+    def test_extract_cognates_without_flags_is_extract(self, workspace, monkeypatch):
+        aligned, out_path = workspace / "aligned.tsv", workspace / "out.tsv"
+        aligned.write_text(self.ALIGNED, encoding="utf-8")
+        pairs = cognates.read_pairs_tsv(aligned)
+        code, _, err = run_cli(
+            ["extract-cognates", "--pairs", str(aligned), "--out", str(out_path)],
+            monkeypatch=monkeypatch,
+        )
+        assert (code, err) == (0, "")
+        result, expected = cognates.extract(pairs), workspace / "expected.tsv"
+        cognates.write_pairs_tsv(expected, result)
+        assert out_path.read_text(encoding="utf-8") == expected.read_text(encoding="utf-8")
+        kept = [(p.word_a, p.word_b) for p in result]
+        assert kept == [("kaalu", "kaali"), ("kuuluvus", "kuuluvuus"), ("sama", "sama")]
+        for min_count, short_len in ((1, 4), (3, 4), (2, 3), (2, 5)):
+            other = cognates.extract(pairs, min_count=min_count, short_len=short_len)
+            assert [(p.word_a, p.word_b) for p in other] != kept
+
+    def test_prep_tag_without_targets_is_prefix_target_tag(self, workspace, monkeypatch):
+        for lang in segmenter.DEFAULT_TARGETS + ("sv",):
+            code, out, err = run_cli(
+                ["prep-tag", "--lang", lang], stdin_text="tere\n", monkeypatch=monkeypatch
+            )
+            try:
+                expected = segmenter.prefix_target_tag("tere\n", lang)
+            except CogsegError as exc:
+                assert (code, out) == (1, "")
+                assert json.loads(err)["message"] == str(exc)
+            else:
+                assert (code, out, err) == (0, expected, "")
 
 
 class TestBpeCommands:

@@ -44,6 +44,15 @@ class TestTrainingParams:
         with pytest.raises(ContractError):
             TrainingParams(**settings)
 
+    def test_defaults_are_the_model_defaults(self):
+        # The benchmark trains with TrainingParams() and builds its gold
+        # models with CognateModel(), so drifting defaults would make the
+        # gold model headers differ from the trained ones.
+        params, model = TrainingParams(), CognateModel()
+        assert (params.alpha, params.edit_weight, params.edit_mode, params.rng_seed,
+                params.dampening) == (model.alpha, model.edit_weight, model.edit_mode,
+                                      model.seed, model.dampening)
+
 
 class TestInitialize:
     def test_single_pair_populates_edit_lexicon(self):
@@ -284,9 +293,10 @@ class TestOptimizeRestore:
 
 
 class TestOptimizeLookups:
-    """A step looks up the edit forms of its old and of its new pair
-    analyses once each, when it counts them out, and hands them on to the
-    scoring and to the final count. The search's own lookups go through
+    """A step's model-side edit-form lookups (count_unit and cost_with, each
+    looking a pair's forms up for itself) ask for the morph pairs of the old
+    and of the new pair analyses and for nothing else, and leave counts that
+    a recount matches. The search's own lookups go through
     trainer._edit_forms and are not counted here."""
 
     @staticmethod
@@ -301,7 +311,7 @@ class TestOptimizeLookups:
         monkeypatch.setattr(model_module, "edit_forms", counted)
         return lookups
 
-    def test_changed_pair_looks_up_old_and_new_forms_once(self, monkeypatch):
+    def test_changed_pair_looks_up_only_old_and_new_morph_pairs(self, monkeypatch):
         model = initialize(
             {"kalassa": 3, "kala": 9, "ssa": 5, "vesi": 2},
             {"kalas": 3, "kala": 8, "s": 5, "veed": 2},
@@ -312,10 +322,10 @@ class TestOptimizeLookups:
         assert _optimize(model, (("a", "kalassa"), ("b", "kalas"))) == (True, False)
         assert model.analyses["a"]["kalassa"].morphs == ("kala", "ssa")
         assert model.analyses["b"]["kalas"].morphs == ("kala", "s")
-        assert lookups == [("kalassa", "kalas"), ("kala", "kala"), ("ssa", "s")]
+        assert set(lookups) == {("kalassa", "kalas"), ("kala", "kala"), ("ssa", "s")}
         assert model.recompute_from_scratch() == pytest.approx(model.total_cost(), rel=1e-12)
 
-    def test_restored_pair_looks_up_old_and_new_forms_once(self, monkeypatch):
+    def test_restored_pair_looks_up_only_old_and_new_morph_pairs(self, monkeypatch):
         model = initialize({"ccc": 1}, {"bbb": 3}, [("ccc", "bbb")], default_params(alpha=0.5))
         model.remove_analysis("ccc", "a")
         model.remove_analysis("bbb", "b")
@@ -323,8 +333,9 @@ class TestOptimizeLookups:
         model.add_analysis(Analysis("bbb", ("b", "b", "b"), 3), "b")
         lookups = self.model_lookups(monkeypatch)
         assert _optimize(model, (("a", "ccc"), ("b", "bbb"))) == (False, True)
-        assert lookups == [("c", "b")] * 3 + [("ccc", "bbb")]
+        assert set(lookups) == {("c", "b"), ("ccc", "bbb")}
         assert model.edit_lexicon.counts == {"c|b": 3}
+        assert model.recompute_from_scratch() == pytest.approx(model.total_cost(), rel=1e-12)
 
 
 class TestOptimizeKeep:
