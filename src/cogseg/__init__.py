@@ -39,9 +39,10 @@ from .model import (
 )
 from .segmenter import (
     SegmenterConfig,
-    override_source_segmentation,
+    Segmentation,
     prefix_target_tag,
     segment_corpus,
+    segment_source,
     unjoin,
     viterbi_segment,
 )

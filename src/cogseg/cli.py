@@ -198,10 +198,7 @@ def cmd_segment_source(args):
     config = segmenter.SegmenterConfig(joiner=args.joiner)
     source = serialization.load_model(args.source_model)
     cognate_model = serialization.load_model(args.cognate_model)
-    override = segmenter.override_source_segmentation
-    sys.stdout.writelines(segmenter.segment_lines(
-        sys.stdin, lambda token: override(source, cognate_model, token).morphs, config
-    ))
+    sys.stdout.writelines(segmenter.segment_source(source, cognate_model, sys.stdin, config))
 
 
 def cmd_prep_tag(args):

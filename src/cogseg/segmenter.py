@@ -4,7 +4,11 @@ source-side override, and target-language tagging.
 Corpus segmentation is lookup-first: words seen in training reuse their
 stored analyses, unseen words are segmented with the Viterbi algorithm under
 the unigram morph distribution. Out-of-lexicon single characters receive an
-additive smoothing penalty so that every word is segmentable.
+additive smoothing penalty so that every word is segmentable. Viterbi
+returns a Segmentation, which holds only the morphs: an unseen word has no
+corpus count, so it gets no Analysis. segment_corpus and segment_source
+share one rule per token: the stored analysis from one mapping, or else
+Viterbi under one lexicon.
 """
 
 from __future__ import annotations
@@ -13,9 +17,10 @@ import collections
 import math
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import CogsegError, ContractError, holds_whitespace
-from .model import Analysis, CognateModel, CountLexicon
+from .model import CognateModel, CountLexicon
 
 # Pseudo-tokens of this shape select the target language in a multilingual
 # system; they pass through segmentation unsplit.
@@ -43,7 +48,14 @@ class SegmenterConfig:
             raise ContractError("joiner must be a non-empty token-safe string")
 
 
-def viterbi_segment(lexicon: CountLexicon, word: str) -> Analysis:
+class Segmentation(NamedTuple):
+    """Viterbi's segmentation of a word: its morphs, which concatenate to
+    the word. Unlike an Analysis it carries no corpus count."""
+
+    morphs: tuple[str, ...]
+
+
+def viterbi_segment(lexicon: CountLexicon, word: str) -> Segmentation:
     """Most probable segmentation of word under the lexicon's unigram model.
 
     A forward pass over the lexicon's trie: from each start position the
@@ -52,10 +64,13 @@ def viterbi_segment(lexicon: CountLexicon, word: str) -> Analysis:
     the single character at a start position is always a candidate, at
     ln N + UNKNOWN_CHAR_PENALTY when it is not a morph. Ties are broken
     deterministically: fewest morphs first, then the leftmost-longest morph
-    sequence.
+    sequence. An empty word, or one holding whitespace, raises
+    ContractError.
     """
     if not word:
         raise ContractError("cannot segment an empty word")
+    if holds_whitespace(word):
+        raise ContractError("word %r contains whitespace" % word)
     trie = lexicon.trie()
     log_tokens = math.log(lexicon.tokens) if lexicon.tokens > 0 else 0.0
     unknown = log_tokens + UNKNOWN_CHAR_PENALTY
@@ -95,7 +110,7 @@ def viterbi_segment(lexicon: CountLexicon, word: str) -> Analysis:
         morphs.append(word[prev:pos])
         pos = prev
     morphs.reverse()
-    return Analysis(word, tuple(morphs), 1)
+    return Segmentation(tuple(morphs))
 
 
 # The trie node of a character that begins no morph.
@@ -118,8 +133,9 @@ def join_morphs(morphs, joiner: str) -> str:
 
     Rejects morphs containing the joiner, which would make the output
     ambiguous to undo. Neither the joiner nor a morph may hold whitespace
-    (SegmenterConfig and Analysis reject it), so the joiner occurs in the
-    space-joined morphs exactly when it occurs inside one of them.
+    (SegmenterConfig, Analysis and viterbi_segment reject it), so the
+    joiner occurs in the space-joined morphs exactly when it occurs inside
+    one of them.
     """
     if len(morphs) == 1:
         return morphs[0]
@@ -189,6 +205,13 @@ def segment_lines(lines, token_morphs, config: SegmenterConfig):
     return map_lines(lines, lambda text: " ".join(map(render, text.split(" "))))
 
 
+def _stored_or_viterbi(analyses, lexicon):
+    """The morphs of a token: its analysis in analyses, or else Viterbi
+    under lexicon. viterbi_segment is looked up in this module at each
+    call, so a hook that replaces the module attribute sees every call."""
+    return lambda token: (analyses.get(token) or viterbi_segment(lexicon, token)).morphs
+
+
 def segment_corpus(
     model: CognateModel,
     lines,
@@ -198,39 +221,44 @@ def segment_corpus(
     """Segment a stream of whitespace-tokenized lines with segment_lines.
 
     Words seen in training reuse their stored analyses; other words are
-    segmented by Viterbi under the language's lexicon.
+    segmented by Viterbi under the language's lexicon. A language the model
+    does not hold raises ContractError.
     """
-    analyses = model.analyses[language]
-    lexicon = model.lexicons[language]
+    if language not in model.analyses:
+        raise ContractError(
+            "unknown language %r (the model holds: %s)" % (language, ", ".join(model.analyses))
+        )
     return segment_lines(
-        lines,
-        lambda token: (analyses.get(token) or viterbi_segment(lexicon, token)).morphs,
-        config,
+        lines, _stored_or_viterbi(model.analyses[language], model.lexicons[language]), config
     )
+
+
+def segment_source(
+    source_model: CognateModel,
+    cognate_model: CognateModel,
+    lines,
+    config: SegmenterConfig = SegmenterConfig(),
+):
+    """Segment a stream of source-language lines with segment_lines,
+    keeping the source side consistent with the target side.
+
+    A token takes the first stored analysis found in the cognate model's
+    language a, then its language b, then the source model (language a);
+    the precedence is built once, as one mapping over the three tables.
+    Any other token is segmented by Viterbi under the source model's
+    lexicon.
+    """
+    stored = {
+        **source_model.analyses["a"],
+        **cognate_model.analyses["b"],
+        **cognate_model.analyses["a"],
+    }
+    return segment_lines(lines, _stored_or_viterbi(stored, source_model.lexicons["a"]), config)
 
 
 def unjoin(line: str, joiner: str = DEFAULT_JOINER) -> str:
     """Undo segment markers on one line, restoring the original tokens."""
     return line.replace(joiner + " ", "")
-
-
-def override_source_segmentation(
-    source_model: CognateModel, cognate_model: CognateModel, word: str
-) -> Analysis:
-    """Segmentation of a source-language word, kept consistent with the
-    target side. The first stored analysis of the word wins, looked up in
-    the cognate model's language a, then its language b, then the source
-    model (language a); any other word is segmented by Viterbi under the
-    source model's lexicon.
-    """
-    stored = (
-        cognate_model.analyses["a"].get(word)
-        or cognate_model.analyses["b"].get(word)
-        or source_model.analyses["a"].get(word)
-    )
-    if stored is not None:
-        return stored
-    return viterbi_segment(source_model.lexicons["a"], word)
 
 
 def target_tag(language_id: str, targets=DEFAULT_TARGETS) -> str:

@@ -142,8 +142,9 @@ def test_apply_paths_reach_viterbi_through_the_module(monkeypatch):
         "kala@@ t kala@@ t\n"
     ]
     assert calls == ["kalat"]
-    result = segmenter.override_source_segmentation(model, CognateModel(), "kalas")
-    assert result.morphs == ("kala", "s")
+    assert list(segmenter.segment_source(model, CognateModel(), ["kalas kalas\n"])) == [
+        "kala@@ s kala@@ s\n"
+    ]
     assert calls == ["kalat", "kalas"]
 
 

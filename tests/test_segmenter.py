@@ -10,11 +10,12 @@ from cogseg.errors import ContractError
 from cogseg.model import Analysis, CognateModel, CountLexicon
 from cogseg.segmenter import (
     SegmenterConfig,
+    Segmentation,
     join_morphs,
-    override_source_segmentation,
     prefix_target_tag,
     segment_corpus,
     segment_lines,
+    segment_source,
     unjoin,
     viterbi_segment,
 )
@@ -76,6 +77,17 @@ class TestViterbi:
     def test_empty_word_rejected(self):
         with pytest.raises(ContractError):
             viterbi_segment(lexicon_from({"a": 1}), "")
+
+    @pytest.mark.parametrize("word", ["ka la", "ka\u00a0la", " ", "kala\t"])
+    def test_word_holding_whitespace_rejected(self, word):
+        with pytest.raises(ContractError, match="whitespace"):
+            viterbi_segment(lexicon_from({"ka": 1, "la": 1}), word)
+
+    def test_returns_a_segmentation_without_count(self):
+        result = viterbi_segment(lexicon_from({"kala": 1, "ssa": 1}), "kalassa")
+        assert type(result) is Segmentation
+        assert result == Segmentation(("kala", "ssa"))
+        assert Segmentation._fields == ("morphs",)
 
     # Small alphabets and few distinct counts make cost ties common; "z" and
     # two non-BMP characters are never morphs.
@@ -153,6 +165,10 @@ def trained_toy_model():
 
 
 class TestSegmentCorpus:
+    def test_unknown_language_rejected(self):
+        with pytest.raises(ContractError, match="'c'"):
+            segment_corpus(trained_toy_model(), ["kala"], "c")
+
     def test_single_morph_token_unchanged(self):
         model = trained_toy_model()
         out = list(segment_corpus(model, ["vesi vesi"], "a"))
@@ -321,27 +337,30 @@ def source_model_from(counts):
     return model
 
 
+def source_line(source, cognate_model, line):
+    """segment_source's output for one line."""
+    return list(segment_source(source, cognate_model, [line]))[0]
+
+
 class TestSourceOverride:
     def test_target_analysis_preferred(self):
         model = trained_toy_model()
         source = source_model_from({"kalassa": 5, "kal": 1})
-        result = override_source_segmentation(source, model, "kalassa")
-        assert result == model.analyses["a"]["kalassa"]
+        assert viterbi_segment(source.lexicons["a"], "kalassa").morphs == ("kalassa",)
+        expected = join_morphs(model.analyses["a"]["kalassa"].morphs, "@@")
+        assert expected != "kalassa"
+        assert source_line(source, model, "kalassa") == expected
 
     def test_language_a_preferred_over_b(self):
         model = trained_toy_model()
         model.analyses["a"]["shared"] = Analysis("shared", ("sha", "red"), 1)
         model.analyses["b"]["shared"] = Analysis("shared", ("shared",), 1)
-        result = override_source_segmentation(CognateModel(), model, "shared")
-        assert result.morphs == ("sha", "red")
-        del model.analyses["a"]["shared"]
-        del model.analyses["b"]["shared"]
+        assert source_line(CognateModel(), model, "shared") == "sha@@ red"
 
     def test_fallback_to_source_viterbi(self):
         model = trained_toy_model()
         source = source_model_from({"walk": 5, "ing": 5})
-        result = override_source_segmentation(source, model, "walking")
-        assert result.morphs == ("walk", "ing")
+        assert source_line(source, model, "walking") == "walk@@ ing"
 
     def test_lookup_order(self):
         # Viterbi under the source lexicon would give walk+ing; the stored
@@ -352,11 +371,42 @@ class TestSourceOverride:
         source.add_analysis(Analysis("ing", ("ing",), 5), "a")
         source.add_analysis(Analysis("walking", ("wal", "king"), 1), "a")
         assert viterbi_segment(source.lexicons["a"], "walking").morphs == ("walk", "ing")
-        result = override_source_segmentation(source, model, "walking")
-        assert result.morphs == ("wal", "king")
+        assert source_line(source, model, "walking") == "wal@@ king"
         model.analyses["b"]["walking"] = Analysis("walking", ("walki", "ng"), 1)
-        result = override_source_segmentation(source, model, "walking")
-        assert result.morphs == ("walki", "ng")
+        assert source_line(source, model, "walking") == "walki@@ ng"
+
+    def test_word_stored_in_all_three_tables(self):
+        # The cognate model's a beats its b, which beats the source's own
+        # analysis; each token of a line takes the rule on its own.
+        model = trained_toy_model()
+        source = CognateModel()
+        source.add_analysis(Analysis("walking", ("wal", "king"), 1), "a")
+        source.add_analysis(Analysis("talking", ("tal", "king"), 1), "a")
+        model.analyses["b"]["walking"] = Analysis("walking", ("walki", "ng"), 1)
+        model.analyses["b"]["talking"] = Analysis("talking", ("talki", "ng"), 1)
+        model.analyses["a"]["walking"] = Analysis("walking", ("w", "alking"), 1)
+        line = "walking talking walking\n"
+        assert source_line(source, model, line) == "w@@ alking talki@@ ng w@@ alking\n"
+
+
+class TestNoAnalysisForUnseenWords:
+    def test_unseen_stream_constructs_no_analysis(self, monkeypatch):
+        model = trained_toy_model()
+        source = source_model_from({"walk": 5, "ing": 5})
+        built = []
+
+        def count(self):
+            built.append(self.word)
+
+        monkeypatch.setattr(Analysis, "__post_init__", count)
+        words = ["kalat", "vesissa", "kalassaz", "q", "vesikala"]
+        assert not any(word in model.analyses["a"] for word in words)
+        out = list(segment_corpus(model, [" ".join(words) + "\n"], "a"))
+        assert unjoin(out[0]) == " ".join(words) + "\n"
+        assert "@@" in out[0]
+        out = list(segment_source(source, model, ["walking talks\n"]))
+        assert out == ["walk@@ ing t@@ a@@ l@@ k@@ s\n"]
+        assert built == []
 
 
 class TestTargetTag:
