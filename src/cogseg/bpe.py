@@ -9,9 +9,9 @@ counted nor merged. Words carry a distinct end-of-word symbol.
 
 from __future__ import annotations
 
-import bisect
 import collections
 import heapq
+import itertools
 import logging
 import re
 from dataclasses import dataclass, field
@@ -43,25 +43,32 @@ class BalancedCounts:
 class MergeTable:
     """Ordered symbol-pair merges in training acquisition order.
 
-    The pair index maps each pair to its lines; apply_bpe ranks a pair by
-    its first line above the last one applied. merges may grow after the
+    apply_bpe ranks pairs with rank_index(). merges may grow after the
     table has been applied, but an entry must not be replaced in place: the
-    pair index is rebuilt only when its length changes.
+    rank index is rebuilt only when its length changes.
     """
 
     merges: list[tuple[str, str]] = field(default_factory=list)
     truncated: bool = False
-    _positions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _first: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _next: list = field(default_factory=list, init=False, repr=False, compare=False)
     _indexed: int = field(default=0, init=False, repr=False, compare=False)
 
-    def pair_positions(self) -> dict[tuple[str, str], list[int]]:
-        """Each pair's indices in merges, ascending."""
+    def rank_index(self) -> tuple[dict[tuple[str, str], int], list[int]]:
+        """Each pair's first line in merges, and for each line the next line
+        that holds the same pair, or len(merges) after the last one."""
         if self._indexed != len(self.merges):
-            self._positions = {}
-            for index, pair in enumerate(self.merges):
-                self._positions.setdefault(pair, []).append(index)
-            self._indexed = len(self.merges)
-        return self._positions
+            end = len(self.merges)
+            self._first = {}
+            self._next = [end] * end
+            # From the last line back to the first: when a line is reached,
+            # _first holds its pair's nearest later line, if there is one.
+            for index in range(end - 1, -1, -1):
+                pair = self.merges[index]
+                self._next[index] = self._first.get(pair, end)
+                self._first[pair] = index
+            self._indexed = end
+        return self._first, self._next
 
 
 def balance_counts(tables: dict[str, dict[str, int]]) -> BalancedCounts:
@@ -98,8 +105,11 @@ def _fragments(word: str) -> list[tuple[str, ...]]:
 
     Hyphens become single-symbol fragments; the end-of-word symbol joins the
     last fragment, or stands alone when the word ends in a hyphen so that no
-    pair can span the hyphen.
+    pair can span the hyphen. A word that holds no hyphen is one fragment,
+    and is not run through the split.
     """
+    if not _HYPHEN_SPLIT.search(word):
+        return [(*word, WORD_END)]
     # The split alternates text and hyphen, and ends with the (maybe empty)
     # text after the last hyphen.
     *pieces, last = _HYPHEN_SPLIT.split(word)
@@ -239,41 +249,47 @@ def apply_bpe(merges: MergeTable, word: str) -> list[str]:
     equals the input word.
 
     Each fragment keeps, beside its symbols, the rank of every adjacent
-    pair: its first line in the pair index above the last line applied, or
-    len(merges.merges) when there is none. The least rank is the next line
-    whose pair is present. Its leftmost occurrence is merged, and only the
-    two pairs beside it are ranked again, above that line. A merge never
-    forms its own pair, so the line's other occurrences keep the least rank
-    and are merged in turn, left to right; an overlapped one (the second
-    pair of a a a) has become (aa, a) and is not.
+    pair: its first line above the last line applied, or len(merges.merges)
+    when there is none. A fragment's first ranks are the pairs' first lines
+    in the rank index. The least rank is the next line whose pair is
+    present. Its leftmost occurrence is merged into the concatenation of
+    its two symbols, and only the two pairs beside it are ranked again: a
+    pair's first line, or when that line's turn has passed, the next line
+    along its chain of duplicates whose turn has not. A merge never forms
+    its own pair, so the line's other occurrences keep the least rank and
+    are merged in turn, left to right; an overlapped one (the second pair
+    of a a a) has become (aa, a) and is not.
     """
     if not word:
         return []
-    table = merges.merges
-    get = merges.pair_positions().get
-    end = len(table)
-    absent = (end,)
+    first, following = merges.rank_index()
+    get = first.get
+    end = len(merges.merges)
     out: list[str] = []
     for fragment in _fragments(word):
         symbols = list(fragment)
-        ranks = [get(pair, absent)[0] for pair in zip(fragment, fragment[1:])]
+        ranks = list(map(get, zip(fragment, fragment[1:]), itertools.repeat(end)))
         while ranks:
             step = min(ranks)
             if step == end:
                 break
-            merged = "".join(table[step])
             i = ranks.index(step)
+            merged = symbols[i] + symbols[i + 1]
             symbols[i : i + 2] = (merged,)
             del ranks[i]
             # Inlined: a helper call per neighbour costs apply_bpe about 7%.
+            # A line at or before step has had its turn and gives way to its
+            # pair's next line; end is above step, so the walk stops there.
             if i:
-                indices = get((symbols[i - 1], merged), absent)
-                ranks[i - 1] = (indices[bisect.bisect_right(indices, step)]
-                                if indices[-1] > step else end)
+                rank = get((symbols[i - 1], merged), end)
+                while rank <= step:
+                    rank = following[rank]
+                ranks[i - 1] = rank
             if i < len(ranks):
-                indices = get((merged, symbols[i + 1]), absent)
-                ranks[i] = (indices[bisect.bisect_right(indices, step)]
-                            if indices[-1] > step else end)
+                rank = get((merged, symbols[i + 1]), end)
+                while rank <= step:
+                    rank = following[rank]
+                ranks[i] = rank
         out.extend(symbols)
     if out and out[-1] == WORD_END:
         out.pop()

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import collections
+import functools
 import json
 import logging
 import sys
@@ -224,7 +225,7 @@ def cmd_bpe_apply(args):
     config = segmenter.SegmenterConfig(joiner=args.joiner)
     table = bpe.load_merges(args.merges)
     sys.stdout.writelines(segmenter.segment_lines(
-        sys.stdin, lambda token: bpe.apply_bpe(table, token), config
+        sys.stdin, functools.partial(bpe.apply_bpe, table), config
     ))
 
 

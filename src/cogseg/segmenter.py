@@ -131,13 +131,16 @@ def _lengths(back, pos):
 def join_morphs(morphs, joiner: str) -> str:
     """Render a token's morphs with the joiner marking non-final subwords.
 
-    Rejects morphs containing the joiner, which would make the output
-    ambiguous to undo. Neither the joiner nor a morph may hold whitespace
-    (SegmenterConfig, Analysis and viterbi_segment reject it), so the
-    joiner occurs in the space-joined morphs exactly when it occurs inside
-    one of them.
+    Rejects a rendering that unjoin could not undo: several morphs of which
+    one holds the joiner, or a single morph (a token written whole) that
+    ends with it, which unjoin would join to the next token. Neither the
+    joiner nor one of several morphs may hold whitespace (SegmenterConfig,
+    Analysis and viterbi_segment reject it), so the joiner occurs in the
+    space-joined morphs exactly when it occurs inside one of them.
     """
     if len(morphs) == 1:
+        if morphs[0].endswith(joiner):
+            raise ContractError("token %r ends with the joiner %r" % (morphs[0], joiner))
         return morphs[0]
     if joiner in " ".join(morphs):
         raise ContractError("joiner %r occurs inside a morph of %r" % (joiner, morphs))
@@ -148,15 +151,18 @@ def map_lines(lines, transform):
     """The line loop of every stdin command; yields transform(text) plus
     the line's own terminator for each line, so an unterminated last line
     stays unterminated. An error at line N stops the stream after lines
-    1..N-1; I/O and decoding failures are reported with the offending line
-    number. A text stream decodes a chunk ahead, so a line that is not
-    UTF-8 stops the stream before the earlier lines of its chunk too.
+    1..N-1; a ContractError of transform, and I/O and decoding failures,
+    are reported with the offending line number. A text stream decodes a
+    chunk ahead, so a line that is not UTF-8 stops the stream before the
+    earlier lines of its chunk too.
     """
     lineno = 0
     try:
         for lineno, line in enumerate(lines, 1):
             text = line.rstrip("\r\n")
             yield transform(text) + line[len(text):]
+    except ContractError as exc:
+        raise ContractError("line %d: %s" % (lineno, exc)) from exc
     except (OSError, UnicodeError) as exc:
         if isinstance(exc, UnicodeDecodeError):  # text streams decode a chunk ahead
             lineno += exc.object.count(b"\n", 0, exc.start)
@@ -179,9 +185,10 @@ class _RenderMemo(collections.OrderedDict):
         # Every tag starts with "<"; testing that first keeps the regex off
         # the path of almost every token.
         if not token or token[0] == "<" and TAG_PATTERN.match(token) or holds_whitespace(token):
-            rendered = token
+            morphs = (token,)
         else:
-            rendered = join_morphs(self.token_morphs(token), self.joiner)
+            morphs = self.token_morphs(token)
+        rendered = join_morphs(morphs, self.joiner)
         if len(self) >= MEMO_SIZE:
             self.popitem(last=False)
         self[token] = rendered
@@ -194,12 +201,14 @@ def segment_lines(lines, token_morphs, config: SegmenterConfig):
 
     Lines are split on single spaces. Empty tokens, target tags and tokens
     holding other whitespace pass through unsplit; any other token becomes
-    token_morphs(token) rendered with the joiner. A token's rendering
-    depends on the token alone, so each call keeps one memo of up to
-    MEMO_SIZE (2^16) distinct tokens, dropping the oldest first: a token is
-    rendered again only after it has been dropped, and the output never
-    depends on the memo. Each line keeps its terminator, so unjoin restores
-    the input byte for byte.
+    token_morphs(token) rendered with the joiner. A token written whole (a
+    single morph, or one that passes through) that ends with the joiner
+    raises ContractError, as a morph holding the joiner does: unjoin would
+    delete the space after it. A token's rendering depends on the token
+    alone, so each call keeps one memo of up to MEMO_SIZE (2^16) distinct
+    tokens, dropping the oldest first: a token is rendered again only after
+    it has been dropped, and the output never depends on the memo. Each
+    line keeps its terminator, so unjoin restores the input byte for byte.
     """
     render = _RenderMemo(token_morphs, config.joiner).__getitem__
     return map_lines(lines, lambda text: " ".join(map(render, text.split(" "))))

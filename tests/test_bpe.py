@@ -247,14 +247,18 @@ class TestApplyBpe:
             [("a", "</w>"), ("a", "a"), ("aa", "a</w>"), ("a", "</w>"), ("aa", "aa")],
             # The pairs an aa merge forms have lines only before its turn.
             [("aa", "b"), ("b", "aa"), ("aa", "a"), ("a", "a")],
+            # The a+b merge forms ab+c after two of its three lines: the
+            # duplicate chain skips both, and only the third can act. It
+            # acts in abc; in abcd, c+d takes the c at its earlier turn.
+            [("ab", "c"), ("x", "y"), ("ab", "c"), ("a", "b"), ("c", "d"), ("ab", "c")],
         ],
         ids=["runs", "neighbour-first", "both-neighbours", "duplicate-acts-later",
-             "word-end", "lines-passed"],
+             "word-end", "lines-passed", "third-duplicate-acts"],
     )
     def test_hand_made_tables_match_table_order_oracle(self, merges):
         table = MergeTable(merges=merges)
         words = ["".join(w) for n in range(1, 9) for w in itertools.product("ab", repeat=n)]
-        for word in words + ["a-aaaa", "aaaa-", "aaa-baab"]:
+        for word in words + ["a-aaaa", "aaaa-", "aaa-baab", "abc", "abcd", "cabcab-c"]:
             assert apply_bpe(table, word) == table_order_bpe_apply(merges, word), word
 
     def test_benchmark_world_matches_table_order_oracle(self, benchmark_tables):

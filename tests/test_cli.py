@@ -439,10 +439,12 @@ class TestBpeCommands:
 
 
 class TestPartialOutput:
-    """An error at line N leaves stdout holding exactly lines 1..N-1.
+    """An error at line N names line N and leaves stdout holding exactly
+    lines 1..N-1.
 
-    Line 3 holds the first occurrence of a token whose rendering has a
-    morph containing the joiner; lines 1-2 render on their own.
+    Line 3 holds the first occurrence of a token that fails to render: its
+    rendering has a morph containing the joiner, or it is written whole and
+    ends with the joiner; lines 1-2 render on their own.
     """
 
     def check(self, monkeypatch, argv, bad_token):
@@ -452,7 +454,9 @@ class TestPartialOutput:
         assert expected.count("\n") == 2
         text = good + "on %s\n%s kala\n" % (bad_token, bad_token)
         code, out, err = run_cli(argv, stdin_text=text, monkeypatch=monkeypatch)
-        assert error_payload(code, err)["error"] == "ContractError"
+        payload = error_payload(code, err)
+        assert payload["error"] == "ContractError"
+        assert payload["message"].startswith("line 3: ")
         assert out == expected
 
     def test_segment(self, workspace, monkeypatch):
@@ -471,6 +475,47 @@ class TestPartialOutput:
         merges = workspace / "merges.txt"
         merges.write_text("@ @\n", encoding="utf-8")
         self.check(monkeypatch, ["bpe-apply", "--merges", str(merges)], "a@@b")
+
+    def argv(self, command, workspace, monkeypatch, joiner):
+        if command == "bpe-apply":
+            return ["bpe-apply", "--merges", str(train_merges(workspace, monkeypatch)),
+                    "--joiner", joiner]
+        model_path = train_model(workspace, monkeypatch)
+        if command == "segment":
+            return ["segment", "--model", str(model_path), "--lang", "a", "--joiner", joiner]
+        return ["segment-source", "--source-model", str(model_path),
+                "--cognate-model", str(model_path), "--joiner", joiner]
+
+    @pytest.mark.parametrize("command", ["segment", "segment-source", "bpe-apply"])
+    @pytest.mark.parametrize("joiner, bad_token", [("@@", "x\ta@@"), (">", "<to_et>")],
+                             ids=["whitespace-token", "tag"])
+    def test_token_passed_through_ending_with_joiner(self, workspace, monkeypatch, command,
+                                                      joiner, bad_token):
+        # unjoin would turn "x\ta@@ b" into "x\tab", and "<to_et> k> a" into
+        # "<to_etka".
+        self.check(monkeypatch, self.argv(command, workspace, monkeypatch, joiner), bad_token)
+
+    @pytest.mark.parametrize("command", ["segment", "segment-source"])
+    def test_stored_single_morph_ending_with_joiner(self, workspace, monkeypatch, command):
+        argv = self.argv(command, workspace, monkeypatch, "si")
+        assert load_model(workspace / "model").analyses["a"]["vesi"].morphs == ("vesi",)
+        code, out, err = run_cli(argv, stdin_text="kala on\nvesi\n", monkeypatch=monkeypatch)
+        assert error_payload(code, err)["message"].startswith("line 2: ")
+        assert out == "kala on\n"
+
+    def test_bpe_apply_single_morph_ending_with_joiner(self, workspace, monkeypatch):
+        # Trained on "a@@", the table merges the word into one symbol, which
+        # unjoin would join to the next token: "a@@ b" would become "ab".
+        counts = workspace / "counts.tsv"
+        counts.write_text("a@@\t5\nb\t3\n", encoding="utf-8")
+        merges = workspace / "merges.txt"
+        code, _, err = run_cli(
+            ["bpe-train", "--counts", str(counts), "--vocab", "7", "--out", str(merges)],
+            monkeypatch=monkeypatch,
+        )
+        assert code == 0, err
+        assert bpe.apply_bpe(bpe.load_merges(merges), "a@@") == ["a@@"]
+        self.check(monkeypatch, ["bpe-apply", "--merges", str(merges)], "a@@")
 
 
 class TestUndecodableInput:

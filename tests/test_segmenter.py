@@ -305,6 +305,8 @@ class TestJoiner:
     def test_join_morphs_formats(self):
         assert join_morphs(("kala", "ssa"), "@@") == "kala@@ ssa"
         assert join_morphs(("kala",), "@@") == "kala"
+        # A single morph may hold the joiner: no space follows it inside.
+        assert join_morphs(("a@@b",), "@@") == "a@@b"
         # "@@" is in "a@" + "@b" but inside neither morph.
         assert join_morphs(("a@", "@b"), "@@") == "a@@@ @b"
         assert join_morphs(("a@", "x", "@b"), "@@") == "a@@@ x@@ @b"
@@ -325,7 +327,9 @@ class TestJoiner:
             SegmenterConfig(joiner=joiner)
 
     def test_joiner_inside_morph_rejected(self):
-        for morphs in [("a+b", "c"), ("a", "b+"), ("+", "c")]:
+        # A single morph ending with the joiner would be joined to the next
+        # token by unjoin.
+        for morphs in [("a+b", "c"), ("a", "b+"), ("+", "c"), ("a+",), ("+",)]:
             with pytest.raises(ContractError):
                 join_morphs(morphs, "+")
 
