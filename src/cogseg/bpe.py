@@ -143,11 +143,6 @@ def _merge_span(symbols: tuple[str, ...], left: str, right: str):
     return merged + symbols[start:], first, start - 2
 
 
-def _merge_fragment(symbols: tuple[str, ...], left: str, right: str) -> tuple[str, ...]:
-    """symbols with every occurrence of (left, right) merged (_merge_span)."""
-    return _merge_span(symbols, left, right)[0]
-
-
 def train_bpe(counts: dict[str, int], vocab_size: int) -> MergeTable:
     """Learn merges over word counts until vocab_size symbols exist.
 

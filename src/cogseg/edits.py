@@ -16,9 +16,9 @@ levenshtein_align turns those letters into AlignmentOps; _edit_spans turns
 their non-match runs into spans. edit_forms, a functools.lru_cache with
 one fixed bound of MAX_ENTRIES (2^20) entries, builds the serialized forms
 from the spans: the one edit-form cache, called directly by training, the
-model's pair bookkeeping, the recount and model loading. Its tails(a, b)
-serves the tests' oracles. extract_edits, the positioned script (Edit
-objects and spans), runs its own traceback under its own 2^17-entry cache.
+model's pair bookkeeping, the recount and model loading. extract_edits,
+the positioned script (Edit objects and spans), runs its own traceback
+under its own 2^17-entry cache.
 
 All functions operate on Unicode code points, never bytes.
 
@@ -364,10 +364,6 @@ def edit_forms(morph_a: str, morph_b: str) -> tuple[str, ...]:
     if morph_a == morph_b:
         return ()
     return _forms(morph_a, morph_b, _edit_spans(morph_a, morph_b, _traceback(morph_a, morph_b)))
-
-
-# For the tests: a function of (i, j) giving the forms of (a[i:], b[j:]).
-edit_forms.tails = lambda a, b: lambda i, j: edit_forms(a[i:], b[j:])
 
 
 def apply_edit_script(morph: str, script: EditScript) -> str:

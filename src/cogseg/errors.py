@@ -2,6 +2,10 @@
 and the one whitespace rule every word, morph and joiner follows."""
 
 import contextlib
+import re
+
+# A finite number as str() writes a float or an int: "0.01", "10.0", "1e-05", "1".
+_DECIMAL = re.compile(r"-?[0-9]+(\.[0-9]+)?(e[-+][0-9]+)?")
 
 
 class CogsegError(Exception):
@@ -93,6 +97,15 @@ def parse_int(text: str, path=None, line=None) -> int:
     if text.isascii() and (text.isdigit() or text[:1] == "-" and text[1:].isdigit()):
         return int(text)
     raise FormatError("bad integer %r" % text, path, line)
+
+
+def parse_float(text: str, path=None, line=None) -> float:
+    """The float of a finite number as str() writes a float or an int.
+    Other text raises FormatError, also where float() would take it: with
+    "_", "+", whitespace or non-ASCII digits."""
+    if _DECIMAL.fullmatch(text):
+        return float(text)
+    raise FormatError("bad number %r" % text, path, line)
 
 
 def parse_positive(text: str, path, line) -> int:

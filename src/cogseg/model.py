@@ -18,8 +18,9 @@ constraint behave identically.
 
 Training's bookkeeping is incremental; ``recompute_from_scratch`` is the
 oracle guarding it. A fresh model (trainer.initialize) and a loaded one
-are counted by the same bulk recount (``recount``). A pair's edit forms
-are counted while both of its words are recorded and counted in
+are counted by the same bulk recount (``recount``): ``checked_pairs``,
+the one strict check of the pairs, then a tally. A pair's edit forms are
+counted while both of its words are recorded and counted in
 (``count_unit``); they are not stored, and each caller looks them up in
 edits.edit_forms (``aligned_edit_tokens``) where it needs them.
 """
@@ -494,14 +495,24 @@ class CognateModel:
 
     # -- integrity -------------------------------------------------------
 
-    def _rebuild(self, check_pairs: bool = False):
+    def checked_pairs(self) -> list[tuple[Analysis, Analysis]]:
+        """The (analysis_a, analysis_b) of each pair, in order, from
+        check_pair: the first pair that fails raises PairError with its
+        index in self.pairs."""
+        checked = []
+        for index, pair in enumerate(self.pairs):
+            try:
+                checked.append(self.check_pair(pair))
+            except ContractError as exc:
+                raise PairError(str(exc), index) from None
+        return checked
+
+    def _rebuild(self, pair_analyses):
         """The lexicons a, b and edits recounted from the recorded analyses
-        with CountLexicon.from_counts. The edits are those of each pair whose
-        words are both analyzed, or with check_pairs of every pair: the
-        first pair that fails check_pair raises PairError with its index in
-        self.pairs. A pair with unequal morph counts, and then an edit Edit
-        would reject, raises ContractError; every pair is checked before the
-        first edit error is raised."""
+        with CountLexicon.from_counts. The edits are the aligned edit forms
+        of each (analysis_a, analysis_b) of pair_analyses, whose morph
+        counts the caller has checked; an edit Edit would reject raises
+        ContractError."""
         tallies = {}
         for lang in LANGUAGES:
             tally = tallies[lang] = {}
@@ -510,29 +521,10 @@ class CognateModel:
                 for morph in analysis.morphs:
                     tally[morph] = tally.get(morph, 0) + count
         edit_tally = {}
-        edit_error = None
-        analyses_a, analyses_b = self.analyses["a"], self.analyses["b"]
-        for index, pair in enumerate(self.pairs):
-            if check_pairs:
-                try:
-                    ana_a, ana_b = self.check_pair(pair)
-                except ContractError as exc:
-                    raise PairError(str(exc), index) from None
-            else:
-                ana_a = analyses_a.get(pair.word_a)
-                ana_b = analyses_b.get(pair.word_b)
-                if ana_a is None or ana_b is None:
-                    continue
-                check_equal_morph_counts(ana_a, ana_b)
-            if edit_error is None:
-                try:
-                    for morph_a, morph_b in zip(ana_a.morphs, ana_b.morphs):
-                        for form in edit_forms(morph_a, morph_b):
-                            edit_tally[form] = edit_tally.get(form, 0) + 1
-                except ContractError as exc:
-                    edit_error = exc
-        if edit_error is not None:
-            raise edit_error
+        for ana_a, ana_b in pair_analyses:
+            for morph_a, morph_b in zip(ana_a.morphs, ana_b.morphs):
+                for form in edit_forms(morph_a, morph_b):
+                    edit_tally[form] = edit_tally.get(form, 0) + 1
         return [CountLexicon.from_counts(t) for t in (tallies["a"], tallies["b"], edit_tally)]
 
     def recount(self) -> None:
@@ -540,24 +532,31 @@ class CognateModel:
         recorded analyses. Afterwards total_cost() equals
         recompute_from_scratch() bit for bit.
 
-        Every pair must pass check_pair, which this pass runs once per pair
-        while it counts the pair's edit forms: the first that fails raises
-        PairError with its index in self.pairs. Then an edit Edit would
-        reject raises ContractError. Either way the model is unchanged.
+        It runs checked_pairs first, so every pair must pass check_pair:
+        the first that fails raises PairError with its index in self.pairs.
+        Then it tallies, and an edit Edit would reject raises ContractError.
+        Either way the model is unchanged.
         """
-        lex_a, lex_b, lex_e = self._rebuild(check_pairs=True)
+        lex_a, lex_b, lex_e = self._rebuild(self.checked_pairs())
         self.lexicons = {"a": lex_a, "b": lex_b}
         self.edit_lexicon = lex_e
 
     def recompute_from_scratch(self) -> float:
         """Rebuild all statistics from the analyses and return the total cost
-        they give; the model's own lexicons are only read.
+        they give; the model's own lexicons are only read. The edits are
+        those of each pair whose words are both recorded; one with unequal
+        morph counts raises ContractError before any edit is tallied.
 
         Raises ModelIntegrityError if the rebuilt state disagrees with the
         cached one (exact count mismatch, or cached float sums off by more
         than 1e-9 relative).
         """
-        fresh_a, fresh_b, fresh_e = self._rebuild()
+        analyses_a, analyses_b = self.analyses["a"], self.analyses["b"]
+        recorded = [(analyses_a[p.word_a], analyses_b[p.word_b]) for p in self.pairs
+                    if p.word_a in analyses_a and p.word_b in analyses_b]
+        for ana_a, ana_b in recorded:
+            check_equal_morph_counts(ana_a, ana_b)
+        fresh_a, fresh_b, fresh_e = self._rebuild(recorded)
         for name, cached, fresh in (
             ("lexicon a", self.lexicons["a"], fresh_a),
             ("lexicon b", self.lexicons["b"], fresh_b),

@@ -12,19 +12,19 @@ path:line. The checks run in this order:
 4. each [ANALYSES-A], then [ANALYSES-B] row: its fields, its count, and
    the analysis (its morphs concatenate to its word, which is listed once);
 5. the recount (CognateModel.recount, the bulk recount trainer.initialize
-   also runs). It checks each pair at its [PAIRS] row: both words
-   analyzed, with the pair's counts and equal morph counts. Then an edit
-   that Edit rejects fails, with no line;
+   also runs): checked_pairs checks each pair at its [PAIRS] row (both
+   words analyzed, with the pair's counts and equal morph counts), then
+   the tally fails at an edit that Edit rejects, with no line;
 6. each [LEXICON-A], [LEXICON-B] and [EDITS] row: its fields, a repeated
    form, its count, and agreement with the recount; then a missing form.
 
 It is one pass over the rows. Each row is split once and unescaped only if
 it holds a backslash. Each count field takes an ASCII-digit test inline,
-and parse_positive only when it fails. Each pair is looked up once, in the
-recount pass that tallies its edit forms. On the benchmark's seed-1 gold
-joint model (3,057 pairs, 6,802 analyses), a cold load in a fresh process
-takes about 41 ms on a 2-vCPU VM, and about a fifth of that aligns the
-1,372 distinct morph pairs for the tally: the [EDITS] check needs it.
+and parse_positive only when it fails. Each pair is looked up once, by the
+recount's checked_pairs. On the benchmark's seed-1 gold joint model (3,057
+pairs, 6,802 analyses), a cold load in a fresh process takes about 41 ms on
+a 2-vCPU VM, and about a fifth of that aligns the 1,372 distinct morph
+pairs for the tally: the [EDITS] check needs it.
 """
 
 from __future__ import annotations
@@ -33,7 +33,8 @@ import re
 
 from .edits import EDIT_BOUNDARY, Edit
 from .errors import (
-    CogsegError, FormatError, PairError, holds_whitespace, open_text, parse_int, parse_positive,
+    CogsegError, FormatError, PairError, holds_whitespace, open_text, parse_float, parse_int,
+    parse_positive,
 )
 from .model import Analysis, CognateModel, CognatePair
 
@@ -52,8 +53,8 @@ _SECTIONS = (
 # Header fields in file order, each with the parser of its value. Each is the
 # str() of the model attribute of the same name, with "-" for "_".
 _HEADER_FIELDS = {
-    "alpha": float,
-    "edit-weight": float,
+    "alpha": parse_float,
+    "edit-weight": parse_float,
     "edit-mode": str,
     "seed": parse_int,
     "dampening": str,
@@ -90,10 +91,10 @@ def unescape_field(text: str, path=None, line=None) -> str:
 
 def save_model(model: CognateModel, path) -> None:
     """Write the model to path; output bytes depend only on the model state.
-    A pair that fails CognateModel.check_pair, which load_model would
-    reject, raises ContractError before anything is written."""
-    for pair in model.pairs:
-        model.check_pair(pair)
+    A pair that fails its check (CognateModel.checked_pairs), which
+    load_model would reject, raises PairError with its index before
+    anything is written."""
+    model.checked_pairs()
     lines = ["%s %d" % (FORMAT_NAME, FORMAT_VERSION)]
     for key in _HEADER_FIELDS:
         lines.append("%s %s" % (key, getattr(model, key.replace("-", "_"))))

@@ -388,17 +388,17 @@ def train(model: CognateModel, params: TrainingParams, epoch_callback=None) -> T
     record_steps: the cost uses the model's own settings, and units are
     visited in an order seeded by model.seed, the seed a saved model
     records. epoch_callback(model, epoch), if given, is called after every
-    epoch. A pair that fails CognateModel.check_pair raises ContractError
-    before any unit is visited.
+    epoch. The pair units come from CognateModel.checked_pairs, so a pair
+    that fails its check raises PairError with its index before any unit is
+    visited.
     """
     units = []
     for lang in ("a", "b"):
         for word in model.analyses[lang]:
             if model.pair_for(lang, word) is None:
                 units.append(((lang, word),))
-    for pair in model.pairs:
-        model.check_pair(pair)
-        units.append((("a", pair.word_a), ("b", pair.word_b)))
+    for analysis_a, analysis_b in model.checked_pairs():
+        units.append((("a", analysis_a.word), ("b", analysis_b.word)))
 
     prev = model.total_cost()
     report = TrainingReport(initial_cost=prev)

@@ -21,6 +21,11 @@ import re
 
 import mpmath
 
+# _merge_fragment and tails call these on every merge or tail, so they are
+# imported once, not in the helpers.
+from cogseg.bpe import _merge_span
+from cogseg.edits import edit_forms
+
 mpmath.mp.dps = 50
 
 FORM_END = "\x00"
@@ -351,10 +356,15 @@ def reference_bpe_apply(merges, word, hyphens="-"):
     return out
 
 
+def _merge_fragment(symbols: tuple[str, ...], left: str, right: str) -> tuple[str, ...]:
+    """symbols with every occurrence of (left, right) merged (_merge_span)."""
+    return _merge_span(symbols, left, right)[0]
+
+
 def recounting_bpe_train(counts, vocab_size):
     """The recounting trainer: every merge counts every pair of the corpus
     again and takes the least (-count, pair)."""
-    from cogseg.bpe import HYPHENS, MergeTable, _fragments, _merge_fragment
+    from cogseg.bpe import HYPHENS, MergeTable, _fragments
     from cogseg.errors import ContractError
 
     words = []
@@ -392,7 +402,7 @@ def recounting_bpe_train(counts, vocab_size):
 def table_order_bpe_apply(merges, word):
     """Table-order BPE application: walk the whole merge list for each
     fragment, merging every occurrence of each pair in turn."""
-    from cogseg.bpe import WORD_END, _fragments, _merge_fragment
+    from cogseg.bpe import WORD_END, _fragments
 
     if not word:
         return []
@@ -480,7 +490,6 @@ def put_and_take_back_search(model, unit, on_score=None):
     (morph_b None for a word), forms its edit forms, cost the total cost
     read with it counted in.
     """
-    from cogseg.edits import edit_forms
     from cogseg.model import Analysis
 
     records = [model.analyses[language][word] for language, word in unit]
@@ -541,6 +550,11 @@ def put_and_take_back_search(model, unit, on_score=None):
     return [Analysis(r.word, tuple(m), r.count) for r, m in zip(records, (morphs_a, morphs_b))]
 
 
+def tails(a, b):
+    """A function of (i, j) giving the forms of (a[i:], b[j:])."""
+    return lambda i, j: edit_forms(a[i:], b[j:])
+
+
 def score_every_pair_search(model, unit):
     """trainer._search as it was before the split search bounded its pair
     candidates: every split combination (i, j) of a cognate pair is scored,
@@ -549,7 +563,6 @@ def score_every_pair_search(model, unit):
     two must choose the same analyses and leave the same counts, exactly.
     Leaves the chosen morphs and edit forms counted and returns the new
     analyses."""
-    from cogseg.edits import edit_forms
     from cogseg.model import EDIT_MODE_FULL, Analysis
 
     records = [model.analyses[language][word] for language, word in unit]
@@ -591,7 +604,7 @@ def score_every_pair_search(model, unit):
                     if cost <= best:
                         best, split = cost, (i, None)
         else:
-            tail = edit_forms.tails(a, b)
+            tail = tails(a, b)
             if len(a) > 1 and len(b) > 1:
                 best = weigh(
                     score_a((a,), count_a),

@@ -16,7 +16,7 @@ from cogseg.bpe import (
 from cogseg.errors import ContractError, FormatError
 
 from oracles import recounting_bpe_train, reference_bpe_apply, table_order_bpe_apply
-from test_paper_claim import gen
+from worlds import gen
 
 
 @pytest.fixture(scope="module")

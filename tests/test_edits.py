@@ -22,7 +22,7 @@ from cogseg.edits import (
 )
 from cogseg.errors import ContractError
 
-from oracles import brute_alignment, brute_levenshtein, fixpoint_extend_and_remerge
+from oracles import brute_alignment, brute_levenshtein, fixpoint_extend_and_remerge, tails
 
 WORDS = st.text(alphabet="abcdeöüõy", max_size=10)
 
@@ -213,18 +213,18 @@ class TestEditFormCache:
     @given(tail_pairs())
     def test_tails_equal_extract_edits_of_the_tail(self, pair):
         a, b = pair
-        tail = edit_forms.tails(a, b)
+        tail = tails(a, b)
         for i in range(len(a) + 1):
             for j in range(len(b) + 1):
                 assert tail(i, j) == script_forms(a[i:], b[j:]), (a, b, i, j)
 
     def test_tail_lookups_are_counted(self):
         edit_forms.cache_clear()
-        tail = edit_forms.tails("talossa", "talus")
+        tail = tails("talossa", "talus")
         assert tail(4, 4) == ("ssa|s",)
         assert tail(0, 0) == ("ossa|us",)
         assert edit_forms.cache_info() == (0, 2, MAX_ENTRIES, 2)
-        assert edit_forms.tails("talossa", "talus")(4, 4) == edit_forms("ssa", "s") == ("ssa|s",)
+        assert tails("talossa", "talus")(4, 4) == edit_forms("ssa", "s") == ("ssa|s",)
         assert edit_forms.cache_info() == (2, 2, MAX_ENTRIES, 2)
         edit_forms.cache_clear()
         assert edit_forms.cache_info() == (0, 0, MAX_ENTRIES, 0)

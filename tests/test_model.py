@@ -381,7 +381,10 @@ def test_pair_edit_forms_are_counted_exactly_while_both_words_are_recorded(steps
                 continue
             model.add_analysis(analysis, language)
         lexicons = [model.lexicons["a"], model.lexicons["b"], model.edit_lexicon]
-        assert counted_state(lexicons) == counted_state(model._rebuild())
+        analyses_a, analyses_b = model.analyses["a"], model.analyses["b"]
+        recorded = [(analyses_a[p.word_a], analyses_b[p.word_b]) for p in model.pairs
+                    if p.word_a in analyses_a and p.word_b in analyses_b]
+        assert counted_state(lexicons) == counted_state(model._rebuild(recorded))
         model.recompute_from_scratch()
         for pair in model.pairs:
             entries = [("a", model.analyses["a"].get(pair.word_a)),

@@ -13,31 +13,12 @@ corpus holds, which Viterbi segments under each side's lexicon. Each model
 is trained once per alpha and serves both checks.
 """
 
-import importlib.util
-import sys
-from pathlib import Path
-
 import pytest
 
 from cogseg.segmenter import viterbi_segment
 from cogseg.trainer import TrainingParams, initialize, train
 
-GEN = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
-
-
-def load_gen():
-    spec = importlib.util.spec_from_file_location("perfbench_gen", GEN)
-    module = importlib.util.module_from_spec(spec)
-    # Write no bytecode cache into the benchmark's directory.
-    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        sys.dont_write_bytecode = saved
-    return module
-
-
-gen = load_gen()
+from worlds import gen
 
 
 def trained(corpus_a, corpus_b, pairs, alpha):

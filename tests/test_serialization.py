@@ -2,7 +2,7 @@ import pytest
 
 from cogseg import edits, model as model_module, trainer
 from cogseg.edits import Edit
-from cogseg.errors import ContractError, FormatError
+from cogseg.errors import ContractError, FormatError, PairError
 from cogseg.model import Analysis, CognateModel, CognatePair, aligned_edit_tokens
 from cogseg.serialization import (
     escape_field,
@@ -14,7 +14,7 @@ from cogseg.serialization import (
 from cogseg.trainer import TrainingParams, initialize, train
 
 from test_cli import NOT_INTEGERS
-from test_paper_claim import gen
+from worlds import gen
 
 
 def trained_model(**kwargs):
@@ -225,6 +225,32 @@ class TestValidation:
         assert str(err.value) == "%s:%d: bad header field 'seed' (bad integer %r)" % (
             path, index + 1, text)
 
+    @pytest.mark.parametrize("key", ["alpha", "edit-weight"])
+    @pytest.mark.parametrize(
+        "text", ["1_0", "\u0661", "+0.5", " 0.5"],
+        ids=["underscore", "arabic-indic", "plus", "space"],
+    )
+    def test_loose_float_header_field_rejected_at_its_line(self, tmp_path, key, text):
+        # float() takes each of these: 10.0, 1.0, 0.5 and 0.5.
+        path = self.make_file(tmp_path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        index = next(i for i, l in enumerate(lines) if l.startswith(key + " "))
+        lines[index] = "%s %s" % (key, text)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(FormatError) as err:
+            load_model(path)
+        assert str(err.value) == "%s:%d: bad header field %r (bad number %r)" % (
+            path, index + 1, key, text)
+
+    @pytest.mark.parametrize("value", [1e-05, 2], ids=["exponent", "int"])
+    def test_header_float_fields_round_trip(self, tmp_path, value):
+        path = tmp_path / "model"
+        save_model(CognateModel(alpha=value, edit_weight=value), path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines[1:3] == ["alpha %s" % value, "edit-weight %s" % value]
+        loaded = load_model(path)
+        assert loaded.alpha == value and loaded.edit_weight == value
+
     @pytest.mark.parametrize(
         "row, escaped, text",
         [("talo\t5\tta lo", "talo\t5\tta\\q lo", "ta\\q"), ("ta\t5", "ta\\q\t5", "ta\\q")],
@@ -333,6 +359,20 @@ class TestValidation:
         with pytest.raises(ContractError) as err:
             save_model(model, path)
         assert str(err.value) == reason
+        assert not path.exists()
+
+    def test_save_names_a_failing_second_pair_by_its_index(self, tmp_path):
+        model = CognateModel()
+        for word_a, word_b, count in (("talo", "talu", 2), ("kala", "kalu", 3)):
+            model.register_pair(CognatePair(word_a, word_b, count, count))
+            model.add_analysis(Analysis(word_a, (word_a,), count), "a")
+            model.add_analysis(Analysis(word_b, (word_b,), count), "b")
+        model.remove_analysis("kalu", "b")
+        path = tmp_path / "model"
+        with pytest.raises(PairError) as err:
+            save_model(model, path)
+        assert err.value.index == 1
+        assert str(err.value) == "pair word 'kalu' has no analysis in b"
         assert not path.exists()
 
     def test_pair_edit_holding_the_edit_boundary_rejected(self, tmp_path):

@@ -7,7 +7,7 @@ import pytest
 
 from cogseg import model as model_module
 from cogseg.edits import MAX_ENTRIES, edit_forms, extract_edits
-from cogseg.errors import ContractError
+from cogseg.errors import ContractError, PairError
 from cogseg.model import (
     Analysis,
     CognateModel,
@@ -358,6 +358,17 @@ class TestTrain:
         with pytest.raises(ContractError) as err:
             train(model, default_params())
         assert str(err.value) == "pair word 'talo' has no analysis in a"
+        assert model.analyses == analyses
+
+    def test_failing_second_pair_is_named_by_its_index_before_any_unit(self):
+        model = initialize({"talo": 2, "kala": 3}, {"talu": 2, "kalu": 3},
+                           [("talo", "talu"), ("kala", "kalu")], default_params())
+        model.remove_analysis("kala", "a")
+        analyses = {lang: dict(table) for lang, table in model.analyses.items()}
+        with pytest.raises(PairError) as err:
+            train(model, default_params())
+        assert err.value.index == 1
+        assert str(err.value) == "pair word 'kala' has no analysis in a"
         assert model.analyses == analyses
 
     def test_epochs_count_changed_units_and_restores(self):
