@@ -48,7 +48,7 @@ from .segmenter import (
 )
 from .serialization import load_model, report_edits, save_model
 from .trainer import (
-    SearchTally,
+    EpochStats,
     TrainingParams,
     TrainingReport,
     initialize,

@@ -99,13 +99,16 @@ def parse_int(text: str, path=None, line=None) -> int:
     raise FormatError("bad integer %r" % text, path, line)
 
 
-def parse_float(text: str, path=None, line=None) -> float:
-    """The float of a finite number as str() writes a float or an int.
-    Other text raises FormatError, also where float() would take it: with
-    "_", "+", whitespace or non-ASCII digits."""
-    if _DECIMAL.fullmatch(text):
-        return float(text)
-    raise FormatError("bad number %r" % text, path, line)
+def parse_number(text: str, path=None, line=None) -> int | float:
+    """The number of a finite number as str() writes a float or an int: an
+    int for text without a point or an exponent, else a float, so str() of
+    the number gives back the text str() wrote. Other text raises
+    FormatError, also where float() would take it: with "_", "+",
+    whitespace or non-ASCII digits."""
+    match = _DECIMAL.fullmatch(text)
+    if match is None:
+        raise FormatError("bad number %r" % text, path, line)
+    return float(text) if match[1] or match[2] else int(text)
 
 
 def parse_positive(text: str, path, line) -> int:

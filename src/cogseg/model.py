@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import collections
 import math
+import sys
 from dataclasses import dataclass
 
 # extract_edits is not called here; perfbench/child.py wraps it by name.
@@ -323,7 +324,9 @@ class CognateModel:
         dampening: str = "none",
     ):
         for name, value in (("alpha", alpha), ("edit_weight", edit_weight)):
-            if not (math.isfinite(value) and value > 0):
+            # An int beyond the float range cannot be weighed, and a bool (an
+            # int to Python) saves as text that load_model rejects.
+            if type(value) is bool or not 0 < value <= sys.float_info.max:
                 raise ContractError("%s must be positive and finite, got %r" % (name, value))
         if edit_mode not in EDIT_MODES:
             raise ContractError("unknown edit mode %r" % edit_mode)
@@ -410,9 +413,12 @@ class CognateModel:
 
     # -- analysis mutation ----------------------------------------------
 
-    def _check_language(self, language: str) -> None:
+    def check_language(self, language: str) -> None:
+        """Raise ContractError unless language is one the model holds."""
         if language not in self.analyses:
-            raise ContractError("unknown language %r" % language)
+            raise ContractError(
+                "unknown language %r (the model holds: %s)" % (language, ", ".join(self.analyses))
+            )
 
     def check_pair(self, pair: CognatePair) -> tuple[Analysis, Analysis]:
         """The recorded a and b analyses of pair. Raises ContractError
@@ -436,7 +442,7 @@ class CognateModel:
     def insert_analysis(self, analysis: Analysis, language: str) -> None:
         """Record a word's analysis without counting it; recount() counts
         the recorded analyses in."""
-        self._check_language(language)
+        self.check_language(language)
         table = self.analyses[language]
         if analysis.word in table:
             raise ContractError("word %r already analyzed in %s" % (analysis.word, language))
@@ -483,7 +489,7 @@ class CognateModel:
     def remove_analysis(self, word: str, language: str) -> None:
         """Uncount and remove a word's analysis, with its pair's edit forms
         when its partner is recorded."""
-        self._check_language(language)
+        self.check_language(language)
         table = self.analyses[language]
         if word not in table:
             raise ContractError("word %r not analyzed in %s" % (word, language))

@@ -233,10 +233,7 @@ def segment_corpus(
     segmented by Viterbi under the language's lexicon. A language the model
     does not hold raises ContractError.
     """
-    if language not in model.analyses:
-        raise ContractError(
-            "unknown language %r (the model holds: %s)" % (language, ", ".join(model.analyses))
-        )
+    model.check_language(language)
     return segment_lines(
         lines, _stored_or_viterbi(model.analyses[language], model.lexicons[language]), config
     )

@@ -33,7 +33,7 @@ import re
 
 from .edits import EDIT_BOUNDARY, Edit
 from .errors import (
-    CogsegError, FormatError, PairError, holds_whitespace, open_text, parse_float, parse_int,
+    CogsegError, FormatError, PairError, holds_whitespace, open_text, parse_int, parse_number,
     parse_positive,
 )
 from .model import Analysis, CognateModel, CognatePair
@@ -53,8 +53,8 @@ _SECTIONS = (
 # Header fields in file order, each with the parser of its value. Each is the
 # str() of the model attribute of the same name, with "-" for "_".
 _HEADER_FIELDS = {
-    "alpha": parse_float,
-    "edit-weight": parse_float,
+    "alpha": parse_number,
+    "edit-weight": parse_number,
     "edit-mode": str,
     "seed": parse_int,
     "dampening": str,

@@ -79,34 +79,29 @@ class TrainingParams:
 
 @dataclass
 class EpochStats:
+    """One epoch's record. train creates it before the epoch's first step,
+    counts each step into it and fills in the rest at the epoch's end."""
+
     epoch: int
-    total_cost: float
-    components: dict[str, float]
-    morph_types_a: int
-    morph_types_b: int
-    edit_types: int
+    total_cost: float = 0.0
+    components: dict[str, float] = field(default_factory=dict)
+    morph_types_a: int = 0
+    morph_types_b: int = 0
+    edit_types: int = 0
     # Units whose analyses the epoch changed, and steps that put the old
     # analyses back because the search found only costlier ones.
-    units_changed: int
-    restores: int
+    units_changed: int = 0
+    restores: int = 0
     # Candidates whose total cost the search computed: for a word, staying
     # whole and every split point; for a pair, staying whole and every
     # split combination within the bound.
-    candidates_scored: int
+    candidates_scored: int = 0
     # Wall time, and the epoch's lookups in the edit-form cache. They
     # describe the run, not its result, so reports compare without them:
     # identical runs differ in time and in what the shared cache held.
-    seconds: float = field(compare=False)
-    edit_cache_hits: int = field(compare=False)
-    edit_cache_misses: int = field(compare=False)
-
-
-@dataclass
-class SearchTally:
-    """What a caller's searches did: the candidates whose total cost the
-    search computed (see EpochStats.candidates_scored)."""
-
-    candidates: int = 0
+    seconds: float = field(default=0.0, compare=False)
+    edit_cache_hits: int = field(default=0, compare=False)
+    edit_cache_misses: int = field(default=0, compare=False)
 
 
 @dataclass
@@ -172,7 +167,7 @@ def initialize(corpus_a, corpus_b, pairs, params: TrainingParams) -> CognateMode
     return model
 
 
-def _search(model: CognateModel, unit, tally: SearchTally | None = None) -> list[Analysis]:
+def _search(model: CognateModel, unit, stats: EpochStats | None = None) -> list[Analysis]:
     """Recursive splitting of a counted-out unit of (language, word) entries.
 
     Each morph takes the cheapest of staying whole and every split point,
@@ -211,7 +206,8 @@ def _search(model: CognateModel, unit, tally: SearchTally | None = None) -> list
     Only chosen morphs and edit forms are written: the tail of a split
     while its head is searched, and each final morph (pair). Leaves the
     final ones counted and returns the new analyses, one per entry, without
-    recording them. Adds the candidates it scored to tally, if given.
+    recording them. Adds the candidates it scored to
+    stats.candidates_scored, if stats is given.
     """
     records = [model.analyses[language][word] for language, word in unit]
     language = unit[0][0]
@@ -304,40 +300,42 @@ def _search(model: CognateModel, unit, tally: SearchTally | None = None) -> list
         rec(a2, b2)
 
     rec(unit[0][1], unit[1][1] if len(unit) > 1 else None)
-    if tally is not None:
-        tally.candidates += scored
+    if stats is not None:
+        stats.candidates_scored += scored
     return [Analysis(r.word, tuple(m), r.count) for r, m in zip(records, (morphs_a, morphs_b))]
 
 
 def resegment_word(model: CognateModel, word: str, language: str,
-                   tally: SearchTally | None = None) -> Analysis:
+                   stats: EpochStats | None = None) -> Analysis:
     """Resegment a word counted out (CognateModel.count_unit), leave the new
     morphs counted in and record the new analysis. The old record supplies
-    the token count. The search's candidates are added to tally, if given.
+    the token count. The search's candidates are added to
+    stats.candidates_scored, if stats is given.
     """
     if not word:
         raise ContractError("cannot resegment an empty word")
+    model.check_language(language)
     if word not in model.analyses[language]:
         raise ContractError("word %r unknown in language %s" % (word, language))
     if model.pair_for(language, word) is not None:
         raise ContractError("cognate word %r must be resegmented as a pair" % word)
-    (analysis,) = _search(model, ((language, word),), tally)
+    (analysis,) = _search(model, ((language, word),), stats)
     model.analyses[language][word] = analysis
     return analysis
 
 
-def resegment_pair(model: CognateModel, pair: CognatePair, tally: SearchTally | None = None):
+def resegment_pair(model: CognateModel, pair: CognatePair, stats: EpochStats | None = None):
     """Jointly resegment a pair counted out (CognateModel.count_unit), leave
     the new analyses counted in and record them; the search's candidates are
-    added to tally, if given."""
+    added to stats.candidates_scored, if stats is given."""
     if model.pair_for("a", pair.word_a) is not pair:
         raise ContractError("pair %r not registered" % (pair.key,))
-    new_a, new_b = _search(model, (("a", pair.word_a), ("b", pair.word_b)), tally)
+    new_a, new_b = _search(model, (("a", pair.word_a), ("b", pair.word_b)), stats)
     model.analyses["a"][pair.word_a], model.analyses["b"][pair.word_b] = new_a, new_b
     return new_a, new_b
 
 
-def _optimize(model: CognateModel, unit, tally: SearchTally | None = None) -> tuple[bool, bool]:
+def _optimize(model: CognateModel, unit, stats: EpochStats | None = None) -> tuple[bool, bool]:
     """One local-search step on a unit of (language, word) entries: one
     word, or the two words of a cognate pair. The unit's analyses are
     counted out and it is resegmented. When the search found other analyses
@@ -346,15 +344,15 @@ def _optimize(model: CognateModel, unit, tally: SearchTally | None = None) -> tu
     counted in and recorded, or the old ones when they are strictly
     cheaper. A search that finds the unit's own analyses again keeps them.
     Each of those calls looks up a pair's edit forms for itself, in the one
-    edit-form cache. The search's candidates are added to tally, if given.
-    Returns (changed, restored)."""
+    edit-form cache. The search's candidates are added to
+    stats.candidates_scored, if stats is given. Returns (changed, restored)."""
     old = [(language, model.analyses[language][word]) for language, word in unit]
     model.count_unit(old, -1)
     if len(unit) == 1:
         ((language, word),) = unit
-        resegment_word(model, word, language, tally)
+        resegment_word(model, word, language, stats)
     else:
-        resegment_pair(model, model.pair_for(*unit[0]), tally)
+        resegment_pair(model, model.pair_for(*unit[0]), stats)
     new = [(language, model.analyses[language][word]) for language, word in unit]
     if new == old:
         # Equal analyses score equally: keep them without scoring.
@@ -408,44 +406,33 @@ def train(model: CognateModel, params: TrainingParams, epoch_callback=None) -> T
 
     for epoch in range(1, params.max_epochs + 1):
         units.sort(key=lambda u: _unit_sort_key(model.seed, epoch, u))
-        changed = restores = 0
-        tally = SearchTally()
+        stats = EpochStats(epoch)
+        report.epochs.append(stats)
         start, cache_start = time.perf_counter(), _edit_forms.cache_info()
         for unit in units:
-            unit_changed, restored = _optimize(model, unit, tally)
-            changed += unit_changed
-            restores += restored
+            changed, restored = _optimize(model, unit, stats)
+            stats.units_changed += changed
+            stats.restores += restored
             if params.record_steps:
                 report.step_costs.append(model.total_cost())
-        cost = model.total_cost()
-        seconds = time.perf_counter() - start
+        stats.total_cost, stats.components = model.total_cost(), model.cost_components()
+        stats.seconds = time.perf_counter() - start
+        stats.morph_types_a = model.lexicons["a"].types
+        stats.morph_types_b = model.lexicons["b"].types
+        stats.edit_types = model.edit_lexicon.types
         cache = _edit_forms.cache_info()
-        hits, misses = cache.hits - cache_start.hits, cache.misses - cache_start.misses
-        report.epochs.append(
-            EpochStats(
-                epoch=epoch,
-                total_cost=cost,
-                components=model.cost_components(),
-                morph_types_a=model.lexicons["a"].types,
-                morph_types_b=model.lexicons["b"].types,
-                edit_types=model.edit_lexicon.types,
-                units_changed=changed,
-                restores=restores,
-                candidates_scored=tally.candidates,
-                seconds=seconds,
-                edit_cache_hits=hits,
-                edit_cache_misses=misses,
-            )
-        )
+        stats.edit_cache_hits = cache.hits - cache_start.hits
+        stats.edit_cache_misses = cache.misses - cache_start.misses
         if epoch_callback is not None:
             epoch_callback(model, epoch)
-        improvement = prev - cost
+        improvement = prev - stats.total_cost
         _logger.info(
             "epoch %d: cost %.4f (improvement %.6f), %.2f s, %d scored candidates, "
             "edit cache %d hits %d misses",
-            epoch, cost, improvement, seconds, tally.candidates, hits, misses,
+            epoch, stats.total_cost, improvement, stats.seconds, stats.candidates_scored,
+            stats.edit_cache_hits, stats.edit_cache_misses,
         )
-        if not changed or improvement < params.convergence_threshold * abs(prev):
+        if not stats.units_changed or improvement < params.convergence_threshold * abs(prev):
             break
-        prev = cost
+        prev = stats.total_cost
     return report

@@ -274,6 +274,16 @@ class TestAddRemove:
         model.remove_analysis("talo", "a")
         assert model.edit_lexicon.counts == {}
 
+    @pytest.mark.parametrize("call", [
+        lambda model: model.add_analysis(Analysis("vesi", ("vesi",), 1), "c"),
+        lambda model: model.insert_analysis(Analysis("vesi", ("vesi",), 1), "c"),
+        lambda model: model.remove_analysis("kala", "c"),
+    ], ids=["add", "insert", "remove"])
+    def test_unknown_language_rejected(self, call):
+        with pytest.raises(ContractError) as err:
+            call(toy_model())
+        assert str(err.value) == "unknown language 'c' (the model holds: a, b)"
+
     def test_unequal_pair_morph_counts_rejected(self):
         # Either word may come second; the rejected call must leave no trace.
         split = {"a": Analysis("talo", ("ta", "lo"), 1), "b": Analysis("talu", ("ta", "lu"), 1)}
@@ -501,7 +511,9 @@ class TestTypes:
     def test_invalid_construction_params(self):
         with pytest.raises(ContractError):
             CognateModel(alpha=0.0)
-        for bad in (math.nan, math.inf):
+        # A bool would save as "True", which load_model rejects; an int
+        # beyond the float range cannot be weighed.
+        for bad in (math.nan, math.inf, True, 10**400):
             with pytest.raises(ContractError):
                 CognateModel(alpha=bad)
             with pytest.raises(ContractError):

@@ -6,14 +6,16 @@ SHA-256 of each of the 8 outputs must equal its committed digest. A change
 that alters output on purpose updates DIGESTS and COSTS and says so in
 CHANGES.md, with the cost difference.
 
-Two more pins make the test see changes that a world this size does not
+Three more pins make the test see changes that a world this size does not
 turn into other bytes. The total cost and the cost components of each
 trained model, as loaded, are pinned bit for bit: one-ulp changes to a cost
 term flipped no training decision on this world, but they change those
 costs. And the bpe-apply stream gets one line of words holding runs of a
 symbol the learned table merges with itself ("lll"), whose overlapping
 occurrences the generated words never hold: apply_bpe merges the leftmost
-first.
+first. And each training epoch's counters, as train reports them, are
+pinned: a change to the search or the step that finds the same analyses
+through other candidates shows there.
 
 The values were recorded with CPython 3.11 on Linux. They are the same
 under CPython 3.10, 3.12 and 3.13 and under PYTHONHASHSEED 0, 12345 and
@@ -26,7 +28,7 @@ import sys
 
 import pytest
 
-from cogseg import cli, edits
+from cogseg import cli, edits, trainer
 from cogseg.serialization import load_model
 
 from worlds import gen
@@ -65,6 +67,13 @@ COSTS = {
     ],
 }
 
+# (units_changed, restores, candidates_scored) of each epoch of the joint
+# train run and the train-mono run.
+EPOCH_COUNTERS = {
+    "joint": [(498, 0, 4891), (55, 1, 5044)],
+    "mono": [(434, 0, 8125), (21, 0, 8247)],
+}
+
 # Words holding runs of the self-merged symbols of the learned table.
 BPE_RUNS = "lll eeee telllo\n"
 
@@ -90,20 +99,32 @@ def run(argv, stdin=None, stdout=None):
 
 
 @pytest.fixture(scope="module")
-def outputs(tmp_path_factory):
-    """The name and path of each output of one pipeline run."""
+def pipeline(tmp_path_factory):
+    """The name and path of each output of one pipeline run, and the
+    TrainingReport of its joint and its mono training run."""
     inp = tmp_path_factory.mktemp("world")
     out = tmp_path_factory.mktemp("out")
     gen.generate(1, inp, types=600, stored=2000, unseen=1000, source=1000, bpe=1000,
                  bpe_types=200)
     gen.write_models(inp)
     target = inp / "target_joint.model"
-    run(["extract-cognates", "--pairs", inp / "aligned.tsv", "--out", out / "cognates.tsv"])
-    run(["train", "--corpus-a", inp / "corpus_a.txt", "--corpus-b", inp / "corpus_b.txt",
-         "--cognates", out / "cognates.tsv", "--edit-mode", "full", "--out",
-         out / "joint.model"] + TRAIN_FLAGS)
-    run(["train-mono", "--corpus", inp / "corpus_a.txt", "--out", out / "mono.model"]
-        + TRAIN_FLAGS)
+    reports = []
+    train = trainer.train
+
+    def recorded(*args, **kwargs):
+        reports.append(train(*args, **kwargs))
+        return reports[-1]
+
+    trainer.train = recorded
+    try:
+        run(["extract-cognates", "--pairs", inp / "aligned.tsv", "--out", out / "cognates.tsv"])
+        run(["train", "--corpus-a", inp / "corpus_a.txt", "--corpus-b", inp / "corpus_b.txt",
+             "--cognates", out / "cognates.tsv", "--edit-mode", "full", "--out",
+             out / "joint.model"] + TRAIN_FLAGS)
+        run(["train-mono", "--corpus", inp / "corpus_a.txt", "--out", out / "mono.model"]
+            + TRAIN_FLAGS)
+    finally:
+        trainer.train = train
     run(["segment", "--model", target, "--lang", "a"],
         inp / "stream_stored.txt", out / "stored.seg")
     run(["segment", "--model", target, "--lang", "a"],
@@ -116,7 +137,12 @@ def outputs(tmp_path_factory):
     run(["bpe-train", "--counts", counts, "--vocab", "400", "--out", out / "merges.txt"])
     run(["bpe-apply", "--merges", out / "merges.txt"],
         inp / "stream_bpe.txt", out / "bpe.seg")
-    return {name: out / name for name in DIGESTS}
+    return {name: out / name for name in DIGESTS}, dict(zip(("joint", "mono"), reports))
+
+
+@pytest.fixture(scope="module")
+def outputs(pipeline):
+    return pipeline[0]
 
 
 def test_pipeline_outputs_match_their_digests(outputs):
@@ -131,3 +157,11 @@ def cost_pins(model):
 
 def test_trained_model_costs_match_their_pins(outputs):
     assert {name: cost_pins(load_model(outputs[name])) for name in COSTS} == COSTS
+
+
+def test_training_epoch_counters_match_their_pins(pipeline):
+    counters = {
+        name: [(e.units_changed, e.restores, e.candidates_scored) for e in report.epochs]
+        for name, report in pipeline[1].items()
+    }
+    assert counters == EPOCH_COUNTERS

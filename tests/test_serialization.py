@@ -130,6 +130,17 @@ class TestRoundTrip:
         with pytest.raises(ContractError):
             CognateModel(seed=seed)
 
+    @pytest.mark.parametrize("setting", ["alpha", "edit_weight"])
+    @pytest.mark.parametrize("value", [2, 2**80 + 1, 1e-05, 0.01])
+    def test_number_setting_save_load_save_byte_identical(self, tmp_path, setting, value):
+        first, second = tmp_path / "first", tmp_path / "second"
+        save_model(CognateModel(**{setting: value}), first)
+        loaded = load_model(first)
+        assert getattr(loaded, setting) == value
+        assert type(getattr(loaded, setting)) is type(value)
+        save_model(loaded, second)
+        assert second.read_bytes() == first.read_bytes()
+
 
 class TestValidation:
     def make_file(self, tmp_path):
@@ -269,7 +280,7 @@ class TestValidation:
     @pytest.mark.parametrize(
         "key, value",
         [("alpha", "nan"), ("alpha", "x"), ("edit-weight", "inf"), ("edit-mode", "loose"),
-         ("seed", "x"), ("dampening", "loose")],
+         ("alpha", "1" + "0" * 400), ("seed", "x"), ("dampening", "loose")],
     )
     def test_bad_header_field_rejected_at_its_line(self, tmp_path, key, value):
         path = self.make_file(tmp_path)

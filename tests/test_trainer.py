@@ -178,6 +178,13 @@ class TestResegmentWord:
         with pytest.raises(ContractError):
             resegment_word(model, "", "a")
 
+    def test_unknown_language_rejected(self):
+        model = initialize({"kala": 1}, {}, [], default_params())
+        model.count_unit([("a", model.analyses["a"]["kala"])], -1)
+        with pytest.raises(ContractError) as err:
+            resegment_word(model, "kala", "c")
+        assert str(err.value) == "unknown language 'c' (the model holds: a, b)"
+
 
 def recorded(model, pair):
     """The recorded (language, analysis) entries of a pair."""
