@@ -31,8 +31,8 @@ class AlignedPair:
     line: int | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.count < 1:
-            raise ContractError("alignment count must be positive: %r" % (self,))
+        if type(self.count) is not int or self.count < 1:
+            raise ContractError("alignment count must be a positive int: %r" % (self,))
 
 
 def excluded_char(ch: str) -> bool:

@@ -6,6 +6,9 @@ import re
 
 # A finite number as str() writes a float or an int: "0.01", "10.0", "1e-05", "1".
 _DECIMAL = re.compile(r"-?[0-9]+(\.[0-9]+)?(e[-+][0-9]+)?")
+# A count stays below 10**18, so every cost and balance term computed from
+# one (n * log(n), a float scaling) stays finite.
+MAX_COUNT_DIGITS = 18
 
 
 class CogsegError(Exception):
@@ -93,9 +96,13 @@ def check_word(word: str, path, line) -> None:
 def parse_int(text: str, path=None, line=None) -> int:
     """The integer of an optional "-" and ASCII digits. Other text raises
     FormatError, also where int() would take it: with "_", "+", whitespace
-    or non-ASCII digits."""
+    or non-ASCII digits; so does digit text too long for int()
+    (sys.get_int_max_str_digits())."""
     if text.isascii() and (text.isdigit() or text[:1] == "-" and text[1:].isdigit()):
-        return int(text)
+        try:
+            return int(text)
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            raise FormatError("integer of %d digits too long" % len(text), path, line) from None
     raise FormatError("bad integer %r" % text, path, line)
 
 
@@ -104,15 +111,31 @@ def parse_number(text: str, path=None, line=None) -> int | float:
     int for text without a point or an exponent, else a float, so str() of
     the number gives back the text str() wrote. Other text raises
     FormatError, also where float() would take it: with "_", "+",
-    whitespace or non-ASCII digits."""
+    whitespace or non-ASCII digits; integer text goes to parse_int."""
     match = _DECIMAL.fullmatch(text)
     if match is None:
         raise FormatError("bad number %r" % text, path, line)
-    return float(text) if match[1] or match[2] else int(text)
+    return float(text) if match[1] or match[2] else parse_int(text, path, line)
 
 
 def parse_positive(text: str, path, line) -> int:
-    value = parse_int(text, path, line)
+    """The count of a count field, in a count table, a pairs TSV or a model
+    file: ASCII digits that read from 1 to 10**18 - 1, leading zeros
+    allowed. More than MAX_COUNT_DIGITS significant digits raise
+    FormatError before int() reads them, so the bound does not depend on
+    the interpreter's; other text raises parse_int's FormatError."""
+    if text.isdigit() and text.isascii():
+        if len(text) > MAX_COUNT_DIGITS:
+            text = text.lstrip("0") or "0"
+            if len(text) > MAX_COUNT_DIGITS:
+                raise FormatError(
+                    "count of %d digits too large (at most %d)" % (len(text), MAX_COUNT_DIGITS),
+                    path,
+                    line,
+                )
+        value = int(text)
+    else:
+        value = parse_int(text, path, line)
     if value < 1:
         raise FormatError("count must be positive, got %d" % value, path, line)
     return value

@@ -79,8 +79,10 @@ class Analysis:
     count: int
 
     def __post_init__(self):
-        if self.count < 1:
-            raise ContractError("count must be positive: %r" % (self,))
+        # A bool is an int to Python, and a float count would fail in
+        # add_analysis's XLOGX lookup after the lexicon had taken it.
+        if type(self.count) is not int or self.count < 1:
+            raise ContractError("count must be a positive int: %r" % (self,))
         if not self.morphs or not all(self.morphs):
             raise ContractError("morphs must be non-empty: %r" % (self,))
         if "".join(self.morphs) != self.word:

@@ -19,12 +19,12 @@ path:line. The checks run in this order:
    form, its count, and agreement with the recount; then a missing form.
 
 It is one pass over the rows. Each row is split once and unescaped only if
-it holds a backslash. Each count field takes an ASCII-digit test inline,
-and parse_positive only when it fails. Each pair is looked up once, by the
-recount's checked_pairs. On the benchmark's seed-1 gold joint model (3,057
-pairs, 6,802 analyses), a cold load in a fresh process takes about 41 ms on
-a 2-vCPU VM, and about a fifth of that aligns the 1,372 distinct morph
-pairs for the tally: the [EDITS] check needs it.
+it holds a backslash. Every count field is read by errors.parse_positive,
+the reader of count tables and pairs files too. Each pair is looked up
+once, by the recount's checked_pairs. On the benchmark's seed-1 gold joint
+model (3,057 pairs, 6,802 analyses), a cold load in a fresh process takes
+about 41 ms on a 2-vCPU VM, and about a fifth of that aligns the 1,372
+distinct morph pairs for the tally: the [EDITS] check needs it.
 """
 
 from __future__ import annotations
@@ -179,7 +179,7 @@ def load_model(path) -> CognateModel:
             settings[name] = parse(value)
             # The constructor holds the one check of each setting: try this one alone.
             CognateModel(**{name: settings[name]})
-        except (ValueError, CogsegError) as exc:
+        except CogsegError as exc:
             raise FormatError("bad header field %r (%s)" % (key, exc), path, line) from None
 
     # (index in raw, name) of each section header, found in one scan of the
@@ -228,18 +228,12 @@ def load_model(path) -> CognateModel:
             yield line_no, fields
 
     model = CognateModel(**settings)
-    # Each count field takes the inline ASCII-digit test; one that fails it,
-    # or reads 0, goes to parse_positive, which raises its message.
     # Pairs are registered before any word is recorded, and checked against
     # the recorded analyses at their own rows by the recount.
     pair_lines = []
     for line_no, (word_a, word_b, count_a, count_b) in rows("PAIRS", "ttcc", "pair"):
-        n_a = int(count_a) if count_a.isdigit() and count_a.isascii() else 0
-        if n_a < 1:
-            n_a = parse_positive(count_a, path, line_no)
-        n_b = int(count_b) if count_b.isdigit() and count_b.isascii() else 0
-        if n_b < 1:
-            n_b = parse_positive(count_b, path, line_no)
+        n_a = parse_positive(count_a, path, line_no)
+        n_b = parse_positive(count_b, path, line_no)
         try:
             model.register_pair(CognatePair(word_a, word_b, n_a, n_b))
         except CogsegError as exc:
@@ -249,9 +243,7 @@ def load_model(path) -> CognateModel:
     insert = model.insert_analysis
     for lang, name in (("a", "ANALYSES-A"), ("b", "ANALYSES-B")):
         for line_no, (word, count, morphs) in rows(name, "tcm", "analysis"):
-            n = int(count) if count.isdigit() and count.isascii() else 0
-            if n < 1:
-                n = parse_positive(count, path, line_no)
+            n = parse_positive(count, path, line_no)
             try:
                 insert(Analysis(word, tuple(morphs.split(" ")), n), lang)
             except CogsegError as exc:
@@ -274,9 +266,7 @@ def load_model(path) -> CognateModel:
         for line_no, (form, count) in rows(name, "tc", "lexicon"):
             if form in stored:
                 raise FormatError("repeated row for %r" % form, path, line_no)
-            n = int(count) if count.isdigit() and count.isascii() else 0
-            if n < 1:
-                n = parse_positive(count, path, line_no)
+            n = parse_positive(count, path, line_no)
             stored[form] = n
             if counts.get(form) != n:
                 raise FormatError(

@@ -145,8 +145,8 @@ def initialize(corpus_a, corpus_b, pairs, params: TrainingParams) -> CognateMode
     model = _empty_model(params)
 
     def effective(count):
-        if count < 1:
-            raise ContractError("word counts must be positive")
+        if type(count) is not int or count < 1:
+            raise ContractError("word counts must be positive ints, got %r" % (count,))
         return dampen_count(count) if params.dampening == "log" else count
 
     counts = {

@@ -1,5 +1,6 @@
 import io
 import json
+import sys
 
 import pytest
 
@@ -25,21 +26,56 @@ def run_cli(argv, stdin_text="", monkeypatch=None):
 
 # Text that int() takes but a count file must not hold: only an optional
 # "-" and ASCII digits make an integer.
-NOT_INTEGERS = pytest.mark.parametrize(
-    "text", ["1_000", " 7", "+3", "\u0663", "\uff17"],
-    ids=["underscore", "space", "plus", "arabic-indic", "fullwidth"],
+NOT_INTEGER_TEXTS = ["1_000", " 7", "+3", "\u0663", "\uff17"]
+NOT_INTEGER_IDS = ["underscore", "space", "plus", "arabic-indic", "fullwidth"]
+NOT_INTEGERS = pytest.mark.parametrize("text", NOT_INTEGER_TEXTS, ids=NOT_INTEGER_IDS)
+
+# Counts too large, with the reason each is rejected: more digits than
+# CPython's int() reads by default, a count whose n * log(n) overflows a
+# float, and 10**18, the least count of 19 digits.
+TOO_LARGE_COUNTS = [
+    ("9" * 5000, "count of 5000 digits too large (at most 18)"),
+    ("1" + "0" * 399, "count of 400 digits too large (at most 18)"),
+    ("1" + "0" * 18, "count of 19 digits too large (at most 18)"),
+]
+TOO_LARGE_IDS = ["5000-digits", "400-digits", "19-digits"]
+
+# Each count that a count table or a pairs file rejects, with the reason.
+BAD_COUNTS = pytest.mark.parametrize(
+    "text, reason",
+    [(text, "bad integer %r" % text) for text in NOT_INTEGER_TEXTS] + TOO_LARGE_COUNTS,
+    ids=NOT_INTEGER_IDS + TOO_LARGE_IDS,
 )
 
 
-@NOT_INTEGERS
-def test_parse_int_rejects_what_only_int_takes(text):
-    with pytest.raises(FormatError) as err:
-        parse_int(text, "t.tsv", 4)
-    assert str(err.value) == "t.tsv:4: bad integer %r" % text
+@pytest.mark.parametrize(
+    "text, reason",
+    [(text, "bad integer %r" % text) for text in NOT_INTEGER_TEXTS]
+    + [("9" * 5000, "integer of 5000 digits too long"),
+       ("-" + "9" * 5000, "integer of 5001 digits too long")],
+    ids=NOT_INTEGER_IDS + ["5000-digits", "negative-5000-digits"],
+)
+def test_parse_int_rejects_what_only_int_takes(text, reason):
+    # int() refuses more than 4,300 digits by default with ValueError;
+    # the limit is set here, since python -X int_max_str_digits=0 lifts it.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(FormatError) as err:
+            parse_int(text, "t.tsv", 4)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert str(err.value) == "t.tsv:4: %s" % reason
 
 
-@pytest.mark.parametrize("text, value", [("0", 0), ("-4", -4), ("0012", 12), ("-0", 0)])
+@pytest.mark.parametrize(
+    "text, value",
+    [("0", 0), ("-4", -4), ("0012", 12), ("-0", 0),
+     pytest.param("1" + "0" * 399, 10**399, id="400-digits"),
+     pytest.param("1" + "0" * 18, 10**18, id="19-digits")],
+)
 def test_parse_int_reads_plain_integers(text, value):
+    # A seed has no bound: only a count field does.
     assert parse_int(text, "t.tsv", 1) == value
 
 
@@ -55,6 +91,15 @@ def test_non_positive_count_keeps_its_error(text):
     with pytest.raises(FormatError) as err:
         parse_positive(text, "t.tsv", 2)
     assert str(err.value) == "t.tsv:2: count must be positive, got %s" % text
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [("12", 12), ("0012", 12), ("0" * 5000 + "12", 12), ("9" * 18, 10**18 - 1)],
+    ids=["plain", "leading-zeros", "5000-leading-zeros", "18-digits"],
+)
+def test_count_bound_is_on_significant_digits(text, value):
+    assert parse_positive(text, "t.tsv", 2) == value
 
 
 def error_payload(code, err):
@@ -641,8 +686,9 @@ class TestErrors:
         assert payload["error"] == "FormatError"
         assert payload["message"].startswith("%s:2: " % table)
 
-    @NOT_INTEGERS
-    def test_loose_integer_count_rejected_in_table(self, workspace, monkeypatch, text):
+    @BAD_COUNTS
+    def test_loose_integer_count_rejected_in_table(self, workspace, monkeypatch, text,
+                                                   reason):
         table = workspace / "c1.tsv"
         table.write_text("kala\t10\nkalassa\t%s\n" % text, encoding="utf-8")
         code, _, err = run_cli(
@@ -652,7 +698,7 @@ class TestErrors:
         )
         payload = error_payload(code, err)
         assert payload["error"] == "FormatError"
-        assert payload["message"] == "%s:2: bad integer %r" % (table, text)
+        assert payload["message"] == "%s:2: %s" % (table, reason)
 
     @pytest.mark.parametrize(
         "row, reason",
@@ -758,8 +804,11 @@ class TestErrors:
         assert not model_path.exists()
 
     @pytest.mark.parametrize(
-        "bad_table, line", [("kala\t0\nkalassa\t0\n", 1), ("kala\t10\nkalassa\t-4\n", 2)],
-        ids=["all-zero", "negative"],
+        "bad_table, line",
+        [("kala\t0\nkalassa\t0\n", 1), ("kala\t10\nkalassa\t-4\n", 2),
+         # Balancing would scale this count to a float beyond the range.
+         ("kala\t10\nkalassa\t1%s\n" % ("0" * 399), 2)],
+        ids=["all-zero", "negative", "400-digits"],
     )
     def test_non_positive_count_beside_another_table(self, workspace, monkeypatch,
                                                      bad_table, line):
@@ -768,7 +817,7 @@ class TestErrors:
         bad = workspace / "c2.tsv"
         bad.write_text(bad_table, encoding="utf-8")
         merges = workspace / "merges.txt"
-        code, _, err = run_cli(
+        code, out, err = run_cli(
             ["bpe-train", "--counts", "%s,%s" % (good, bad), "--vocab", "12",
              "--out", str(merges)],
             monkeypatch=monkeypatch,
@@ -776,7 +825,26 @@ class TestErrors:
         payload = error_payload(code, err)
         assert payload["error"] == "FormatError"
         assert payload["message"].startswith("%s:%d: " % (bad, line))
+        assert out == ""
         assert not merges.exists()
+
+    @pytest.mark.parametrize("section", ["ANALYSES-A", "LEXICON-A"])
+    @pytest.mark.parametrize("text, reason", TOO_LARGE_COUNTS, ids=TOO_LARGE_IDS)
+    def test_too_large_model_count_rejected_at_its_line(self, workspace, monkeypatch,
+                                                        section, text, reason):
+        # A 400-digit analysis count would overflow the recount's n * log(n).
+        model_path = train_model(workspace, monkeypatch)
+        lines = model_path.read_text(encoding="utf-8").split("\n")
+        index = lines.index("[%s]" % section) + 1
+        fields = lines[index].split("\t")
+        fields[1] = text
+        lines[index] = "\t".join(fields)
+        model_path.write_text("\n".join(lines), encoding="utf-8")
+        code, out, err = run_cli(["segment", "--model", str(model_path), "--lang", "a"],
+                                 stdin_text="kala\n", monkeypatch=monkeypatch)
+        assert error_payload(code, err) == {
+            "error": "FormatError", "message": "%s:%d: %s" % (model_path, index + 1, reason)}
+        assert out == ""
 
     @pytest.mark.parametrize(
         "text", ["{alpha", '"alpha"', '{"alpha": "x"}', '{"seed": null}', '{"alpha": NaN}',

@@ -14,7 +14,7 @@ from cogseg.cognates import (
 from cogseg.errors import ContractError, FormatError
 
 from oracles import brute_levenshtein
-from test_cli import NOT_INTEGERS
+from test_cli import BAD_COUNTS
 
 
 class TestThreshold:
@@ -38,6 +38,13 @@ class TestThreshold:
     def test_invalid_lengths(self):
         with pytest.raises(ContractError):
             levenshtein_threshold(0, 5)
+
+
+@pytest.mark.parametrize("count", [1.5, 2.0, True, "3"])
+def test_aligned_pair_count_must_be_an_int(count):
+    # write_pairs_tsv would write a float count 1.5 as 1.
+    with pytest.raises(ContractError):
+        AlignedPair("kala", "kala", count)
 
 
 class TestFilterPairs:
@@ -249,13 +256,13 @@ class TestTsvIo:
             read_pairs_tsv(path)
         assert ":2" in str(err.value)
 
-    @NOT_INTEGERS
-    def test_loose_integer_count_rejected(self, tmp_path, text):
+    @BAD_COUNTS
+    def test_loose_integer_count_rejected(self, tmp_path, text, reason):
         path = tmp_path / "pairs.tsv"
         path.write_text("a\tb\t3\nc\td\t%s\n" % text, encoding="utf-8")
         with pytest.raises(FormatError) as err:
             read_pairs_tsv(path)
-        assert str(err.value) == "%s:2: bad integer %r" % (path, text)
+        assert str(err.value) == "%s:2: %s" % (path, reason)
 
     def test_wrong_field_count_rejected(self, tmp_path):
         path = tmp_path / "pairs.tsv"

@@ -470,6 +470,13 @@ class TestTypes:
         with pytest.raises(ContractError):
             Analysis("talo", (), 1)
 
+    @pytest.mark.parametrize("count", [1.5, 2.0, True, "3"])
+    def test_analysis_count_must_be_an_int(self, count):
+        # A float count would fail in add_analysis's XLOGX lookup after the
+        # lexicon had taken it; a bool is an int to Python.
+        with pytest.raises(ContractError):
+            Analysis("kala", ("kala",), count)
+
     def test_analysis_whitespace_rejected(self):
         with pytest.raises(ContractError):
             Analysis("ta lo", ("ta lo",), 1)

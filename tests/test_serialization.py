@@ -13,7 +13,7 @@ from cogseg.serialization import (
 )
 from cogseg.trainer import TrainingParams, initialize, train
 
-from test_cli import NOT_INTEGERS
+from test_cli import NOT_INTEGERS, TOO_LARGE_COUNTS, TOO_LARGE_IDS
 from worlds import gen
 
 
@@ -204,8 +204,8 @@ class TestValidation:
     @pytest.mark.parametrize(
         "text, reason",
         [("", "bad integer ''"), ("0", "count must be positive, got 0"),
-         ("-2", "count must be positive, got -2")],
-        ids=["empty", "zero", "negative"],
+         ("-2", "count must be positive, got -2")] + TOO_LARGE_COUNTS,
+        ids=["empty", "zero", "negative"] + TOO_LARGE_IDS,
     )
     def test_count_field_out_of_range_rejected_at_its_line(self, tmp_path, row, field, text,
                                                            reason):
@@ -215,6 +215,17 @@ class TestValidation:
         with pytest.raises(FormatError) as err:
             load_model(path)
         assert str(err.value) == "%s:%d: %s" % (path, line, reason)
+
+    @COUNT_FIELDS
+    @pytest.mark.parametrize("zeros", [2, 30])
+    def test_count_field_leading_zeros_read_as_the_count(self, tmp_path, row, field, zeros):
+        # Every count field has the one reader, which drops leading zeros,
+        # also beyond the 18 digits a count may have.
+        original = self.make_file(tmp_path).read_bytes()
+        line = next(l for l in original.decode("utf-8").split("\n") if l.startswith(row))
+        path, _ = self.set_count(tmp_path, row, field, "0" * zeros + line.split("\t")[field])
+        save_model(load_model(path), path)
+        assert path.read_bytes() == original
 
     @COUNT_FIELDS
     @NOT_INTEGERS
@@ -280,7 +291,8 @@ class TestValidation:
     @pytest.mark.parametrize(
         "key, value",
         [("alpha", "nan"), ("alpha", "x"), ("edit-weight", "inf"), ("edit-mode", "loose"),
-         ("alpha", "1" + "0" * 400), ("seed", "x"), ("dampening", "loose")],
+         ("alpha", "1" + "0" * 400), ("alpha", "1" + "0" * 5000),
+         ("edit-weight", "-" + "9" * 5000), ("seed", "x"), ("dampening", "loose")],
     )
     def test_bad_header_field_rejected_at_its_line(self, tmp_path, key, value):
         path = self.make_file(tmp_path)

@@ -122,6 +122,13 @@ class TestInitialize:
                 default_params(),
             )
 
+    @pytest.mark.parametrize("dampening", ["none", "log"])
+    @pytest.mark.parametrize("count", [1.5, True])
+    def test_non_int_word_count_rejected(self, dampening, count):
+        # Log dampening would turn either into the int 1.
+        with pytest.raises(ContractError):
+            initialize({"kala": count}, {}, [], default_params(dampening=dampening))
+
     def test_log_dampening(self):
         model = initialize({"kala": 100}, {}, [], default_params(dampening="log"))
         assert model.analyses["a"]["kala"].count == int(math.floor(math.log(100))) + 1
