@@ -74,8 +74,9 @@ class MergeTable:
 def balance_counts(tables: dict[str, dict[str, int]]) -> BalancedCounts:
     """Scale every language's counts so the sums match the largest language.
 
-    Every input count must be at least 1. Counts are rounded half-up; no
-    scale is below 1, so every word keeps a count of at least 1.
+    Every input count must be an int of at least 1; a bool is not one.
+    Counts are rounded half-up; no scale is below 1, so every word keeps a
+    count of at least 1.
     """
     if len(tables) < 2:
         raise ContractError("need at least two languages to balance")
@@ -84,9 +85,10 @@ def balance_counts(tables: dict[str, dict[str, int]]) -> BalancedCounts:
         if not table:
             raise ContractError("empty count table for language %r" % lang)
         for word, count in table.items():
-            if count < 1:
+            if type(count) is not int or count < 1:
                 raise ContractError(
-                    "count %r of word %r in language %r is below 1" % (count, word, lang)
+                    "count %r of word %r in language %r is not an int of at least 1"
+                    % (count, word, lang)
                 )
         sums[lang] = sum(table.values())
     target = max(sums.values())
@@ -116,38 +118,11 @@ def _fragments(word: str) -> list[tuple[str, ...]]:
     return [tuple(piece) for piece in pieces if piece] + [(*last, WORD_END)]
 
 
-def _merge_span(symbols: tuple[str, ...], left: str, right: str):
-    """Merge every occurrence of the pair (left, right) in symbols, left to
-    right; one that overlaps the occurrence merged before it (the second
-    pair of a a a) is not merged.
-
-    Returns the merged tuple and the indices in symbols of the first and
-    the last merged occurrence, or (symbols, -1, -1) when none is merged.
-    The merged tuple equals symbols before the first occurrence and after
-    the last one.
-    """
-    joined = (left + right,)
-    merged: tuple[str, ...] = ()
-    first = -1
-    start = 0  # the first symbol not yet copied into merged
-    i = -1
-    for _ in range(symbols.count(left)):
-        i = symbols.index(left, i + 1)
-        if start <= i < len(symbols) - 1 and symbols[i + 1] == right:
-            if first < 0:
-                first = i
-            merged += symbols[start:i] + joined
-            start = i + 2
-    if first < 0:
-        return symbols, -1, -1
-    return merged + symbols[start:], first, start - 2
-
-
 def train_bpe(counts: dict[str, int], vocab_size: int) -> MergeTable:
     """Learn merges over word counts until vocab_size symbols exist.
 
-    counts maps word -> count; for several languages pass
-    balance_counts(tables).combined(). Hyphen fragments
+    counts maps word -> count, each an int of at least 1; for several
+    languages pass balance_counts(tables).combined(). Hyphen fragments
     are single symbols and never participate in pairs. Pair-frequency ties
     break lexicographically. If the corpus runs out of mergeable pairs the
     table is returned shorter, flagged as truncated.
@@ -155,19 +130,26 @@ def train_bpe(counts: dict[str, int], vocab_size: int) -> MergeTable:
     Pairs are counted once (the pair-statistics index of Sennrich et al.
     2016, arXiv:1508.07909), and the best pair is the least (-count, pair)
     entry of a heap whose stale entries are dropped when they surface. A
-    merge visits only the fragments in the chosen pair's holder set, and in
-    each only the pairs from the symbol before the first merged occurrence
-    to the one after the last: the pairs outside that window do not change,
-    so they would push no heap entry. A fragment that holds a pair is in its
-    holder set, because a merge that forms the pair adds the fragment, and
-    a set is dropped only when its pair has no occurrence left: it was
-    merged, which leaves none, or its count fell to 0.
+    merge visits only the fragments in the chosen pair's holder set, and
+    merges each occurrence in place, left to right; one that overlaps the
+    occurrence merged before it (the second pair of a a a) is not merged.
+    Each occurrence takes away the pair before it, itself and the pair
+    after it, and puts in the two pairs beside the joined symbol. These
+    changes are summed over the merge, and only a pair whose sum is not 0
+    is written back and pushed onto the heap. A fragment that holds a pair
+    is in its holder set, because a merge that forms the pair adds the
+    fragment, and a set is dropped only when its pair has no occurrence
+    left: it was merged, which leaves none, or its count fell to 0.
     """
+    # A bool is an int to Python, and a float would count, scale or bound
+    # the merges as if it were one.
+    if type(vocab_size) is not int:
+        raise ContractError("vocab size must be an int, got %r" % (vocab_size,))
     fragment_counts: collections.Counter = collections.Counter()
     alphabet = set()
     for word, count in counts.items():
-        if count < 1:
-            raise ContractError("word counts must be positive")
+        if type(count) is not int or count < 1:
+            raise ContractError("word counts must be positive ints, got %r" % (count,))
         for frag in _fragments(word):
             alphabet.update(frag)
             if len(frag) > 1:
@@ -177,7 +159,7 @@ def train_bpe(counts: dict[str, int], vocab_size: int) -> MergeTable:
             "vocab size %d not above initial alphabet size %d" % (vocab_size, len(alphabet))
         )
     # A merge acts alike on equal fragments, so each distinct one is a unit.
-    units = [[frag, count] for frag, count in fragment_counts.items()]
+    units = [(list(frag), count) for frag, count in fragment_counts.items()]
     # A plain dict: Counter's __missing__ is a Python call per new pair.
     pair_counts: dict[tuple[str, str], int] = {}
     holders: dict[tuple[str, str], set[int]] = collections.defaultdict(set)
@@ -201,34 +183,44 @@ def train_bpe(counts: dict[str, int], vocab_size: int) -> MergeTable:
         best = heapq.heappop(heap)[1]
         table.merges.append(best)
         left, right = best
-        before: dict[tuple[str, str], int] = {}
+        joined = left + right
+        # A merge of a a uses up a second left symbol a.
+        twin = left == right
+        delta: dict[tuple[str, str], int] = {}
         # A holder may no longer hold the pair; its merge is then a no-op.
         for unit in holders.pop(best):
             symbols, count = units[unit]
-            merged, first, last = _merge_span(symbols, left, right)
-            if first < 0:
-                continue
-            units[unit][0] = merged
-            # Only the pairs from the symbol before the first occurrence to
-            # the one after the last change; the rest of the unit's pairs,
-            # and its place in their holder sets, stay as they are.
-            start = first - 1 if first else 0
-            stop = last + 3
-            old = symbols[start:stop]
-            new = merged[start:stop + len(merged) - len(symbols)]
-            for pair in zip(old, old[1:]):
-                before.setdefault(pair, pair_counts[pair])
-                pair_counts[pair] -= count
-            for pair in zip(new, new[1:]):
-                before.setdefault(pair, pair_counts.get(pair, 0))
-                pair_counts[pair] = pair_counts.get(pair, 0) + count
-                holders[pair].add(unit)
-        for pair, old_count in before.items():
-            count = pair_counts[pair]
-            if count == 0:
-                del pair_counts[pair]
+            lefts = symbols.count(left)
+            last = len(symbols) - 1
+            i = 0
+            while lefts:
+                i = symbols.index(left, i)
+                lefts -= 1
+                if i < last and symbols[i + 1] == right:
+                    lefts -= twin
+                    delta[best] = delta.get(best, 0) - count
+                    if i:
+                        pair = (symbols[i - 1], left)
+                        delta[pair] = delta.get(pair, 0) - count
+                        pair = (symbols[i - 1], joined)
+                        delta[pair] = delta.get(pair, 0) + count
+                        holders[pair].add(unit)
+                    symbols[i : i + 2] = (joined,)
+                    last -= 1
+                    if i < last:
+                        pair = (right, symbols[i + 1])
+                        delta[pair] = delta.get(pair, 0) - count
+                        pair = (joined, symbols[i + 1])
+                        delta[pair] = delta.get(pair, 0) + count
+                        holders[pair].add(unit)
+                i += 1
+        for pair, change in delta.items():
+            count = pair_counts.get(pair, 0) + change
+            if not count:
+                pair_counts.pop(pair, None)
                 holders.pop(pair, None)
-            elif count != old_count:
+            elif change:
+                pair_counts[pair] = count
                 heapq.heappush(heap, (-count, pair))
     return table
 

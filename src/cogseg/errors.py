@@ -121,9 +121,11 @@ def parse_number(text: str, path=None, line=None) -> int | float:
 def parse_positive(text: str, path, line) -> int:
     """The count of a count field, in a count table, a pairs TSV or a model
     file: ASCII digits that read from 1 to 10**18 - 1, leading zeros
-    allowed. More than MAX_COUNT_DIGITS significant digits raise
-    FormatError before int() reads them, so the bound does not depend on
-    the interpreter's; other text raises parse_int's FormatError."""
+    allowed. Text of more than MAX_COUNT_DIGITS significant digits, or of
+    "-" and more than MAX_COUNT_DIGITS digits, raises FormatError before
+    int() reads it: neither the bound nor the message depends on the
+    interpreter's digit limit, and no message grows with the text. Other
+    text raises the "bad integer" FormatError that parse_int raises."""
     if text.isdigit() and text.isascii():
         if len(text) > MAX_COUNT_DIGITS:
             text = text.lstrip("0") or "0"
@@ -134,8 +136,14 @@ def parse_positive(text: str, path, line) -> int:
                     line,
                 )
         value = int(text)
+    elif text[:1] == "-" and text[1:].isdigit() and text.isascii():
+        if len(text) > MAX_COUNT_DIGITS + 1:
+            raise FormatError(
+                "count must be positive, got '-' and %d digits" % (len(text) - 1), path, line
+            )
+        value = int(text)
     else:
-        value = parse_int(text, path, line)
+        raise FormatError("bad integer %r" % text, path, line)
     if value < 1:
         raise FormatError("count must be positive, got %d" % value, path, line)
     return value

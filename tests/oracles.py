@@ -21,9 +21,7 @@ import re
 
 import mpmath
 
-# _merge_fragment and tails call these on every merge or tail, so they are
-# imported once, not in the helpers.
-from cogseg.bpe import _merge_span
+# tails calls this on every tail, so it is imported once, not in the helper.
 from cogseg.edits import edit_forms
 
 mpmath.mp.dps = 50
@@ -354,6 +352,33 @@ def reference_bpe_apply(merges, word, hyphens="-"):
     elif out and out[-1].endswith(WORD_END):
         out[-1] = out[-1][: -len(WORD_END)]
     return out
+
+
+def _merge_span(symbols: tuple[str, ...], left: str, right: str):
+    """Merge every occurrence of the pair (left, right) in symbols, left to
+    right; one that overlaps the occurrence merged before it (the second
+    pair of a a a) is not merged.
+
+    Returns the merged tuple and the indices in symbols of the first and
+    the last merged occurrence, or (symbols, -1, -1) when none is merged.
+    The merged tuple equals symbols before the first occurrence and after
+    the last one.
+    """
+    joined = (left + right,)
+    merged: tuple[str, ...] = ()
+    first = -1
+    start = 0  # the first symbol not yet copied into merged
+    i = -1
+    for _ in range(symbols.count(left)):
+        i = symbols.index(left, i + 1)
+        if start <= i < len(symbols) - 1 and symbols[i + 1] == right:
+            if first < 0:
+                first = i
+            merged += symbols[start:i] + joined
+            start = i + 2
+    if first < 0:
+        return symbols, -1, -1
+    return merged + symbols[start:], first, start - 2
 
 
 def _merge_fragment(symbols: tuple[str, ...], left: str, right: str) -> tuple[str, ...]:

@@ -6,7 +6,6 @@ import pytest
 
 from cogseg.bpe import (
     MergeTable,
-    _merge_span,
     apply_bpe,
     balance_counts,
     load_merges,
@@ -15,7 +14,12 @@ from cogseg.bpe import (
 )
 from cogseg.errors import ContractError, FormatError
 
-from oracles import recounting_bpe_train, reference_bpe_apply, table_order_bpe_apply
+from oracles import (
+    _merge_span,
+    recounting_bpe_train,
+    reference_bpe_apply,
+    table_order_bpe_apply,
+)
 from worlds import gen
 
 
@@ -87,8 +91,9 @@ class TestBalanceCounts:
         with pytest.raises(ContractError, match="'a'"):
             balance_counts({"a": {"w": 0}, "b": {"x": 1}})
 
-    @pytest.mark.parametrize("count", [0, -1])
-    def test_count_below_one_rejected(self, count):
+    # A bool is an int to Python, and a float count would be scaled as one.
+    @pytest.mark.parametrize("count", [0, -1, 1.5, 2.0, True])
+    def test_count_not_a_positive_int_rejected(self, count):
         with pytest.raises(ContractError, match=r"word 'w' in language 'a'"):
             balance_counts({"a": {"v": 2, "w": count}, "b": {"x": 4}})
 
@@ -125,6 +130,17 @@ class TestTrainBpe:
         assert table.truncated
         assert len(table.merges) < 50
 
+    @pytest.mark.parametrize(
+        "counts, vocab",
+        [({"ab": 1.5, "abab": 2}, 10), ({"ab": True, "abab": 2}, 6),
+         ({"ab": 1, "abab": 2}, 10.5), ({"ab": 1, "abab": 2}, 10.0),
+         ({"ab": 1, "abab": 2}, True)],
+        ids=["float-count", "bool-count", "float-vocab", "whole-float-vocab", "bool-vocab"],
+    )
+    def test_count_or_vocab_not_an_int_rejected(self, counts, vocab):
+        with pytest.raises(ContractError, match="must be"):
+            train_bpe(counts, vocab)
+
     def test_vocab_not_above_alphabet_rejected(self):
         with pytest.raises(ContractError):
             train_bpe({"ab": 1}, vocab_size=3)  # alphabet is {a, b, </w>}
@@ -151,6 +167,23 @@ class TestTrainBpe:
             assert (table.merges, table.truncated) == (reference.merges, reference.truncated)
             truncated += table.truncated
         assert 0 < truncated < 400
+
+    def test_small_corpora_match_recounting_oracle(self):
+        # Every word of up to 6 symbols over a, b and -, alone, and every
+        # ordered pair of distinct words of up to 3: overlapping runs
+        # (aaaa), a repeated best pair (abab), a pair that one occurrence
+        # takes away and the next puts back (ab a in abab), and hyphen-only
+        # and hyphen-ended fragments.
+        words = ["".join(w) for n in range(1, 7) for w in itertools.product("ab-", repeat=n)]
+        corpora = [{word: count} for word in words for count in (1, 2)]
+        short = [word for word in words if len(word) <= 3]
+        corpora += [{first: 1, second: 2} for first, second in itertools.permutations(short, 2)]
+        assert len(corpora) == 3666
+        for counts in corpora:
+            vocab = len(set("".join(counts))) + 1 + 12
+            table = train_bpe(counts, vocab)
+            reference = recounting_bpe_train(counts, vocab)
+            assert (table.merges, table.truncated) == (reference.merges, reference.truncated), counts
 
     def test_merge_span_matches_per_symbol_merge(self):
         # Every tuple of up to 6 symbols, with runs (a a a, ab ab) that

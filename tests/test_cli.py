@@ -86,11 +86,26 @@ def test_crlf_count_table_loads(tmp_path):
     assert cli.load_count_table(path) == {"kala": 10, "vesi": 3}
 
 
-@pytest.mark.parametrize("text", ["0", "-4"])
+@pytest.mark.parametrize("text", ["0", "-4", "-" + "9" * 18])
 def test_non_positive_count_keeps_its_error(text):
     with pytest.raises(FormatError) as err:
         parse_positive(text, "t.tsv", 2)
     assert str(err.value) == "t.tsv:2: count must be positive, got %s" % text
+
+
+@pytest.mark.parametrize("limit", [0, 4300], ids=["no-digit-limit", "default-digit-limit"])
+@pytest.mark.parametrize("digits", ["9" * 5000, "0" * 19], ids=["5000-nines", "19-zeros"])
+def test_long_negative_count_error_is_short(limit, digits):
+    # Without a digit limit int() would read every digit and the message
+    # would quote them; under the default one int() refuses the text.
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        with pytest.raises(FormatError) as err:
+            parse_positive("-" + digits, "t.tsv", 2)
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert str(err.value) == "t.tsv:2: count must be positive, got '-' and %d digits" % len(digits)
 
 
 @pytest.mark.parametrize(
